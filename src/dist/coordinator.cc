@@ -3,7 +3,6 @@
 #include "dist/view_wire.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
-#include "util/logging.h"
 
 namespace lmfao {
 
@@ -15,7 +14,6 @@ namespace {
 void FoldFrame(const DecodedView& frame, ViewMap* map) {
   const int arity = frame.arity;
   const int width = frame.width;
-  map->Reserve(map->size() + frame.rows);
   const int64_t* cols[TupleKey::kMaxArity];
   for (int c = 0; c < arity; ++c) cols[c] = frame.keys.col(c);
   const double* payload = frame.payloads.data();
@@ -34,50 +32,24 @@ void FoldFrame(const DecodedView& frame, ViewMap* map) {
 
 }  // namespace
 
-Status MergeShardOutputs(const std::vector<ShardOutput>& shards,
-                         std::vector<QueryResult>* results,
-                         CoordinatorStats* stats) {
-  LMFAO_CHECK(results != nullptr);
-  LMFAO_CHECK(stats != nullptr);
-  const size_t num_queries = results->size();
-  // Per-query frame shape pinned by the first shard; later shards must
-  // agree (they ran the same compiled batch, so a mismatch means a
-  // corrupted exchange, not a legitimate schema difference).
-  std::vector<int> widths(num_queries, -1);
-
-  for (const ShardOutput& shard : shards) {
-    stats->exchange_bytes += shard.wire.size();
-    size_t offset = 0;
-    for (size_t q = 0; q < num_queries; ++q) {
-      LMFAO_FAILPOINT("dist.exchange_decode");
-      StatusOr<DecodedView> frame = DecodeView(shard.wire, &offset);
-      if (!frame.ok()) return frame.status();
-      QueryResult& qr = (*results)[q];
-      if (frame->arity != static_cast<int>(qr.group_by.size())) {
-        return Status::InvalidArgument(
-            "coordinator: shard " + std::to_string(shard.shard) +
-            " sent arity " + std::to_string(frame->arity) + " for query " +
-            std::to_string(q) + ", expected " +
-            std::to_string(qr.group_by.size()));
-      }
-      if (widths[q] < 0) {
-        widths[q] = frame->width;
-        qr.data = ViewMap(frame->arity, frame->width);
-      } else if (frame->width != widths[q]) {
-        return Status::InvalidArgument(
-            "coordinator: shard " + std::to_string(shard.shard) +
-            " sent width " + std::to_string(frame->width) + " for query " +
-            std::to_string(q) + ", expected " + std::to_string(widths[q]));
-      }
-      FoldFrame(*frame, &qr.data);
-    }
-    if (offset != shard.wire.size()) {
-      return Status::InvalidArgument(
-          "coordinator: shard " + std::to_string(shard.shard) + " sent " +
-          std::to_string(shard.wire.size() - offset) +
-          " trailing bytes after the last query frame");
-    }
+Status MergeShardFrame(int shard, const std::string& wire, ViewMap* target) {
+  LMFAO_FAILPOINT("dist.exchange_decode");
+  size_t offset = 0;
+  LMFAO_ASSIGN_OR_RETURN(DecodedView frame, DecodeView(wire, &offset));
+  if (frame.arity != target->key_arity() || frame.width != target->width()) {
+    return Status::InvalidArgument(
+        "coordinator: shard " + std::to_string(shard) + " sent a (" +
+        std::to_string(frame.arity) + ", " + std::to_string(frame.width) +
+        ") frame, expected (" + std::to_string(target->key_arity()) + ", " +
+        std::to_string(target->width()) + ")");
   }
+  if (offset != wire.size()) {
+    return Status::InvalidArgument(
+        "coordinator: shard " + std::to_string(shard) + " sent " +
+        std::to_string(wire.size() - offset) +
+        " trailing bytes after its frame");
+  }
+  FoldFrame(frame, target);
   return Status::OK();
 }
 

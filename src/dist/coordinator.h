@@ -1,56 +1,29 @@
 /// \file coordinator.h
-/// \brief Coordinator merge stage: fold shard-local partial results —
-/// received as ViewWire bytes — into the final query result maps.
+/// \brief Coordinator merge stage: fold shard-local partial outputs —
+/// received as ViewWire frames — into a split group's output maps.
 ///
-/// Each shard's local phase produces one encoded frame per query, in
-/// batch query order, concatenated into one wire buffer. The coordinator
-/// decodes shard by shard (in shard order, so the float summation order is
-/// deterministic) and folds every decoded entry into the query's output
-/// ViewMap with key-hash upserts and payload addition — the same
-/// sum-of-partials fold MergeAdd performs for thread-local maps, driven
-/// from decoded bytes instead of live slots.
+/// Every decoded entry is upserted by key into the output ViewMap and its
+/// payload added — the same sum-of-partials fold MergeAdd performs for
+/// thread-local maps, driven from decoded bytes instead of live slots. The
+/// engine hands over each group's shards in shard order, so the
+/// floating-point summation order is deterministic.
 
 #ifndef LMFAO_DIST_COORDINATOR_H_
 #define LMFAO_DIST_COORDINATOR_H_
 
-#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "query/query.h"
+#include "storage/view.h"
 #include "util/status.h"
 
 namespace lmfao {
 
-/// \brief One shard's local-phase product: its encoded views plus the
-/// per-shard figures the coordinator aggregates into ExecutionStats.
-struct ShardOutput {
-  int shard = 0;
-  /// Rows of the partitioned relation this shard scanned.
-  size_t rows = 0;
-  /// Local execute wall time (skew numerator/denominator).
-  double seconds = 0.0;
-  /// Encoded frames, one per query, in batch query order.
-  std::string wire;
-};
-
-/// \brief What the merge stage measured.
-struct CoordinatorStats {
-  /// Total encoded bytes received across shards.
-  size_t exchange_bytes = 0;
-};
-
-/// Decodes every shard's wire buffer and folds the partial results into
-/// `(*results)[q].data`. Precondition: `*results` carries one entry per
-/// query with `query_id` and `group_by` already set; each entry's map is
-/// (re)built here. Frame shapes are validated against `group_by` and
-/// against each other across shards; any malformed or inconsistent input
-/// returns InvalidArgument with `*results` in an unspecified (but safe to
-/// destroy) state. Carries the `dist.exchange_decode` failpoint seam,
-/// hit once per decoded frame.
-Status MergeShardOutputs(const std::vector<ShardOutput>& shards,
-                         std::vector<QueryResult>* results,
-                         CoordinatorStats* stats);
+/// Decodes the single frame in `wire`, sent by shard `shard`, and folds it
+/// into `*target`. A malformed frame, one whose shape differs from the
+/// target's key arity and width, or trailing bytes return InvalidArgument
+/// with the target in an unspecified (but safe to destroy) state. Carries
+/// the `dist.exchange_decode` failpoint seam, hit once per frame.
+Status MergeShardFrame(int shard, const std::string& wire, ViewMap* target);
 
 }  // namespace lmfao
 

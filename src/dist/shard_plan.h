@@ -3,18 +3,17 @@
 /// shards and derive the per-shard local executions.
 ///
 /// The local/coordinator decomposition: a ShardedPlan names the
-/// partitioned relation and its contiguous row ranges; each range becomes
-/// one full execution pass of the UNCHANGED compiled group plans, with the
-/// partitioned relation served as that slice through the engine's
-/// relation-provider seam (the same seam delta passes use — GroupExecutor
-/// never learns about shards). Multilinearity of the aggregate batch in
-/// every base relation makes the per-shard partial results sum to exactly
-/// the unsharded result.
+/// partitioned relation and its contiguous row ranges. ExecuteSharded turns
+/// it into the ScanSplit of one execution pass of the UNCHANGED compiled
+/// group plans (shard_spec.h): the groups at the partitioned node scan each
+/// range's slice separately and every other group runs once — GroupExecutor
+/// never learns about shards. Multilinearity of the aggregate batch in
+/// every base relation makes the per-shard partials sum to exactly the
+/// unsharded result.
 
 #ifndef LMFAO_DIST_SHARD_PLAN_H_
 #define LMFAO_DIST_SHARD_PLAN_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "dist/shard_spec.h"
@@ -24,14 +23,6 @@
 
 namespace lmfao {
 
-/// \brief One shard's slice of the partitioned relation: rows [lo, hi).
-struct ShardRange {
-  size_t lo = 0;
-  size_t hi = 0;
-
-  size_t rows() const { return hi - lo; }
-};
-
 /// \brief The split: which relation is partitioned, into which ranges.
 struct ShardedPlan {
   RelationId relation = kInvalidRelation;
@@ -39,9 +30,9 @@ struct ShardedPlan {
   /// within one row.
   std::vector<ShardRange> ranges;
   /// Group plans whose input closure (GroupPlan::source_relation_mask)
-  /// contains the partitioned relation — the groups whose work genuinely
-  /// differs per shard (the others recompute identical intermediate views
-  /// in every shard, the price of keeping the compiled plans unchanged).
+  /// contains the partitioned relation: the groups at its node, which scan
+  /// once per shard, plus the groups downstream of them, which run once on
+  /// the merged views. Groups outside the closure also run once.
   int dirty_groups = 0;
 
   int num_shards() const { return static_cast<int>(ranges.size()); }

@@ -2,22 +2,23 @@
 /// \brief Sharded distributed execution: the PreparedBatch::ExecuteSharded
 /// and Engine::PrepareSharded entry points declared in engine/engine.h.
 ///
-/// Three stages per call, mirroring a coordinator/worker deployment while
-/// keeping every stage an in-process function:
+/// One execution pass per call, with three stages mirroring a
+/// coordinator/worker deployment while keeping every stage an in-process
+/// function:
 ///   1. plan splitting (shard_plan.h) — partition one relation's rows;
-///   2. local phase — one RunPass per shard through the relation-provider
-///      seam (the partitioned relation served as the shard's slice, exactly
-///      how delta terms serve appended slices), then freeze and ViewWire-
-///      encode the shard's query outputs;
-///   3. coordinator merge (coordinator.h) — decode and fold in shard
-///      order, so the floating-point summation order is deterministic.
-/// The shard loop is sequential: the point of this PR is the
-/// decomposition and the byte-level exchange contract, and the merged
-/// result must not depend on scheduling. Shard slices are uncached
-/// (SortedDeltaSlice), so concurrent sharded executions never fight over
-/// the sorted-relation cache either.
+///   2. local phase — only the groups at the partitioned node run per
+///      shard: each scans the shard's uncached sorted slice
+///      (SortedDeltaSlice, so concurrent sharded executions never fight
+///      over the sorted-relation cache) into private maps, which the
+///      exchange below ViewWire-encodes. Every other group runs once;
+///   3. coordinator merge (coordinator.h) — decode each shard's frames and
+///      fold them into the group's outputs, in shard order, so the
+///      floating-point summation order is deterministic.
+/// The engine drives stages 2 and 3 through the pass's ScanSplit
+/// (shard_spec.h) and never sees a wire byte.
 
 #include <algorithm>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,107 +48,81 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
       ShardedPlan plan,
       MakeShardedPlan(artifact_->compiled, *engine_->catalog_, epoch, spec));
 
-  // Local phase. Each shard is one full governed pass whose failure (real
-  // or injected) propagates out before anything is merged — partial shard
-  // results die with their pass, so a failed sharded execution leaks
-  // nothing and the handle stays re-executable.
-  BatchResult result;
-  std::vector<ShardOutput> outputs;
-  outputs.reserve(plan.ranges.size());
-  bool first_shard = true;
-  for (int s = 0; s < plan.num_shards(); ++s) {
+  std::vector<DistShardStats> shard_stats(plan.ranges.size());
+  for (size_t s = 0; s < shard_stats.size(); ++s) {
+    shard_stats[s].shard = static_cast<int>(s);
+    shard_stats[s].rows = plan.ranges[s].rows();
+  }
+  double merge_seconds = 0.0;
+  std::mutex stats_mu;  // Groups at the partitioned node may run at once.
+
+  ScanSplit split;
+  split.node = plan.relation;
+  split.ranges = plan.ranges;
+  // The exchange: the shard encodes its partials — only these bytes cross
+  // to the coordinator, as any worker's would — and the coordinator folds
+  // them into the group's outputs. Frames carry at most kFrameEntries
+  // entries, so the transport buffer stays small however large a partial
+  // view grows. A failure (real or injected) fails the group and with it
+  // the pass, so a failed sharded execution leaks nothing and the handle
+  // stays re-executable.
+  constexpr size_t kFrameEntries = 256;
+  split.exchange = [&](int shard, double scan_seconds,
+                       const std::vector<ViewMap*>& partial,
+                       const std::vector<ViewMap*>& outputs) -> Status {
     LMFAO_FAILPOINT("dist.shard_execute");
-    Timer shard_timer;
-    PassSpec pass;
-    pass.rows = &epoch;
-    pass.delta_node = plan.relation;
-    pass.delta_lo = plan.ranges[static_cast<size_t>(s)].lo;
-    pass.delta_hi = plan.ranges[static_cast<size_t>(s)].hi;
-    LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(pass, params, limits));
-
-    ShardOutput out;
-    out.shard = s;
-    out.rows = plan.ranges[static_cast<size_t>(s)].rows();
-    for (const QueryResult& qr : term.results) {
-      AppendEncodedView(SortView::FromMap(qr.data, PayloadLayout::kRowMajor),
-                        &out.wire);
-    }
-    out.seconds = shard_timer.ElapsedSeconds();
-
-    if (first_shard) {
-      // Stats scaffold (compile phases, counts) and result metadata come
-      // from the first shard's pass; the shard's maps are NOT kept — only
-      // its encoded bytes cross the exchange, like any worker's would.
-      first_shard = false;
-      result.stats = term.stats;
-      result.stats.execute_seconds = 0.0;
-      result.stats.groups_jit = 0;
-      result.stats.groups_simd = 0;
-      result.stats.groups_interp = 0;
-      result.stats.limit_trips = 0;
-      result.stats.degraded_groups = 0;
-      result.stats.peak_live_views = 0;
-      result.stats.peak_view_bytes = 0;
-      result.stats.peak_view_key_bytes = 0;
-      result.stats.peak_view_payload_bytes = 0;
-      result.results.resize(term.results.size());
-      for (size_t q = 0; q < term.results.size(); ++q) {
-        result.results[q].query_id = term.results[q].query_id;
-        result.results[q].group_by = term.results[q].group_by;
+    Timer exchange_timer;
+    double fold_seconds = 0.0;
+    size_t bytes = 0;
+    Status st;
+    std::string wire;
+    std::vector<size_t> slots;
+    for (size_t o = 0; o < partial.size() && st.ok(); ++o) {
+      const ViewMap& map = *partial[o];
+      for (size_t slot = 0; slot <= map.num_slots() && st.ok(); ++slot) {
+        const bool end = slot == map.num_slots();
+        if (!end && map.slot_occupied(slot)) slots.push_back(slot);
+        if (!end && slots.size() < kFrameEntries) continue;
+        // A full frame, or the map's rest (possibly an empty frame).
+        wire.clear();
+        AppendEncodedSlots(map, slots, &wire);
+        slots.clear();
+        bytes += wire.size();
+        Timer fold_timer;
+        st = MergeShardFrame(shard, wire, outputs[o]);
+        fold_seconds += fold_timer.ElapsedSeconds();
       }
     }
-    result.stats.execute_seconds += term.stats.execute_seconds;
-    result.stats.groups_jit += term.stats.groups_jit;
-    result.stats.groups_simd += term.stats.groups_simd;
-    result.stats.groups_interp += term.stats.groups_interp;
-    result.stats.limit_trips += term.stats.limit_trips;
-    result.stats.degraded_groups += term.stats.degraded_groups;
-    result.stats.peak_live_views =
-        std::max(result.stats.peak_live_views, term.stats.peak_live_views);
-    result.stats.peak_view_bytes =
-        std::max(result.stats.peak_view_bytes, term.stats.peak_view_bytes);
-    result.stats.peak_view_key_bytes = std::max(
-        result.stats.peak_view_key_bytes, term.stats.peak_view_key_bytes);
-    result.stats.peak_view_payload_bytes =
-        std::max(result.stats.peak_view_payload_bytes,
-                 term.stats.peak_view_payload_bytes);
-    outputs.push_back(std::move(out));
+    std::lock_guard<std::mutex> lock(stats_mu);
+    DistShardStats& ss = shard_stats[static_cast<size_t>(shard)];
+    ss.seconds +=
+        scan_seconds + exchange_timer.ElapsedSeconds() - fold_seconds;
+    ss.exchange_bytes += bytes;
+    merge_seconds += fold_seconds;
+    return st;
+  };
+
+  PassSpec pass;
+  pass.rows = &epoch;
+  pass.split = &split;
+  const CancelToken cancel(limits.deadline_seconds, limits.max_view_bytes);
+  LMFAO_ASSIGN_OR_RETURN(BatchResult result, RunPass(pass, params, cancel));
+
+  ExecutionStats& stats = result.stats;
+  stats.dist_execution = true;
+  stats.dist_shards = plan.num_shards();
+  stats.dist_relation = plan.relation;
+  stats.merge_seconds = merge_seconds;
+  for (const DistShardStats& ss : shard_stats) {
+    stats.exchange_bytes += ss.exchange_bytes;
+    stats.shard_max_seconds = std::max(stats.shard_max_seconds, ss.seconds);
+    stats.shard_mean_seconds += ss.seconds;
   }
-
-  // Coordinator merge: decode every shard's frames, fold into the final
-  // result maps (shard-major order — deterministic summation).
-  Timer merge_timer;
-  CoordinatorStats coord;
-  LMFAO_RETURN_NOT_OK(MergeShardOutputs(outputs, &result.results, &coord));
-  result.stats.merge_seconds = merge_timer.ElapsedSeconds();
-
-  result.stats.dist_execution = true;
-  result.stats.dist_shards = plan.num_shards();
-  result.stats.dist_relation = plan.relation;
-  result.stats.exchange_bytes = coord.exchange_bytes;
-  for (const ShardOutput& out : outputs) {
-    DistShardStats ss;
-    ss.shard = out.shard;
-    ss.rows = out.rows;
-    ss.seconds = out.seconds;
-    ss.exchange_bytes = out.wire.size();
-    result.stats.shard_max_seconds =
-        std::max(result.stats.shard_max_seconds, out.seconds);
-    result.stats.shard_mean_seconds += out.seconds;
-    result.stats.dist_shard_stats.push_back(ss);
-  }
-  result.stats.shard_mean_seconds /=
-      static_cast<double>(plan.num_shards());
-  result.stats.DeriveBackend();
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
-
-  // Identical result identity to ExecuteAt at this epoch: ExecuteDelta of
-  // a sharded base is valid, and the delta slice of the partitioned
-  // relation is exactly the owning (highest-range) shard's extension.
-  result.epoch = epoch;
-  result.artifact_signature = artifact_->signature;
-  result.param_fingerprint =
-      internal::ParamFingerprint(artifact_->required_params, params);
+  stats.shard_mean_seconds /= static_cast<double>(plan.num_shards());
+  stats.dist_shard_stats = std::move(shard_stats);
+  stats.total_seconds = total_timer.ElapsedSeconds();
+  // RunPass gave the result ExecuteAt's identity at this epoch, so a
+  // sharded base refreshes through ExecuteDelta like any other.
   return result;
 }
 

@@ -49,51 +49,72 @@ uint64_t FrameChecksum(const char* data, size_t n) {
   return h;
 }
 
-size_t BodyBytes(size_t arity, size_t width, size_t rows) {
-  return 8 * rows * (arity + width);
-}
-
-}  // namespace
-
-size_t EncodedViewSize(const SortView& view) {
-  return 8 + kHeaderBytes +
-         BodyBytes(static_cast<size_t>(view.key_arity()),
-                   static_cast<size_t>(view.width()), view.size()) +
+/// Frame bytes after the length prefix: header, body and checksum.
+size_t FrameLength(int arity, int width, size_t rows) {
+  return kHeaderBytes + 8 * rows * static_cast<size_t>(arity + width) +
          kChecksumBytes;
 }
 
-void AppendEncodedView(const SortView& view, std::string* out) {
-  const int arity = view.key_arity();
-  const int width = view.width();
-  const size_t rows = view.size();
-  const size_t frame_length =
-      kHeaderBytes +
-      BodyBytes(static_cast<size_t>(arity), static_cast<size_t>(width),
-                rows) +
-      kChecksumBytes;
-
+/// Appends the length prefix and header of a frame with `rows` entries and
+/// returns the frame's start offset, for FinishFrame.
+size_t StartFrame(int arity, int width, PayloadLayout layout, size_t rows,
+                  std::string* out) {
+  const size_t frame_length = FrameLength(arity, width, rows);
   const size_t frame_start = out->size();
   out->reserve(frame_start + 8 + frame_length);
   AppendPod<uint64_t>(out, frame_length);
   AppendPod<uint32_t>(out, kViewWireMagic);
   AppendPod<uint16_t>(out, kViewWireVersion);
   AppendPod<uint8_t>(out, static_cast<uint8_t>(arity));
-  AppendPod<uint8_t>(out, view.payload_matrix().layout() ==
-                                  PayloadLayout::kColumnar
-                              ? 1
-                              : 0);
+  AppendPod<uint8_t>(out, layout == PayloadLayout::kColumnar ? 1 : 0);
   AppendPod<uint32_t>(out, static_cast<uint32_t>(width));
   AppendPod<uint32_t>(out, 0);  // reserved
   AppendPod<uint64_t>(out, static_cast<uint64_t>(rows));
+  return frame_start;
+}
+
+/// Appends the checksum over everything from `frame_start` on.
+void FinishFrame(size_t frame_start, std::string* out) {
+  const uint64_t checksum =
+      FrameChecksum(out->data() + frame_start, out->size() - frame_start);
+  AppendPod<uint64_t>(out, checksum);
+}
+
+}  // namespace
+
+size_t EncodedViewSize(const SortView& view) {
+  return 8 + FrameLength(view.key_arity(), view.width(), view.size());
+}
+
+void AppendEncodedView(const SortView& view, std::string* out) {
+  const int arity = view.key_arity();
+  const int width = view.width();
+  const size_t rows = view.size();
+  const size_t frame_start =
+      StartFrame(arity, width, view.payload_matrix().layout(), rows, out);
   for (int c = 0; c < arity; ++c) {
     out->append(reinterpret_cast<const char*>(view.col(c)),
                 rows * sizeof(int64_t));
   }
   out->append(reinterpret_cast<const char*>(view.payload_matrix().data()),
               static_cast<size_t>(width) * rows * sizeof(double));
-  const uint64_t checksum =
-      FrameChecksum(out->data() + frame_start, out->size() - frame_start);
-  AppendPod<uint64_t>(out, checksum);
+  FinishFrame(frame_start, out);
+}
+
+void AppendEncodedSlots(const ViewMap& map, const std::vector<size_t>& slots,
+                        std::string* out) {
+  const int arity = map.key_arity();
+  const int width = map.width();
+  const size_t frame_start =
+      StartFrame(arity, width, PayloadLayout::kRowMajor, slots.size(), out);
+  for (int c = 0; c < arity; ++c) {
+    for (size_t slot : slots) AppendPod<int64_t>(out, map.slot_key(slot)[c]);
+  }
+  for (size_t slot : slots) {
+    out->append(reinterpret_cast<const char*>(map.slot_payload(slot)),
+                static_cast<size_t>(width) * sizeof(double));
+  }
+  FinishFrame(frame_start, out);
 }
 
 StatusOr<DecodedView> DecodeView(const char* data, size_t size,
@@ -188,7 +209,7 @@ StatusOr<DecodedView> DecodeView(const char* data, size_t size,
   view.rows = static_cast<size_t>(rows);
   view.keys = KeyColumns(view.arity, view.rows);
   const char* body = p + kHeaderBytes;
-  for (int c = 0; c < view.arity; ++c) {
+  for (int c = 0; c < view.arity && view.rows > 0; ++c) {
     std::memcpy(view.keys.col(c), body + static_cast<size_t>(c) * rows * 8,
                 static_cast<size_t>(rows) * sizeof(int64_t));
   }

@@ -1,13 +1,13 @@
 /// \file view_wire.h
-/// \brief ViewWire: versioned, length-prefixed serialization of frozen
-/// views, so a shard boundary is bytes instead of pointers.
+/// \brief ViewWire: versioned, length-prefixed serialization of views, so
+/// a shard boundary is bytes instead of pointers.
 ///
-/// A sharded execution's local phase freezes each shard's query-output
-/// maps into SortViews and encodes them as self-delimiting frames; the
-/// coordinator decodes the frames and folds them into the final result
-/// maps. In-process today the "wire" is a std::string, but nothing in the
-/// format assumes shared memory — a multi-node or multi-NUMA transport is
-/// a change of carrier, not of engine.
+/// A sharded execution's local phase encodes each shard's partial outputs
+/// as self-delimiting frames (straight from the live hash maps, in
+/// chunks); the coordinator decodes the frames and folds them into the
+/// split group's outputs. In-process today the "wire" is a std::string,
+/// but nothing in the format assumes shared memory — a multi-node or
+/// multi-NUMA transport is a change of carrier, not of engine.
 ///
 /// Frame layout (host-endian; fixed-width little fields, 8-byte-aligned
 /// total):
@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "storage/view.h"
 #include "util/status.h"
@@ -59,6 +60,13 @@ struct DecodedView {
 
 /// Appends one encoded frame for `view` to `*out`.
 void AppendEncodedView(const SortView& view, std::string* out);
+
+/// Appends one row-major frame holding the entries at the given occupied
+/// `slots` of `map`, in that order: a chunk of a live hash map, encoded
+/// without freezing the map first, so a large view can cross in frames of
+/// bounded size.
+void AppendEncodedSlots(const ViewMap& map, const std::vector<size_t>& slots,
+                        std::string* out);
 
 /// Total frame bytes AppendEncodedView will emit for `view` (length
 /// prefix included), for pre-sizing transport buffers.

@@ -301,7 +301,7 @@ Status PreparedBatch::CheckExecutable(const ParamPack& params) const {
 
 StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
                                              const ParamPack& params,
-                                             const ExecLimits& limits) const {
+                                             const CancelToken& cancel) const {
   Timer total_timer;
   // A failure parked by a void seam during some earlier pass on this
   // thread must not be blamed on this one.
@@ -322,45 +322,28 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
   result.stats.compile_seconds = 0.0;
   result.stats.plan_cache_hit = true;
 
-  // Snapshots served to this pass are pinned for its whole duration:
-  // the engine's sorted cache may prune an epoch while we still read it.
-  struct PinSet {
-    std::mutex mu;
-    std::vector<std::shared_ptr<const Relation>> pins;
-  } pin_set;
-
   Timer exec_timer;
   ExecBackend backend;
   backend.jit = artifact_->jit.get();
   backend.simd = options_.simd_kernels;
-  // The pass's shared governance token. Stack-owned: every worker the
-  // context spawns joins before Run returns, so no reference escapes.
-  CancelToken cancel;
-  if (limits.enabled()) {
-    cancel.ArmDeadline(limits.deadline_seconds);
-    cancel.ArmBudget(limits.max_view_bytes);
-  }
+  // Each served snapshot is held by the group that reads it: the engine's
+  // sorted cache may prune an epoch while the group still scans it.
   ExecutionContext context(
       compiled.workload, compiled.grouped, compiled.plans,
       options_.scheduler,
-      [this, &spec, &pin_set](
-          RelationId node,
-          const std::vector<AttrId>& order) -> StatusOr<const Relation*> {
-        std::shared_ptr<const Relation> snap;
-        if (node == spec.delta_node) {
-          LMFAO_ASSIGN_OR_RETURN(
-              snap, engine_->SortedDeltaSlice(node, order, spec.delta_lo,
-                                              spec.delta_hi));
-        } else {
-          LMFAO_ASSIGN_OR_RETURN(
-              snap, engine_->SortedRelationAt(node, order, spec.rows->at(node)));
+      [this, &spec](RelationId node, const std::vector<AttrId>& order,
+                    const ShardRange* slice)
+          -> StatusOr<std::shared_ptr<const Relation>> {
+        if (slice != nullptr) {
+          return engine_->SortedDeltaSlice(node, order, slice->lo, slice->hi);
         }
-        const Relation* raw = snap.get();
-        std::lock_guard<std::mutex> lock(pin_set.mu);
-        pin_set.pins.push_back(std::move(snap));
-        return raw;
+        if (node == spec.delta_node) {
+          return engine_->SortedDeltaSlice(node, order, spec.delta_lo,
+                                           spec.delta_hi);
+        }
+        return engine_->SortedRelationAt(node, order, spec.rows->at(node));
       },
-      &params, backend, limits.enabled() ? &cancel : nullptr);
+      &params, backend, &cancel, spec.split);
   LMFAO_RETURN_NOT_OK(context.Run(&result.stats));
   result.stats.execute_seconds = exec_timer.ElapsedSeconds();
 
@@ -374,6 +357,11 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
     qr.group_by = compiled.workload.view(out).key;
     LMFAO_ASSIGN_OR_RETURN(qr.data, context.TakeQueryResult(out));
   }
+  // The identity ExecuteDelta checks a later refresh against.
+  result.epoch = *spec.rows;
+  result.artifact_signature = artifact_->signature;
+  result.param_fingerprint =
+      internal::ParamFingerprint(artifact_->required_params, params);
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
 }
@@ -409,12 +397,8 @@ StatusOr<BatchResult> PreparedBatch::ExecuteAt(const EpochSnapshot& epoch,
   }
   PassSpec spec;
   spec.rows = &epoch;
-  LMFAO_ASSIGN_OR_RETURN(BatchResult result, RunPass(spec, params, limits));
-  result.epoch = epoch;
-  result.artifact_signature = artifact_->signature;
-  result.param_fingerprint =
-      internal::ParamFingerprint(artifact_->required_params, params);
-  return result;
+  const CancelToken cancel(limits.deadline_seconds, limits.max_view_bytes);
+  return RunPass(spec, params, cancel);
 }
 
 StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
@@ -485,6 +469,8 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
   result.stats.groups_interp = 0;
   result.stats.limit_trips = 0;
   result.stats.degraded_groups = 0;
+  // One deadline for the whole refresh, however many terms it takes.
+  const CancelToken cancel(limits.deadline_seconds, limits.max_view_bytes);
 
   // Multilinearity: summing, over changed relations c_1 < ... < c_k, the
   // batch evaluated with c_i served as its appended slice, c_1..c_{i-1} at
@@ -501,13 +487,8 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
     // Each delta term is one governed pass; a trip (or any failure)
     // propagates out here, before `result` is returned — the caller's
     // `base` is untouched and can seed a later retry.
-    LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(spec, params, limits));
-    result.stats.execute_seconds += term.stats.execute_seconds;
-    result.stats.groups_jit += term.stats.groups_jit;
-    result.stats.groups_simd += term.stats.groups_simd;
-    result.stats.groups_interp += term.stats.groups_interp;
-    result.stats.limit_trips += term.stats.limit_trips;
-    result.stats.degraded_groups += term.stats.degraded_groups;
+    LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(spec, params, cancel));
+    result.stats.Accumulate(term.stats);
     for (const GroupPlan& plan : plans) {
       if (r < 64 && ((plan.source_relation_mask >> r) & 1)) {
         ++result.stats.delta_dirty_groups;
@@ -524,15 +505,23 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
   return result;
 }
 
+void ExecutionStats::Accumulate(const ExecutionStats& pass) {
+  execute_seconds += pass.execute_seconds;
+  groups_jit += pass.groups_jit;
+  groups_simd += pass.groups_simd;
+  groups_interp += pass.groups_interp;
+  limit_trips += pass.limit_trips;
+  degraded_groups += pass.degraded_groups;
+  peak_live_views = std::max(peak_live_views, pass.peak_live_views);
+  peak_view_bytes = std::max(peak_view_bytes, pass.peak_view_bytes);
+  peak_view_key_bytes = std::max(peak_view_key_bytes, pass.peak_view_key_bytes);
+  peak_view_payload_bytes =
+      std::max(peak_view_payload_bytes, pass.peak_view_payload_bytes);
+}
+
 StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,
                                        const ParamPack& params) {
-  Timer total_timer;
-  LMFAO_ASSIGN_OR_RETURN(PreparedBatch prepared, Prepare(batch));
-  LMFAO_ASSIGN_OR_RETURN(BatchResult result, prepared.Execute(params));
-  result.stats.compile_seconds = prepared.compile_seconds();
-  result.stats.plan_cache_hit = prepared.from_cache();
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
-  return result;
+  return Evaluate(batch, params, options_.limits);
 }
 
 StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,
@@ -573,37 +562,20 @@ StatusOr<std::shared_ptr<const Relation>> Engine::SortedRelationAt(
     }
   }
 
-  // Build outside the cache lock (duplicated work on a race is harmless).
-  // Copy the rows the prefix is missing under a shared hold of the
-  // catalog's data mutex: committed rows are immutable, but a concurrent
-  // append may reallocate the column vectors mid-copy.
+  // Build outside the cache lock (duplicated work on a race is harmless):
+  // sort only the rows the prefix is missing, then stable-merge (prefix
+  // first on ties) — bit-identical to sorting all `rows` rows from
+  // scratch, because SortPermutation breaks ties by original row index.
   const size_t lo = prefix ? prefix->num_rows() : 0;
-  Relation slice;
-  {
-    std::shared_lock<std::shared_mutex> lock(catalog_->data_mutex());
-    if (rows > base.num_rows()) {
-      return Status::InvalidArgument(
-          "epoch watermark " + std::to_string(rows) + " beyond relation " +
-          base.name() + " (" + std::to_string(base.num_rows()) + " rows)");
-    }
-    slice = base.SliceRows(lo, rows);
-  }
-
-  std::shared_ptr<const Relation> built;
-  if (prefix == nullptr) {
-    if (!sub.empty()) LMFAO_RETURN_NOT_OK(SortRelation(&slice, sub));
-    built = std::make_shared<const Relation>(std::move(slice));
-  } else if (sub.empty()) {
+  LMFAO_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> built,
+                         SortedDeltaSlice(node, order, lo, rows));
+  if (prefix != nullptr && sub.empty()) {
     Relation merged(*prefix);
-    LMFAO_RETURN_NOT_OK(merged.Append(slice));
+    LMFAO_RETURN_NOT_OK(merged.Append(*built));
     built = std::make_shared<const Relation>(std::move(merged));
-  } else {
-    // Sort only the appended slice, then stable-merge (prefix first on
-    // ties) — bit-identical to sorting all `rows` rows from scratch,
-    // because SortPermutation breaks ties by original row index.
-    LMFAO_RETURN_NOT_OK(SortRelation(&slice, sub));
+  } else if (prefix != nullptr) {
     LMFAO_ASSIGN_OR_RETURN(Relation merged,
-                           MergeSortedRelations(*prefix, slice, sub));
+                           MergeSortedRelations(*prefix, *built, sub));
     built = std::make_shared<const Relation>(std::move(merged));
   }
 
@@ -624,13 +596,16 @@ StatusOr<std::shared_ptr<const Relation>> Engine::SortedDeltaSlice(
   for (AttrId a : order) {
     if (base.schema().Contains(a)) sub.push_back(a);
   }
+  // Copy the rows under a shared hold of the catalog's data mutex:
+  // committed rows are immutable, but a concurrent append may reallocate
+  // the column vectors mid-copy.
   Relation slice;
   {
     std::shared_lock<std::shared_mutex> lock(catalog_->data_mutex());
     if (hi > base.num_rows()) {
       return Status::InvalidArgument(
-          "delta watermark " + std::to_string(hi) + " beyond relation " +
-          base.name());
+          "watermark " + std::to_string(hi) + " beyond relation " +
+          base.name() + " (" + std::to_string(base.num_rows()) + " rows)");
     }
     slice = base.SliceRows(lo, hi);
   }

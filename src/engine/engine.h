@@ -54,6 +54,7 @@
 #include "jointree/join_tree.h"
 #include "query/query.h"
 #include "storage/catalog.h"
+#include "util/cancel.h"
 #include "util/logging.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -73,7 +74,8 @@ class Engine;
 /// re-executed afterwards. Both fields default to "unlimited"; enabling
 /// them costs <2% on untripped executions (bench_e2e_batch LimitOverhead).
 struct ExecLimits {
-  /// Wall-clock budget in seconds for the whole pass; <= 0 = no deadline.
+  /// Wall-clock budget in seconds for the whole call — every delta term of
+  /// an ExecuteDelta shares one deadline; <= 0 = no deadline.
   double deadline_seconds = 0.0;
   /// Budget for live view memory (ViewStore bytes plus in-flight output
   /// maps); 0 = unlimited. A trip on a domain-sharded group retries once
@@ -127,7 +129,8 @@ struct GroupStats {
   int num_outputs = 0;
   double seconds = 0.0;
   size_t output_entries = 0;
-  /// Domain shards the group ran in (1 = unsharded).
+  /// Domain shards the group ran in (1 = unsharded); for a group at the
+  /// partitioned node of ExecuteSharded, the row-range shards it scanned.
   int shards = 1;
   /// Seconds the group waited between becoming ready and starting.
   double wait_seconds = 0.0;
@@ -151,13 +154,14 @@ struct GroupStats {
 
 /// \brief One shard's figures from a sharded execution
 /// (PreparedBatch::ExecuteSharded): its slice of the partitioned
-/// relation, its local execute time, and the bytes it shipped to the
+/// relation, its local scan time, and the bytes it shipped to the
 /// coordinator.
 struct DistShardStats {
   int shard = 0;
   /// Rows of the partitioned relation in this shard's slice.
   size_t rows = 0;
-  /// Local execute wall time (includes encoding the shard's views).
+  /// Seconds this shard's slice fetches, scans and encodes took, summed
+  /// over the groups at the partitioned node.
   double seconds = 0.0;
   /// Encoded view-exchange bytes this shard produced.
   size_t exchange_bytes = 0;
@@ -230,7 +234,7 @@ struct ExecutionStats {
   /// Coordinator time: decoding shard frames and folding them into the
   /// final result maps.
   double merge_seconds = 0.0;
-  /// Max / mean local execute time across shards; their ratio is the
+  /// Max / mean local scan time across shards; their ratio is the
   /// shard skew (1.0 = perfectly balanced).
   double shard_max_seconds = 0.0;
   double shard_mean_seconds = 0.0;
@@ -255,6 +259,10 @@ struct ExecutionStats {
   int limit_trips = 0;
   int degraded_groups = 0;
   /// @}
+  /// Folds another pass of the same call into this one: execute time and
+  /// the per-tier, trip and degraded counters add up; the store peaks take
+  /// the maximum.
+  void Accumulate(const ExecutionStats& pass);
   /// Recomputes `backend` from the per-tier counters.
   void DeriveBackend() {
     const int kinds = (groups_jit > 0 ? 1 : 0) + (groups_simd > 0 ? 1 : 0) +
@@ -411,10 +419,13 @@ class PreparedBatch {
 
   /// Sharded distributed execution (src/dist/): partitions one base
   /// relation into `num_shards` row-range shards (num_shards <= 0 uses the
-  /// handle's ShardSpec — see Engine::PrepareSharded), runs the unchanged
-  /// compiled plans once per shard with that relation served as its slice,
-  /// ships every shard's frozen query outputs through the ViewWire
-  /// serialization, and folds them in the coordinator merge stage.
+  /// handle's ShardSpec — see Engine::PrepareSharded) and runs the
+  /// unchanged compiled plans as ONE pass. Only the groups at the
+  /// partitioned relation's node run per shard: each shard scans its sorted
+  /// slice into private maps, which cross the ViewWire exchange and are
+  /// folded, in shard order, into the group's outputs by the coordinator
+  /// merge. Every other group runs once, on complete inputs; each shard
+  /// adds a slice sort, its exchange and the key prefixes its scan revisits.
   /// Multilinearity makes the merged result bit-for-bit equal to Execute
   /// on integer-exact data (the per-key float summation order is shard-
   /// major and deterministic). The returned BatchResult carries the same
@@ -464,16 +475,19 @@ class PreparedBatch {
   /// at the extent `rows` says — except `delta_node` (when valid), which is
   /// served as its row slice [delta_lo, delta_hi) instead. The shared
   /// machinery behind ExecuteAt (no delta node), each ExecuteDelta term
-  /// (the slice is the relation's appended rows), and each ExecuteSharded
-  /// shard (the slice is the shard's partition of the relation).
+  /// (the slice is the relation's appended rows) and ExecuteSharded (no
+  /// delta node, but a `split`: the groups at the split node scan each
+  /// shard's slice and hand it to the split's exchange). `cancel` is armed
+  /// once per call, so its deadline covers every pass of the call.
   struct PassSpec {
     const EpochSnapshot* rows = nullptr;
     RelationId delta_node = kInvalidRelation;
     size_t delta_lo = 0;
     size_t delta_hi = 0;
+    const ScanSplit* split = nullptr;
   };
   StatusOr<BatchResult> RunPass(const PassSpec& spec, const ParamPack& params,
-                                const ExecLimits& limits) const;
+                                const CancelToken& cancel) const;
 
   /// Validates the handle and the bound params (the common preamble of
   /// every Execute flavor).
@@ -590,14 +604,14 @@ class Engine {
   /// cached smaller epoch costs a sort of the appended slice plus one
   /// linear stable merge (bit-identical to re-sorting from scratch, see
   /// MergeSortedRelations), not a full re-sort. At most the two largest
-  /// epochs per (node, order) stay cached; executions pin the snapshots
-  /// they read, so pruning never invalidates an in-flight pass.
+  /// epochs per (node, order) stay cached; each group holds the snapshot
+  /// it reads, so pruning never invalidates an in-flight scan.
   StatusOr<std::shared_ptr<const Relation>> SortedRelationAt(
       RelationId node, const std::vector<AttrId>& order, size_t rows);
 
   /// Builds rows [lo, hi) of `node` sorted by `order`'s subsequence — the
-  /// delta slice of one ExecuteDelta term. Uncached (slices are small and
-  /// read once per consuming group).
+  /// delta slice of one ExecuteDelta term, one shard of ExecuteSharded, or
+  /// the missing tail of a cached epoch. Uncached (read once per group).
   StatusOr<std::shared_ptr<const Relation>> SortedDeltaSlice(
       RelationId node, const std::vector<AttrId>& order, size_t lo,
       size_t hi);

@@ -1,7 +1,9 @@
 #include "engine/execution_context.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "engine/executor.h"
@@ -49,6 +51,15 @@ class AcquiredViews {
   std::vector<ViewId> views_;
 };
 
+/// Moves a failure that a void seam (ViewMap growth) parked on this thread
+/// into `*st` unless it already holds one. Parks are thread-local, so each
+/// thread harvests its own before its result crosses threads.
+void HarvestParked(Status* st) {
+  if (!Failpoints::enabled()) return;
+  Status parked = Failpoints::TakeParked();
+  if (st->ok()) *st = std::move(parked);
+}
+
 /// Host side of the JIT output callback: resolves (output, key) to the
 /// payload row of the right ViewMap, hashing exactly like the interpreter's
 /// write path so native and interpreted executions build identical maps.
@@ -75,7 +86,8 @@ ExecutionContext::ExecutionContext(const Workload& workload,
                                    SortedRelationProvider sorted_relation,
                                    const ParamPack* params,
                                    ExecBackend backend,
-                                   const CancelToken* cancel)
+                                   const CancelToken* cancel,
+                                   const ScanSplit* split)
     : workload_(workload),
       grouped_(grouped),
       plans_(plans),
@@ -83,7 +95,8 @@ ExecutionContext::ExecutionContext(const Workload& workload,
       sorted_relation_(std::move(sorted_relation)),
       params_(params),
       backend_(backend),
-      cancel_(cancel != nullptr && cancel->armed() ? cancel : nullptr) {
+      cancel_(cancel != nullptr && cancel->armed() ? cancel : nullptr),
+      split_(split) {
   LMFAO_CHECK_EQ(grouped_.groups.size(), plans_.size());
 }
 
@@ -170,8 +183,14 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   }
   const ViewGroup& group = grouped_.groups[static_cast<size_t>(gid)];
   const GroupPlan& plan = plans_[static_cast<size_t>(gid)];
-  LMFAO_ASSIGN_OR_RETURN(const Relation* rel,
-                         sorted_relation_(group.node, plan.attr_order));
+  // A group at the split node reads its relation range by range instead
+  // (scan_all below).
+  const bool split = split_ != nullptr && group.node == split_->node;
+  std::shared_ptr<const Relation> rel;
+  if (!split) {
+    LMFAO_ASSIGN_OR_RETURN(
+        rel, sorted_relation_(group.node, plan.attr_order, nullptr));
+  }
 
   // Consumed forms of the incoming views: identity-order consumers borrow
   // the frozen sorted array with no copy; everything else builds a
@@ -215,7 +234,6 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       backend_.jit != nullptr ? backend_.jit->GetFn(gid) : nullptr;
   const RuntimeGroupMeta* jit_meta =
       jit_fn != nullptr ? backend_.jit->GetMeta(gid) : nullptr;
-  std::vector<const void*> jit_rel_cols;
   std::vector<LmfaoJitView> jit_views;
   std::vector<double> jit_params;
   std::vector<int> jit_arities;
@@ -240,14 +258,6 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       jv.slot_stride = cv.payload_slot_stride;
       jit_views.push_back(jv);
     }
-    jit_rel_cols.reserve(jit_meta->used_cols.size());
-    for (int col : jit_meta->used_cols) {
-      const Column& c = rel->column(col);
-      jit_rel_cols.push_back(c.type() == AttrType::kInt
-                                 ? static_cast<const void*>(c.ints().data())
-                                 : static_cast<const void*>(
-                                       c.doubles().data()));
-    }
     jit_params.reserve(jit_meta->param_order.size());
     for (ParamId p : jit_meta->param_order) {
       jit_params.push_back(params_ != nullptr ? params_->Get(p) : 0.0);
@@ -263,14 +273,24 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // One shard of the group's scan, on whichever backend was chosen (the
   // emitted code shards by the same level-1 match_index % num_shards rule
   // as GroupExecutor::ExecuteShard, so the two tile the domain alike).
-  auto run_shard_inner = [&](const std::vector<ViewMap*>& ptrs, int shard,
+  auto run_shard_inner = [&](const Relation& scanned,
+                             const std::vector<ViewMap*>& ptrs, int shard,
                              int num_shards) -> Status {
     if (use_jit) {
+      std::vector<const void*> jit_rel_cols;
+      jit_rel_cols.reserve(jit_meta->used_cols.size());
+      for (int col : jit_meta->used_cols) {
+        const Column& c = scanned.column(col);
+        jit_rel_cols.push_back(c.type() == AttrType::kInt
+                                   ? static_cast<const void*>(c.ints().data())
+                                   : static_cast<const void*>(
+                                         c.doubles().data()));
+      }
       JitUpsertCtx uctx;
       uctx.outputs = &ptrs;
       uctx.arities = jit_arities.data();
       LmfaoJitInput input;
-      input.rel_rows = rel->num_rows();
+      input.rel_rows = scanned.num_rows();
       input.rel_cols = jit_rel_cols.data();
       input.views = jit_views.data();
       input.params = jit_params.data();
@@ -282,21 +302,16 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       jit_fn(&input, &output);
       return Status::OK();
     }
-    GroupExecutor executor(plan, *rel, consumed_ptrs, params_,
+    GroupExecutor executor(plan, scanned, consumed_ptrs, params_,
                            backend_.simd, cancel_, charge_base);
     return num_shards <= 1 ? executor.Execute(ptrs)
                            : executor.ExecuteShard(ptrs, shard, num_shards);
   };
-  // Wrapper collecting any failure a void seam (ViewMap growth) parked on
-  // this thread during the scan — parks are thread-local, so they must be
-  // harvested before the shard result crosses threads.
-  auto run_shard = [&](const std::vector<ViewMap*>& ptrs, int shard,
+  auto run_shard = [&](const Relation& scanned,
+                       const std::vector<ViewMap*>& ptrs, int shard,
                        int num_shards) -> Status {
-    Status st = run_shard_inner(ptrs, shard, num_shards);
-    if (Failpoints::enabled()) {
-      Status parked = Failpoints::TakeParked();
-      if (st.ok() && !parked.ok()) st = std::move(parked);
-    }
+    Status st = run_shard_inner(scanned, ptrs, shard, num_shards);
+    HarvestParked(&st);
     return st;
   };
 
@@ -305,62 +320,84 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // groups, so a fully sharded pool would look idle to it).
   const int free_threads =
       std::max(0, options_.ResolvedThreads() - busy_threads_.load());
-  int shards =
-      plan.num_levels() == 0
-          ? 1
-          : ChooseShardCount(static_cast<int64_t>(rel->num_rows()), options_,
-                             free_threads);
+  int shards = 1;
+  if (split) {
+    shards = static_cast<int>(split_->ranges.size());
+  } else if (plan.num_levels() > 0) {
+    shards = ChooseShardCount(static_cast<int64_t>(rel->num_rows()), options_,
+                              free_threads);
+  }
   std::vector<std::unique_ptr<ViewMap>> out_maps;
   std::vector<ViewMap*> out_ptrs;
-  // Scan + merge at the given shard count, filling out_maps/out_ptrs.
+  // Scans the group in `num_shards` pieces into out_maps/out_ptrs. One
+  // unsplit piece scans straight into the outputs. Otherwise each piece —
+  // a domain shard of the node relation, or one of the split's row ranges —
+  // fills private maps, concurrently on the pool when there is one, and is
+  // folded into the outputs (MergeAdd, or the split's exchange) in piece
+  // order, a scheduling-independent summation order. A piece's maps and
+  // slice die right after its fold, before its thread takes another piece.
   auto scan_all = [&](int num_shards) -> Status {
     out_maps.clear();
     out_ptrs.clear();
-    if (num_shards <= 1) {
-      make_output_maps(1, &out_maps, &out_ptrs);
-      LMFAO_RETURN_NOT_OK(run_shard(out_ptrs, 0, 1));
-    } else {
-      // Domain parallelism: each shard fills private maps. The merge
-      // targets are only built afterwards so their reservations do not
-      // overlap with the shard maps' during the scan.
-      std::vector<std::vector<std::unique_ptr<ViewMap>>> shard_maps(
-          static_cast<size_t>(num_shards));
-      std::vector<std::vector<ViewMap*>> shard_ptrs(
-          static_cast<size_t>(num_shards));
-      std::vector<Status> shard_status(static_cast<size_t>(num_shards));
-      {
-        BusyScope helpers(&busy_threads_, num_shards - 1);
-        ParallelForShared(
-            pool_.get(), static_cast<size_t>(num_shards), [&](size_t s) {
-              make_output_maps(static_cast<size_t>(num_shards),
-                               &shard_maps[s], &shard_ptrs[s]);
-              shard_status[s] =
-                  run_shard(shard_ptrs[s], static_cast<int>(s), num_shards);
-            });
-      }
-      for (const Status& st : shard_status) LMFAO_RETURN_NOT_OK(st);
-      make_output_maps(1, &out_maps, &out_ptrs);
-      for (int s = 0; s < num_shards; ++s) {
-        for (size_t o = 0; o < out_ptrs.size(); ++o) {
-          out_ptrs[o]->MergeAdd(*shard_maps[static_cast<size_t>(s)][o]);
+    make_output_maps(1, &out_maps, &out_ptrs);
+    if (!split && num_shards <= 1) return run_shard(*rel, out_ptrs, 0, 1);
+    const size_t n = static_cast<size_t>(num_shards);
+    std::mutex turn_mu;
+    std::condition_variable turn_cv;
+    size_t turn = 0;
+    Status first_error;
+    BusyScope helpers(&busy_threads_,
+                      std::min(num_shards, options_.ResolvedThreads()) - 1);
+    ParallelForShared(pool_.get(), n, [&](size_t s) {
+      Timer scan_timer;
+      std::vector<std::unique_ptr<ViewMap>> maps;
+      std::vector<ViewMap*> ptrs;
+      Status st = [&]() -> Status {
+        if (!split) {
+          make_output_maps(n, &maps, &ptrs);
+          return run_shard(*rel, ptrs, static_cast<int>(s), num_shards);
         }
+        LMFAO_ASSIGN_OR_RETURN(
+            std::shared_ptr<const Relation> slice,
+            sorted_relation_(group.node, plan.attr_order, &split_->ranges[s]));
+        // Row ranges do not partition the keys (domain shards do), so each
+        // private map reserves the full estimate.
+        make_output_maps(1, &maps, &ptrs);
+        return run_shard(*slice, ptrs, 0, 1);
+      }();
+      const double scan_seconds = scan_timer.ElapsedSeconds();
+      std::unique_lock<std::mutex> lock(turn_mu);
+      turn_cv.wait(lock, [&] { return turn == s; });
+      if (st.ok() && first_error.ok()) {
+        if (split) {
+          st = split_->exchange(static_cast<int>(s), scan_seconds, ptrs,
+                                out_ptrs);
+        } else {
+          for (size_t o = 0; o < out_ptrs.size(); ++o) {
+            out_ptrs[o]->MergeAdd(*ptrs[o]);
+          }
+        }
+        HarvestParked(&st);  // Parks of the fold's rehashes.
       }
-    }
-    // Harvest parks from the merge-map builds and MergeAdd rehashes (this
-    // thread); the shard scans harvested their own inside run_shard.
-    if (Failpoints::enabled()) {
-      LMFAO_RETURN_NOT_OK(Failpoints::TakeParked());
-    }
-    return Status::OK();
+      if (first_error.ok()) first_error = std::move(st);
+      ++turn;
+      turn_cv.notify_all();
+    });
+    HarvestParked(&first_error);  // Parks of the output-map builds.
+    return first_error;
   };
 
-  Status scan_st = scan_all(shards);
-  if (!scan_st.ok() && (scan_st.code() == StatusCode::kResourceExhausted ||
-                        scan_st.code() == StatusCode::kDeadlineExceeded)) {
-    limit_trips_.fetch_add(1);
-  }
-  if (scan_st.code() == StatusCode::kResourceExhausted && shards > 1 &&
-      (cancel_ == nullptr || !cancel_->cancelled())) {
+  // Counts limit trips (deadline, budget, injected OOM) passing through.
+  auto count_trip = [this](Status st) {
+    if (st.code() == StatusCode::kResourceExhausted ||
+        st.code() == StatusCode::kDeadlineExceeded) {
+      limit_trips_.fetch_add(1);
+    }
+    return st;
+  };
+  Status scan_st = count_trip(scan_all(shards));
+  if (scan_st.code() == StatusCode::kResourceExhausted && !split &&
+      shards > 1 && (cancel_ == nullptr || !cancel_->cancelled())) {
     // Graceful degradation: an out-of-memory trip on a domain-sharded scan
     // is retried once unsharded — the dropped per-shard private maps are
     // the memory multiplier the narrow execution avoids. This must happen
@@ -369,11 +406,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     // token, so the retry's own Checks start clean.
     gs->degraded = true;
     shards = 1;
-    scan_st = scan_all(1);
-    if (!scan_st.ok() && (scan_st.code() == StatusCode::kResourceExhausted ||
-                          scan_st.code() == StatusCode::kDeadlineExceeded)) {
-      limit_trips_.fetch_add(1);
-    }
+    scan_st = count_trip(scan_all(1));
   }
   LMFAO_RETURN_NOT_OK(scan_st);
 
@@ -396,14 +429,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // Publish boundary: precise charge now that outputs are accounted and
   // dead inputs evicted.
   if (cancel_ != nullptr) {
-    Status st = cancel_->Check(store_.current_bytes());
-    if (!st.ok()) {
-      if (st.code() == StatusCode::kResourceExhausted ||
-          st.code() == StatusCode::kDeadlineExceeded) {
-        limit_trips_.fetch_add(1);
-      }
-      return st;
-    }
+    LMFAO_RETURN_NOT_OK(count_trip(cancel_->Check(store_.current_bytes())));
   }
 
   groups_completed_.fetch_add(1);

@@ -13,7 +13,8 @@
 ///   2. groups run over the dependency graph via ScheduleGroupsTimed; a
 ///      group whose node relation is large claims idle pool slots for
 ///      cost-based domain shards (ChooseShardCount) while other ready
-///      groups keep running;
+///      groups keep running — except a group at a ScanSplit's node, which
+///      scans each shard range's slice instead;
 ///   3. per-shard private maps are merged, outputs published into the
 ///      store (frozen to sorted form when the plan says so), and consumed
 ///      views released — the store evicts each view after its last
@@ -50,10 +51,13 @@ struct ExecBackend {
 class ExecutionContext {
  public:
   /// Supplies the node relation sorted by (the relation subsequence of) the
-  /// given attribute order; the engine backs this with its sorted-relation
-  /// cache. Must be thread-safe.
-  using SortedRelationProvider = std::function<StatusOr<const Relation*>(
-      RelationId, const std::vector<AttrId>&)>;
+  /// given attribute order — only the rows of `slice` when it is non-null
+  /// (a shard of the split node); the engine backs this with its
+  /// sorted-relation cache. The group holds the returned snapshot while it
+  /// scans. Must be thread-safe.
+  using SortedRelationProvider =
+      std::function<StatusOr<std::shared_ptr<const Relation>>(
+          RelationId, const std::vector<AttrId>&, const ShardRange* slice)>;
 
   /// Borrows all compile artifacts (and the param bindings, when given);
   /// they must outlive the context. `params` resolves parameterized
@@ -67,13 +71,17 @@ class ExecutionContext {
   /// maps are the multiplier a narrower execution avoids — before the pass
   /// gives up; the retry is possible because budget trips are not sticky
   /// on the token (see CancelToken).
+  /// `split` (optional, borrowed) scans the groups at its node once per
+  /// shard range and folds the shards through its exchange; such a group
+  /// never also domain-shards.
   ExecutionContext(const Workload& workload, const GroupedWorkload& grouped,
                    const std::vector<GroupPlan>& plans,
                    const SchedulerOptions& options,
                    SortedRelationProvider sorted_relation,
                    const ParamPack* params = nullptr,
                    ExecBackend backend = {},
-                   const CancelToken* cancel = nullptr);
+                   const CancelToken* cancel = nullptr,
+                   const ScanSplit* split = nullptr);
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
@@ -86,8 +94,6 @@ class ExecutionContext {
   /// Moves a query-output map out of the store (call after Run).
   StatusOr<ViewMap> TakeQueryResult(ViewId view);
 
-  ViewStore& view_store() { return store_; }
-
  private:
   Status RunGroup(int gid, const GroupStart& start, GroupStats* gs);
 
@@ -99,6 +105,7 @@ class ExecutionContext {
   const ParamPack* params_ = nullptr;
   ExecBackend backend_;
   const CancelToken* cancel_ = nullptr;
+  const ScanSplit* split_ = nullptr;
   ViewStore store_;
   std::unique_ptr<ThreadPool> pool_;
   /// Limit trips observed during this pass (deadline/budget/injected OOM),

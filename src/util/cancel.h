@@ -1,10 +1,10 @@
 /// \file cancel.h
 /// \brief CancelToken: shared deadline / resource-budget enforcement.
 ///
-/// One token is created per execution pass (when ExecLimits is enabled) and
-/// shared by every thread working on that pass. Workers call Check() at
-/// group boundaries and, amortized, inside scan loops; a non-OK return means
-/// the pass must unwind. Two kinds of trips with different stickiness:
+/// One token is created per execute call and shared by every pass of the
+/// call and every thread working on them, so one deadline covers the whole
+/// call. Workers call Check() at group boundaries and, amortized, inside
+/// scan loops; a non-OK return means the pass must unwind. Two kinds of trips with different stickiness:
 ///
 ///   - Deadline trips are *sticky*: once wall-clock time is up, every
 ///     subsequent Check fails — the pass cannot recover by doing less work.
@@ -27,6 +27,11 @@ namespace lmfao {
 class CancelToken {
  public:
   CancelToken() = default;
+  /// Arms both limits at once (see ArmDeadline / ArmBudget).
+  CancelToken(double deadline_seconds, size_t max_bytes) {
+    ArmDeadline(deadline_seconds);
+    ArmBudget(max_bytes);
+  }
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 

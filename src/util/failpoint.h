@@ -43,8 +43,8 @@
 ///   catalog.append               — epoch commit
 ///   engine.sorted_cache          — sorted-relation cache (re)build
 ///   scheduler.spawn              — group task spawn
-///   dist.shard_execute           — sharded execution, before each shard's
-///                                  local pass
+///   dist.shard_execute           — sharded execution, before each shard
+///                                  scan's exchange
 ///   dist.exchange_decode         — coordinator merge, before each frame
 ///                                  decode
 ///

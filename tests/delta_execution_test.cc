@@ -9,6 +9,7 @@
 /// mutations fail cleanly) and concurrent appends-vs-executes (exercised
 /// under TSan by the tsan ctest preset).
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,8 @@
 #include "differential_harness.h"
 #include "engine/engine.h"
 #include "exact_generator.h"
+#include "storage/view_store.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace lmfao {
@@ -211,6 +214,51 @@ TEST_F(DeltaContractTest, RepeatedRefreshFromOneBase) {
   ASSERT_TRUE(chained.ok() && full.ok());
   ExpectResultsMatch(chained->results, full->results, 1e-9,
                      "chained refresh vs full recompute");
+}
+
+TEST_F(DeltaContractTest, OneDeadlineCoversEveryDeltaTerm) {
+  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
+  auto prepared = engine.Prepare(MakeExampleBatch(*data_));
+  ASSERT_TRUE(prepared.ok());
+  auto base = prepared->Execute();
+  ASSERT_TRUE(base.ok());
+  AppendSales(50);
+  auto mid = prepared->Execute();
+  ASSERT_TRUE(mid.ok());
+  ASSERT_TRUE(data_->catalog
+                  .AppendRows(data_->oil, {{Value::Int(3), Value::Double(40)},
+                                           {Value::Int(9), Value::Double(41)}})
+                  .ok());
+
+  // Every group start sleeps 25 ms, so a delta term costs about the same
+  // every time: `mid` refreshes in one term (Oil), `base` in two (Sales,
+  // then Oil). A deadline of 1.5 terms fits the first and not the second.
+  const std::string ambient = Failpoints::CurrentSpec();
+  ASSERT_TRUE(Failpoints::Configure("scheduler.spawn=delay:25").ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto one_term = prepared->ExecuteDelta(*mid);
+  const double term_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+  ASSERT_TRUE(one_term.ok()) << one_term.status().ToString();
+  ASSERT_EQ(one_term->stats.delta_passes, 1);
+
+  ExecLimits limits;
+  limits.deadline_seconds = 1.5 * term_seconds;
+  const size_t base_views = ViewStore::GlobalLiveViews();
+  const size_t base_bytes = ViewStore::GlobalLiveBytes();
+  auto fits = prepared->ExecuteDelta(*mid, ParamPack{}, limits);
+  EXPECT_TRUE(fits.ok()) << fits.status().ToString();
+  auto tripped = prepared->ExecuteDelta(*base, ParamPack{}, limits);
+  ASSERT_FALSE(tripped.ok()) << "two terms ran under one term's deadline";
+  EXPECT_EQ(tripped.status().code(), StatusCode::kDeadlineExceeded)
+      << tripped.status().ToString();
+  EXPECT_EQ(ViewStore::GlobalLiveViews(), base_views);
+  EXPECT_EQ(ViewStore::GlobalLiveBytes(), base_bytes);
+
+  Failpoints::Clear();
+  if (!ambient.empty()) ASSERT_TRUE(Failpoints::Configure(ambient).ok());
+  Failpoints::ClearParked();
 }
 
 TEST_F(DeltaContractTest, StaleHandleAfterNonAppendMutation) {

@@ -113,6 +113,17 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
         EXPECT_TRUE(sharded->stats.dist_execution);
         EXPECT_GE(sharded->stats.dist_shards, 1);
         EXPECT_LE(sharded->stats.dist_shards, n);
+        // One pass: every group runs exactly once, and the shards' slices
+        // cover the partitioned relation.
+        const ExecutionStats& st = sharded->stats;
+        EXPECT_EQ(st.groups_jit + st.groups_simd + st.groups_interp,
+                  st.num_groups);
+        EXPECT_EQ(st.groups.size(), static_cast<size_t>(st.num_groups));
+        size_t shard_rows = 0;
+        for (const DistShardStats& ss : st.dist_shard_stats) {
+          shard_rows += ss.rows;
+        }
+        EXPECT_EQ(shard_rows, sharded->epoch.at(st.dist_relation));
         ExpectResultsMatch(sharded->results, full->results, 0.0,
                            label + " n=" + std::to_string(n) +
                                ": sharded vs unsharded execute");
@@ -149,6 +160,34 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DistFuzzTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// The fuzz seeds must keep covering the case the one-pass split relies on
+// most: a group away from the partitioned node that reads it, and so runs
+// once on views merged from the shards.
+TEST(DistFuzzCoverageTest, SomeSeedHasADirtyGroupDownstreamOfTheSplit) {
+  int seeds_with_downstream = 0;
+  for (uint64_t seed = 1; seed < 13; ++seed) {
+    Rng rng(seed * 977);
+    ExactDatabase db = MakeExactDatabase(&rng);
+    const QueryBatch batch = MakeExactBatch(db, &rng);
+    Engine engine(&db.catalog, &db.tree, EngineOptions{});
+    auto prepared = engine.Prepare(batch);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    ShardSpec spec;
+    spec.num_shards = 4;
+    auto plan = MakeShardedPlan(prepared->compiled(), db.catalog,
+                                db.catalog.SnapshotEpoch(), spec);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    for (const GroupPlan& gp : prepared->compiled().plans) {
+      if (gp.node != plan->relation &&
+          ((gp.source_relation_mask >> plan->relation) & 1) != 0) {
+        ++seeds_with_downstream;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(seeds_with_downstream, 0);
+}
 
 // --- Plan splitting ------------------------------------------------------
 

@@ -293,6 +293,12 @@ TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
                      "jit vs interp (initial)");
   ExpectResultsMatch(simd_result->results, interp_result->results, 0.0,
                      "simd vs interp (initial)");
+  // The sharded split hands the native functions each shard's slice.
+  auto jit_sharded = jit_prepared->ExecuteSharded(3, params);
+  ASSERT_TRUE(jit_sharded.ok()) << jit_sharded.status().ToString();
+  EXPECT_GT(jit_sharded->stats.groups_jit, 0);
+  ExpectResultsMatch(jit_sharded->results, interp_result->results, 0.0,
+                     "jit sharded vs interp (initial)");
 
   for (int round = 0; round < 3; ++round) {
     ASSERT_NO_FATAL_FAILURE(AppendRandomRows(&db, &rng, &schedule));

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "storage/view.h"
 
@@ -109,6 +111,45 @@ TEST(ViewWireTest, RoundTripSpecialDoubles) {
   StatusOr<DecodedView> decoded = DecodeView(wire, &offset);
   ASSERT_TRUE(decoded.ok());
   ExpectBitIdentical(view, *decoded);
+}
+
+TEST(ViewWireTest, SlotChunksOfALiveMapRoundTrip) {
+  for (int arity = 0; arity <= 3; ++arity) {
+    const ViewMap map = MakeMap(arity, 5, arity == 0 ? 1 : 60,
+                                0x5107u + static_cast<uint64_t>(arity));
+    // Frames of at most 7 entries, in slot order, cover the map once.
+    std::vector<size_t> slots;
+    size_t decoded_rows = 0;
+    for (size_t slot = 0; slot <= map.num_slots(); ++slot) {
+      const bool end = slot == map.num_slots();
+      if (!end && map.slot_occupied(slot)) slots.push_back(slot);
+      if (!end && slots.size() < 7) continue;
+      std::string wire;
+      AppendEncodedSlots(map, slots, &wire);
+      size_t offset = 0;
+      StatusOr<DecodedView> decoded = DecodeView(wire, &offset);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(offset, wire.size());
+      ASSERT_EQ(decoded->arity, arity);
+      ASSERT_EQ(decoded->width, 5);
+      ASSERT_EQ(decoded->rows, slots.size());
+      EXPECT_EQ(decoded->layout, PayloadLayout::kRowMajor);
+      for (size_t i = 0; i < decoded->rows; ++i) {
+        for (int c = 0; c < arity; ++c) {
+          EXPECT_EQ(decoded->keys.col(c)[i], map.slot_key(slots[i])[c]);
+        }
+        // The payload crosses as raw bytes, so it compares bit for bit.
+        const double* row = decoded->payloads.data() +
+                            i * decoded->payloads.entry_stride();
+        EXPECT_EQ(std::memcmp(row, map.slot_payload(slots[i]),
+                              5 * sizeof(double)),
+                  0);
+      }
+      decoded_rows += slots.size();
+      slots.clear();
+    }
+    EXPECT_EQ(decoded_rows, map.size());
+  }
 }
 
 TEST(ViewWireTest, MultiFrameStreamDecodesInOrder) {
