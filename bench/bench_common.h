@@ -123,14 +123,13 @@ inline void ExportTimingCounters(benchmark::State& state,
 }
 
 /// Exports the execution-backend split of one evaluation (how many group
-/// executions ran native JIT code, the SIMD interpreter tier, or the
-/// scalar interpreter) plus the engine's JIT plan-cache counters, so the
-/// uploaded BENCH_*.json records which tier produced each number.
+/// executions ran native JIT code or the interpreter) plus the engine's
+/// JIT plan-cache counters, so the uploaded BENCH_*.json records which
+/// tier produced each number.
 inline void ExportBackendCounters(benchmark::State& state,
                                   const ExecutionStats& stats,
                                   const Engine& engine) {
   state.counters["groups_jit"] = stats.groups_jit;
-  state.counters["groups_simd"] = stats.groups_simd;
   state.counters["groups_interp"] = stats.groups_interp;
   const Engine::PlanCacheStats cache = engine.plan_cache_stats();
   state.counters["jit_compiles"] = static_cast<double>(cache.jit_compiles);

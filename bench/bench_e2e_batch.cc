@@ -156,40 +156,11 @@ BENCHMARK(BM_E2E_RetailerCovariance_LmfaoPreparedExecuteLimitOverhead)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(2.0);
 
-/// Backend A/B on the same prepared batch: the default PreparedExecute
-/// above runs the SIMD interpreter tier; this variant disables the AVX2
-/// kernels too — the scalar-interpreter floor.
-void BM_E2E_RetailerCovariance_LmfaoPreparedExecuteInterp(
-    benchmark::State& state) {
-  RetailerData& db = bench::Retailer(kRetailerRows);
-  auto cov = BuildCovarianceBatch(bench::RetailerFeatures(db), db.catalog);
-  LMFAO_CHECK(cov.ok());
-  EngineOptions options;
-  options.jit.mode = JitMode::kOff;
-  options.simd_kernels = false;
-  Engine engine(&db.catalog, &db.tree, options);
-  auto prepared = engine.Prepare(cov->batch);
-  LMFAO_CHECK(prepared.ok());
-  ExecutionStats stats;
-  for (auto _ : state) {
-    auto result = prepared->Execute();
-    LMFAO_CHECK(result.ok());
-    stats = result->stats;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["queries"] = cov->batch.size();
-  bench::ExportTimingCounters(state, stats);
-  bench::ExportBackendCounters(state, stats, engine);
-}
-BENCHMARK(BM_E2E_RetailerCovariance_LmfaoPreparedExecuteInterp)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(2.0);
-
-/// And the native tier: the batch is JIT-compiled synchronously at
-/// Prepare (outside the timed loop, reported as jit_compile_ms), and
-/// every iteration dispatches the compiled group functions. Falls back to
-/// the interpreter tiers — visible in groups_jit — if the environment
-/// cannot compile.
+/// The native tier on the same batch: it is JIT-compiled synchronously at
+/// Prepare (outside the timed loop, reported as jit_compile_ms), and every
+/// iteration dispatches the compiled group functions. Falls back to the
+/// interpreter — visible in groups_jit — if the environment cannot
+/// compile.
 void BM_E2E_RetailerCovariance_LmfaoPreparedExecuteJit(
     benchmark::State& state) {
   RetailerData& db = bench::Retailer(kRetailerRows);

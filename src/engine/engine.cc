@@ -29,8 +29,8 @@ uint64_t OptionsFingerprint(const EngineOptions& o) {
   h = HashCombine(h, static_cast<uint64_t>(o.plan.factorize));
   h = HashCombine(h, static_cast<uint64_t>(o.plan.freeze_views));
   // The artifact carries its JIT module, so jit-on and jit-off Prepares
-  // must not share cache entries (simd_kernels and the jit *mode flavor*
-  // are execution-only and deliberately excluded).
+  // must not share cache entries (the jit *mode flavor* is execution-only
+  // and deliberately excluded).
   h = HashCombine(h, static_cast<uint64_t>(o.jit.mode != JitMode::kOff));
   return h;
 }
@@ -242,8 +242,8 @@ StatusOr<PreparedBatch> Engine::Prepare(const QueryBatch& batch) {
   fresh->signature = signature;
   if (options_.jit.mode != JitMode::kOff) {
     // Kick the native backend. Failures at any stage (emission, compiler,
-    // dlopen) are non-fatal: execution falls back to the interpreter
-    // tiers, and plan_cache_stats() surfaces the failure.
+    // dlopen) are non-fatal: execution falls back to the interpreter, and
+    // plan_cache_stats() surfaces the failure.
     StatusOr<RuntimeBatchCode> code = GenerateRuntimeBatchCode(
         fresh->compiled.plans, fresh->compiled.workload, *catalog_);
     if (code.ok()) {
@@ -299,6 +299,23 @@ Status PreparedBatch::CheckExecutable(const ParamPack& params) const {
   return Status::OK();
 }
 
+ExecutionStats PreparedBatch::ArtifactStats() const {
+  ExecutionStats stats;
+  stats.num_queries = artifact_->num_queries;
+  stats.num_views = artifact_->num_views;
+  stats.num_aggregates = artifact_->num_aggregates;
+  stats.num_groups =
+      static_cast<int>(artifact_->compiled.grouped.groups.size());
+  // Phase times of the artifact's original compilation; the call itself
+  // pays no compile (the Evaluate wrapper overwrites these two fields with
+  // its measured Prepare cost).
+  stats.viewgen_seconds = artifact_->viewgen_seconds;
+  stats.grouping_seconds = artifact_->grouping_seconds;
+  stats.plan_seconds = artifact_->plan_seconds;
+  stats.plan_cache_hit = true;
+  return stats;
+}
+
 StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
                                              const ParamPack& params,
                                              const CancelToken& cancel) const {
@@ -308,24 +325,9 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
   if (Failpoints::enabled()) Failpoints::ClearParked();
   BatchResult result;
   const CompiledBatch& compiled = artifact_->compiled;
-  result.stats.num_queries = artifact_->num_queries;
-  result.stats.num_views = artifact_->num_views;
-  result.stats.num_aggregates = artifact_->num_aggregates;
-  result.stats.num_groups =
-      static_cast<int>(compiled.grouped.groups.size());
-  // Phase times of the artifact's original compilation; this call itself
-  // pays no compile (the Evaluate wrapper overwrites these two fields with
-  // its measured Prepare cost).
-  result.stats.viewgen_seconds = artifact_->viewgen_seconds;
-  result.stats.grouping_seconds = artifact_->grouping_seconds;
-  result.stats.plan_seconds = artifact_->plan_seconds;
-  result.stats.compile_seconds = 0.0;
-  result.stats.plan_cache_hit = true;
+  result.stats = ArtifactStats();
 
   Timer exec_timer;
-  ExecBackend backend;
-  backend.jit = artifact_->jit.get();
-  backend.simd = options_.simd_kernels;
   // Each served snapshot is held by the group that reads it: the engine's
   // sorted cache may prune an epoch while the group still scans it.
   ExecutionContext context(
@@ -343,7 +345,7 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
         }
         return engine_->SortedRelationAt(node, order, spec.rows->at(node));
       },
-      &params, backend, &cancel, spec.split);
+      &params, artifact_->jit.get(), &cancel, spec.split);
   LMFAO_RETURN_NOT_OK(context.Run(&result.stats));
   result.stats.execute_seconds = exec_timer.ElapsedSeconds();
 
@@ -456,19 +458,12 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
   result.epoch = std::move(target);
   result.artifact_signature = artifact_->signature;
   result.param_fingerprint = fingerprint;
-  result.stats = base.stats;
-  result.stats.compile_seconds = 0.0;
-  result.stats.plan_cache_hit = true;
+  // Nothing of the base's execution carries over: a refresh reports only
+  // the passes it ran itself.
+  result.stats = ArtifactStats();
   result.stats.delta_execution = true;
   result.stats.delta_passes = static_cast<int>(changed.size());
   result.stats.delta_rows = delta_rows;
-  result.stats.delta_dirty_groups = 0;
-  result.stats.execute_seconds = 0.0;
-  result.stats.groups_jit = 0;
-  result.stats.groups_simd = 0;
-  result.stats.groups_interp = 0;
-  result.stats.limit_trips = 0;
-  result.stats.degraded_groups = 0;
   // One deadline for the whole refresh, however many terms it takes.
   const CancelToken cancel(limits.deadline_seconds, limits.max_view_bytes);
 
@@ -508,7 +503,6 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
 void ExecutionStats::Accumulate(const ExecutionStats& pass) {
   execute_seconds += pass.execute_seconds;
   groups_jit += pass.groups_jit;
-  groups_simd += pass.groups_simd;
   groups_interp += pass.groups_interp;
   limit_trips += pass.limit_trips;
   degraded_groups += pass.degraded_groups;
@@ -517,6 +511,7 @@ void ExecutionStats::Accumulate(const ExecutionStats& pass) {
   peak_view_key_bytes = std::max(peak_view_key_bytes, pass.peak_view_key_bytes);
   peak_view_payload_bytes =
       std::max(peak_view_payload_bytes, pass.peak_view_payload_bytes);
+  num_frozen_views = std::max(num_frozen_views, pass.num_frozen_views);
 }
 
 StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,

@@ -66,7 +66,7 @@ class Engine;
 /// \brief Resource limits governing one execution pass.
 ///
 /// Enforced by a CancelToken shared across the pass's workers: checked at
-/// group boundaries, after every publish, and (interpreter tiers) amortized
+/// group boundaries, after every publish, and (interpreter) amortized
 /// inside the trie iteration. A tripped deadline returns DeadlineExceeded,
 /// a tripped memory budget ResourceExhausted; either way the pass unwinds
 /// cleanly — consumed views released, partial outputs dropped, the engine's
@@ -111,11 +111,6 @@ struct EngineOptions {
   /// sync, LMFAO_JIT_CC=<compiler>); kOff when unset. The mode (on/off) is
   /// part of the plan-cache key — artifacts carry their module.
   JitOptions jit = JitOptions::FromEnv();
-  /// Routes interpreter hot kernels (range sums, scratch product sums,
-  /// fused beta runs) through the explicit AVX2 tier (simd_kernels.h).
-  /// Bit-identical to the scalar shapes on all inputs, so it defaults on;
-  /// execution-only, not part of the cache key.
-  bool simd_kernels = true;
   /// Default resource limits for every Execute of batches prepared under
   /// these options; the per-call Execute(params, limits) overloads
   /// override them. Execution-only, not part of the cache key.
@@ -134,13 +129,12 @@ struct GroupStats {
   int shards = 1;
   /// Seconds the group waited between becoming ready and starting.
   double wait_seconds = 0.0;
-  /// Execution backend the group ran on: "jit" (native compiled function),
-  /// "simd" (interpreter with explicit AVX2 kernels), or "interp" (scalar
-  /// interpreter). Points at static strings.
+  /// Execution backend the group ran on: "jit" (native compiled function)
+  /// or "interp" (interpreter). Points at static strings.
   const char* backend = "interp";
   /// True when the group ran below its requested tier or shape: a JIT
   /// module was configured but this group fell back to the interpreter
-  /// tiers, or a memory trip forced the once-unsharded retry.
+  /// tier, or a memory trip forced the once-unsharded retry.
   bool degraded = false;
   /// Live ViewStore bytes right after the group published its outputs and
   /// released its inputs (the view-memory frontier at this point of the
@@ -243,11 +237,10 @@ struct ExecutionStats {
   /// \name Execution backend (see GroupStats::backend).
   /// @{
   /// Group executions per backend tier this call. Delta passes accumulate
-  /// across passes, so the three can sum to a multiple of num_groups.
+  /// across passes, so the two can sum to a multiple of num_groups.
   int groups_jit = 0;
-  int groups_simd = 0;
   int groups_interp = 0;
-  /// "jit" / "simd" / "interp" when every group ran one tier, "mixed"
+  /// "jit" / "interp" when every group ran one tier, "mixed"
   /// otherwise (e.g. async JIT still compiling for part of a pass).
   std::string backend = "interp";
   /// \name Resource governance (ExecLimits).
@@ -260,24 +253,22 @@ struct ExecutionStats {
   int degraded_groups = 0;
   /// @}
   /// Folds another pass of the same call into this one: execute time and
-  /// the per-tier, trip and degraded counters add up; the store peaks take
-  /// the maximum.
+  /// the per-tier, trip and degraded counters add up; the store peaks and
+  /// the frozen-view count take the maximum.
   void Accumulate(const ExecutionStats& pass);
   /// Recomputes `backend` from the per-tier counters.
   void DeriveBackend() {
-    const int kinds = (groups_jit > 0 ? 1 : 0) + (groups_simd > 0 ? 1 : 0) +
-                      (groups_interp > 0 ? 1 : 0);
-    if (kinds > 1) {
+    if (groups_jit > 0 && groups_interp > 0) {
       backend = "mixed";
     } else if (groups_jit > 0) {
       backend = "jit";
-    } else if (groups_simd > 0) {
-      backend = "simd";
     } else {
       backend = "interp";
     }
   }
   /// @}
+  /// Per-group stats of a one-pass call, indexed by group id; empty for
+  /// ExecuteDelta, which runs every group once per delta pass.
   std::vector<GroupStats> groups;
 };
 
@@ -331,8 +322,8 @@ struct CompiledArtifact {
   double plan_seconds = 0.0;
   /// The batch's JIT module (null when the JIT is off or runtime codegen
   /// was skipped). May still be compiling (async mode): executions probe
-  /// its state per group and fall back to the interpreter tiers until it
-  /// is ready. Shared with the plan cache, so a cached artifact's module
+  /// its state per group and fall back to the interpreter until it is
+  /// ready. Shared with the plan cache, so a cached artifact's module
   /// is reused — the compile is paid once per batch shape.
   std::shared_ptr<JitModule> jit;
 };
@@ -488,6 +479,10 @@ class PreparedBatch {
   };
   StatusOr<BatchResult> RunPass(const PassSpec& spec, const ParamPack& params,
                                 const CancelToken& cancel) const;
+
+  /// Stats of a call that has run nothing yet: the batch shape and the
+  /// artifact's compile phase times.
+  ExecutionStats ArtifactStats() const;
 
   /// Validates the handle and the bound params (the common preamble of
   /// every Execute flavor).

@@ -85,7 +85,7 @@ ExecutionContext::ExecutionContext(const Workload& workload,
                                    const SchedulerOptions& options,
                                    SortedRelationProvider sorted_relation,
                                    const ParamPack* params,
-                                   ExecBackend backend,
+                                   const JitModule* jit,
                                    const CancelToken* cancel,
                                    const ScanSplit* split)
     : workload_(workload),
@@ -94,7 +94,7 @@ ExecutionContext::ExecutionContext(const Workload& workload,
       options_(options),
       sorted_relation_(std::move(sorted_relation)),
       params_(params),
-      backend_(backend),
+      jit_(jit),
       cancel_(cancel != nullptr && cancel->armed() ? cancel : nullptr),
       split_(split) {
   LMFAO_CHECK_EQ(grouped_.groups.size(), plans_.size());
@@ -156,8 +156,6 @@ Status ExecutionContext::Run(ExecutionStats* stats) {
   for (const GroupStats& gs : stats->groups) {
     if (std::strcmp(gs.backend, "jit") == 0) {
       ++stats->groups_jit;
-    } else if (std::strcmp(gs.backend, "simd") == 0) {
-      ++stats->groups_simd;
     } else {
       ++stats->groups_interp;
     }
@@ -229,18 +227,17 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   };
   // Backend selection, per group: a ready native function wins; a module
   // still compiling (async), failed, or rejecting this group's shape
-  // degrades just this group to the interpreter tiers.
-  const JitGroupFn jit_fn =
-      backend_.jit != nullptr ? backend_.jit->GetFn(gid) : nullptr;
+  // degrades just this group to the interpreter.
+  const JitGroupFn jit_fn = jit_ != nullptr ? jit_->GetFn(gid) : nullptr;
   const RuntimeGroupMeta* jit_meta =
-      jit_fn != nullptr ? backend_.jit->GetMeta(gid) : nullptr;
+      jit_fn != nullptr ? jit_->GetMeta(gid) : nullptr;
   std::vector<LmfaoJitView> jit_views;
   std::vector<double> jit_params;
   std::vector<int> jit_arities;
   bool use_jit = jit_fn != nullptr && jit_meta != nullptr;
   // The emitted range-sum helper reduces payload runs contiguously, which
   // requires multi-entry views in columnar layout (entry stride 1); any
-  // other layout sends the group to the interpreter tiers.
+  // other layout sends the group to the interpreter.
   for (size_t v = 0; use_jit && v < consumed.size(); ++v) {
     if (plan.incoming[v].IsMultiEntry() &&
         consumed[v].payload_entry_stride != 1) {
@@ -266,7 +263,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       jit_arities.push_back(static_cast<int>(out.key_sources.size()));
     }
   }
-  if (backend_.jit != nullptr && !use_jit) gs->degraded = true;
+  if (jit_ != nullptr && !use_jit) gs->degraded = true;
   // Baseline the budget charge at the store's live bytes as of this
   // group's start; the executor adds its in-flight output maps on top.
   const size_t charge_base = store_.current_bytes();
@@ -302,8 +299,8 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       jit_fn(&input, &output);
       return Status::OK();
     }
-    GroupExecutor executor(plan, scanned, consumed_ptrs, params_,
-                           backend_.simd, cancel_, charge_base);
+    GroupExecutor executor(plan, scanned, consumed_ptrs, params_, cancel_,
+                           charge_base);
     return num_shards <= 1 ? executor.Execute(ptrs)
                            : executor.ExecuteShard(ptrs, shard, num_shards);
   };
@@ -440,7 +437,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   gs->output_entries = entries;
   gs->shards = shards;
   gs->wait_seconds = start.wait_seconds;
-  gs->backend = use_jit ? "jit" : backend_.simd ? "simd" : "interp";
+  gs->backend = use_jit ? "jit" : "interp";
   gs->store_key_bytes = store_.current_key_bytes();
   gs->store_payload_bytes = store_.current_payload_bytes();
   return Status::OK();

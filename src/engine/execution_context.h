@@ -39,15 +39,6 @@
 
 namespace lmfao {
 
-/// Which execution tiers this context may use, in preference order:
-/// a ready JIT module's native function, else the interpreter with (simd)
-/// or without explicit AVX2 kernels. Per-group fallback — a module still
-/// compiling (or failed, or missing a group) degrades only that group.
-struct ExecBackend {
-  const JitModule* jit = nullptr;
-  bool simd = false;
-};
-
 class ExecutionContext {
  public:
   /// Supplies the node relation sorted by (the relation subsequence of) the
@@ -71,6 +62,10 @@ class ExecutionContext {
   /// maps are the multiplier a narrower execution avoids — before the pass
   /// gives up; the retry is possible because budget trips are not sticky
   /// on the token (see CancelToken).
+  /// `jit` (optional, borrowed) runs each group through the module's
+  /// native function when it has one, else through the interpreter.
+  /// Per-group fallback — a module still compiling (or failed, or missing
+  /// a group) degrades only that group.
   /// `split` (optional, borrowed) scans the groups at its node once per
   /// shard range and folds the shards through its exchange; such a group
   /// never also domain-shards.
@@ -79,7 +74,7 @@ class ExecutionContext {
                    const SchedulerOptions& options,
                    SortedRelationProvider sorted_relation,
                    const ParamPack* params = nullptr,
-                   ExecBackend backend = {},
+                   const JitModule* jit = nullptr,
                    const CancelToken* cancel = nullptr,
                    const ScanSplit* split = nullptr);
 
@@ -103,7 +98,7 @@ class ExecutionContext {
   SchedulerOptions options_;
   SortedRelationProvider sorted_relation_;
   const ParamPack* params_ = nullptr;
-  ExecBackend backend_;
+  const JitModule* jit_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   const ScanSplit* split_ = nullptr;
   ViewStore store_;

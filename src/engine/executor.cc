@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "engine/simd_kernels.h"
-
 namespace lmfao {
 
 namespace {
@@ -153,12 +151,11 @@ ConsumedView BuildConsumedView(const SortView& produced,
 GroupExecutor::GroupExecutor(const GroupPlan& plan,
                              const Relation& sorted_relation,
                              std::vector<const ConsumedView*> views,
-                             const ParamPack* params, bool simd,
+                             const ParamPack* params,
                              const CancelToken* cancel, size_t charge_base)
     : plan_(plan),
       relation_(sorted_relation),
       views_(std::move(views)),
-      simd_(simd),
       cancel_(cancel != nullptr && cancel->armed() ? cancel : nullptr),
       charge_base_(charge_base) {
   const int levels = plan_.num_levels();
@@ -680,17 +677,14 @@ double GroupExecutor::ScratchProductSum(const std::vector<int>& kernel_ids,
     case 1: {
       const double* a =
           leaf_scratch_[static_cast<size_t>(kernel_ids[0])].data();
-      return simd_ && rows >= simd::kMinVectorLen ? simd::SumRange(a, 0, rows)
-                                                  : SumRange(a, 0, rows);
+      return SumRange(a, 0, rows);
     }
     case 2: {
       const double* a =
           leaf_scratch_[static_cast<size_t>(kernel_ids[0])].data();
       const double* b =
           leaf_scratch_[static_cast<size_t>(kernel_ids[1])].data();
-      return simd_ && rows >= simd::kMinVectorLen
-                 ? simd::DotRange(a, b, rows)
-                 : DotRange(a, b, rows);
+      return DotRange(a, b, rows);
     }
     default: {
       double* prod = leaf_prod_scratch_.data();
@@ -700,17 +694,11 @@ double GroupExecutor::ScratchProductSum(const std::vector<int>& kernel_ids,
       for (size_t f = 1; f + 1 < kernel_ids.size(); ++f) {
         const double* a =
             leaf_scratch_[static_cast<size_t>(kernel_ids[f])].data();
-        if (simd_ && rows >= simd::kMinVectorLen) {
-          simd::MulInPlace(prod, a, rows);
-        } else {
-          for (size_t i = 0; i < rows; ++i) prod[i] *= a[i];
-        }
+        for (size_t i = 0; i < rows; ++i) prod[i] *= a[i];
       }
       const double* last =
           leaf_scratch_[static_cast<size_t>(kernel_ids.back())].data();
-      return simd_ && rows >= simd::kMinVectorLen
-                 ? simd::DotRange(prod, last, rows)
-                 : DotRange(prod, last, rows);
+      return DotRange(prod, last, rows);
     }
   }
 }
@@ -769,17 +757,13 @@ double GroupExecutor::EvalExecPart(const ExecPart& part) {
         RangeSumCache& c =
             range_sum_cache_[static_cast<size_t>(part.range_sum_id)];
         if (c.lo == r.lo && c.hi == r.hi) return c.sum;
-        const double sum = simd_ && r.hi - r.lo >= simd::kMinVectorLen
-                               ? simd::SumRange(v->pcol(part.slot), r.lo, r.hi)
-                               : SumRange(v->pcol(part.slot), r.lo, r.hi);
+        const double sum = SumRange(v->pcol(part.slot), r.lo, r.hi);
         c.lo = r.lo;
         c.hi = r.hi;
         c.sum = sum;
         return sum;
       }
-      return simd_ && r.hi - r.lo >= simd::kMinVectorLen
-                 ? simd::SumRange(v->pcol(part.slot), r.lo, r.hi)
-                 : SumRange(v->pcol(part.slot), r.lo, r.hi);
+      return SumRange(v->pcol(part.slot), r.lo, r.hi);
     }
   }
   return 1.0;
@@ -825,26 +809,18 @@ void GroupExecutor::AccumulateBetas(int level) {
       // Fused kPayload run: one contiguous elementwise loop over the
       // bound entry's payload block (slot stride 1, see FuseBetaRuns).
       // Each element does the same multiply-add the per-op path does, so
-      // results are bit-identical — scalar or SIMD.
+      // results are bit-identical.
       const PayloadRef& pr = view_payload_cache_[static_cast<size_t>(op.view)];
       const double* src = pr.ptr + static_cast<size_t>(op.slot);
       double* dst = beta_vals_.data() + static_cast<size_t>(op.reg);
       const size_t n = static_cast<size_t>(op.run_len);
       if (op.run_kind == RunKind::kScalarSuffix) {
         const double s = SuffixValue(op.suffix_kind, op.suffix_index);
-        if (simd_ && n >= simd::kMinVectorLen) {
-          simd::Axpy(dst, src, s, n);
-        } else {
-          for (size_t k = 0; k < n; ++k) dst[k] += src[k] * s;
-        }
+        for (size_t k = 0; k < n; ++k) dst[k] += src[k] * s;
       } else {
         const double* suf =
             beta_vals_.data() + static_cast<size_t>(op.suffix_index);
-        if (simd_ && n >= simd::kMinVectorLen) {
-          simd::MulAddPairs(dst, src, suf, n);
-        } else {
-          for (size_t k = 0; k < n; ++k) dst[k] += src[k] * suf[k];
-        }
+        for (size_t k = 0; k < n; ++k) dst[k] += src[k] * suf[k];
       }
       continue;
     }

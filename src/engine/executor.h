@@ -123,11 +123,6 @@ class GroupExecutor {
   /// parameterized functions; all referenced slots must be bound
   /// (validated by PreparedBatch::Execute before any executor is built).
   ///
-  /// `simd` routes the hot kernels (range sums, scratch product sums, and
-  /// the fused kPayload beta runs) through the explicit AVX2 tier
-  /// (simd_kernels.h). The SIMD kernels are bit-identical to the scalar
-  /// shapes on all inputs, so the flag changes performance, never results;
-  /// it degrades to scalar automatically on non-AVX2 hardware.
   /// `cancel` (optional) is polled amortized — once every
   /// kCancelCheckInterval trie matches — charging `charge_base` plus the
   /// current memory of this executor's output maps against the token's
@@ -136,7 +131,7 @@ class GroupExecutor {
   /// to discard.
   GroupExecutor(const GroupPlan& plan, const Relation& sorted_relation,
                 std::vector<const ConsumedView*> views,
-                const ParamPack* params = nullptr, bool simd = false,
+                const ParamPack* params = nullptr,
                 const CancelToken* cancel = nullptr, size_t charge_base = 0);
 
   /// Runs the whole group.
@@ -256,15 +251,13 @@ class GroupExecutor {
   /// columns (empty = the run length, i.e. the tuple count).
   double ScratchProductSum(const std::vector<int>& kernel_ids, size_t rows);
   /// Detects fused kPayload runs in each level's beta slice (lowering-time
-  /// pass over beta_ops_; see RunKind). Fusion is applied regardless of
-  /// the simd flag — the fused loops are bit-identical to the op-at-a-time
-  /// scan — but only the SIMD tier vectorizes them.
+  /// pass over beta_ops_; see RunKind). The fused loops are bit-identical
+  /// to the op-at-a-time scan.
   void FuseBetaRuns();
 
   const GroupPlan& plan_;
   const Relation& relation_;
   std::vector<const ConsumedView*> views_;
-  const bool simd_;
 
   /// Matches between two cancellation checks: frequent enough that a trip
   /// is noticed within microseconds, rare enough to stay invisible in the

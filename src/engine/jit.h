@@ -7,7 +7,7 @@
 /// (codegen.h GenerateRuntimeBatchCode) to JitModule::Compile. In kSync
 /// mode the call blocks until the module is ready (or failed); in kAsync
 /// mode compilation runs on a background thread — executions started
-/// before it finishes use the interpreter/SIMD tier, later ones hot-swap
+/// before it finishes use the interpreter, later ones hot-swap
 /// to native code. The module is owned by the CompiledArtifact via
 /// shared_ptr, so it outlives every PreparedBatch that dispatches into it
 /// and is reused across structural plan-cache hits.
@@ -93,7 +93,7 @@ using JitGroupFn = void (*)(const LmfaoJitInput*, LmfaoJitOutput*);
 
 /// When (and whether) Prepare JIT-compiles a batch.
 enum class JitMode {
-  kOff,    ///< Never compile; interpreter/SIMD tiers only.
+  kOff,    ///< Never compile; interpreter only.
   kAsync,  ///< Compile in the background; hot-swap when ready.
   kSync,   ///< Block Prepare until compiled (benchmarks, tests).
 };

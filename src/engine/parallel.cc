@@ -135,11 +135,4 @@ Status ScheduleGroupsTimed(
   return state.first_error;
 }
 
-Status ScheduleGroups(const GroupedWorkload& grouped, ThreadPool* pool,
-                      const std::function<Status(int)>& run_group) {
-  return ScheduleGroupsTimed(
-      grouped, pool,
-      [&run_group](int gid, const GroupStart&) { return run_group(gid); });
-}
-
 }  // namespace lmfao

@@ -74,10 +74,6 @@ Status ScheduleGroupsTimed(
     const GroupedWorkload& grouped, ThreadPool* pool,
     const std::function<Status(int, const GroupStart&)>& run_group);
 
-/// \brief Compatibility wrapper without start-of-group information.
-Status ScheduleGroups(const GroupedWorkload& grouped, ThreadPool* pool,
-                      const std::function<Status(int)>& run_group);
-
 }  // namespace lmfao
 
 #endif  // LMFAO_ENGINE_PARALLEL_H_

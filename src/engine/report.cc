@@ -64,9 +64,8 @@ std::string ReportExecution(const ExecutionStats& stats,
       stats.plan_seconds * 1e3, stats.execute_seconds * 1e3,
       stats.total_seconds * 1e3);
   out << StringPrintf(
-      "  backend: %s (%d jit / %d simd / %d interp group executions)\n",
-      stats.backend.c_str(), stats.groups_jit, stats.groups_simd,
-      stats.groups_interp);
+      "  backend: %s (%d jit / %d interp group executions)\n",
+      stats.backend.c_str(), stats.groups_jit, stats.groups_interp);
   if (stats.delta_execution) {
     out << StringPrintf(
         "  delta refresh: %d pass%s over %zu appended rows, %d dirty group "

@@ -116,8 +116,7 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
         // One pass: every group runs exactly once, and the shards' slices
         // cover the partitioned relation.
         const ExecutionStats& st = sharded->stats;
-        EXPECT_EQ(st.groups_jit + st.groups_simd + st.groups_interp,
-                  st.num_groups);
+        EXPECT_EQ(st.groups_jit + st.groups_interp, st.num_groups);
         EXPECT_EQ(st.groups.size(), static_cast<size_t>(st.num_groups));
         size_t shard_rows = 0;
         for (const DistShardStats& ss : st.dist_shard_stats) {
@@ -144,6 +143,18 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
 
       auto refreshed = prepared->ExecuteDelta(*base);
       ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+      // The refresh reports only the delta passes it ran: nothing of the
+      // sharded base's exchange carries over.
+      const ExecutionStats& rs = refreshed->stats;
+      EXPECT_TRUE(rs.delta_execution);
+      EXPECT_FALSE(rs.dist_execution);
+      EXPECT_EQ(rs.dist_shards, 0);
+      EXPECT_EQ(rs.exchange_bytes, 0u);
+      EXPECT_EQ(rs.merge_seconds, 0.0);
+      EXPECT_TRUE(rs.dist_shard_stats.empty());
+      EXPECT_EQ(rs.num_groups, base->stats.num_groups);
+      EXPECT_EQ(rs.groups_jit + rs.groups_interp,
+                rs.delta_passes * rs.num_groups);
       auto full = prepared->Execute();
       ASSERT_TRUE(full.ok()) << full.status().ToString();
       ExpectResultsMatch(refreshed->results, full->results, 0.0,

@@ -245,7 +245,7 @@ TEST_F(FailpointEngineTest, CatalogAppendFailpointIsAtomic) {
 
 /// jit.compile fires before the compiler subprocess ever runs, so this
 /// pins the degradation contract even in environments with no toolchain:
-/// the module fails, the interpreter tiers answer, nothing errors.
+/// the module fails, the interpreter answers, nothing errors.
 TEST_F(FailpointEngineTest, JitCompileFailureDegradesToInterpreter) {
   ASSERT_TRUE(Failpoints::Configure("jit.compile=fail").ok());
   EngineOptions options;

@@ -41,14 +41,6 @@ EngineOptions JitOptionsSync() {
 EngineOptions InterpOptions() {
   EngineOptions options;
   options.jit.mode = JitMode::kOff;
-  options.simd_kernels = false;
-  return options;
-}
-
-EngineOptions SimdOptions() {
-  EngineOptions options;
-  options.jit.mode = JitMode::kOff;
-  options.simd_kernels = true;
   return options;
 }
 
@@ -253,9 +245,9 @@ void AppendRandomRows(ExactDatabase* db, Rng* rng,
 
 class JitFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-/// The core contract: JIT, SIMD, and scalar-interpreter executions of the
-/// same prepared batch agree bit-for-bit on integer-exact data — through
-/// full executes AND through append/ExecuteDelta refresh schedules.
+/// The core contract: JIT and interpreter executions of the same prepared
+/// batch agree bit-for-bit on integer-exact data — through full executes
+/// AND through append/ExecuteDelta refresh schedules.
 TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
   LMFAO_REQUIRE_JIT();
   Rng rng(GetParam() * 977 + 5);
@@ -266,21 +258,16 @@ TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
   LMFAO_REPRO_TRACE(GetParam() * 977 + 5);
 
   Engine jit_engine(&db.catalog, &db.tree, JitOptionsSync());
-  Engine simd_engine(&db.catalog, &db.tree, SimdOptions());
   Engine interp_engine(&db.catalog, &db.tree, InterpOptions());
 
   auto jit_prepared = jit_engine.Prepare(batch);
-  auto simd_prepared = simd_engine.Prepare(batch);
   auto interp_prepared = interp_engine.Prepare(batch);
   ASSERT_TRUE(jit_prepared.ok()) << jit_prepared.status().ToString();
-  ASSERT_TRUE(simd_prepared.ok()) << simd_prepared.status().ToString();
   ASSERT_TRUE(interp_prepared.ok()) << interp_prepared.status().ToString();
 
   auto jit_result = jit_prepared->Execute(params);
-  auto simd_result = simd_prepared->Execute(params);
   auto interp_result = interp_prepared->Execute(params);
   ASSERT_TRUE(jit_result.ok()) << jit_result.status().ToString();
-  ASSERT_TRUE(simd_result.ok()) << simd_result.status().ToString();
   ASSERT_TRUE(interp_result.ok()) << interp_result.status().ToString();
 
   // At least the leaf groups (no incoming views) always JIT; groups can
@@ -291,8 +278,6 @@ TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
 
   ExpectResultsMatch(jit_result->results, interp_result->results, 0.0,
                      "jit vs interp (initial)");
-  ExpectResultsMatch(simd_result->results, interp_result->results, 0.0,
-                     "simd vs interp (initial)");
   // The sharded split hands the native functions each shard's slice.
   auto jit_sharded = jit_prepared->ExecuteSharded(3, params);
   ASSERT_TRUE(jit_sharded.ok()) << jit_sharded.status().ToString();
@@ -419,35 +404,31 @@ TEST(JitStatsTest, PlanCacheCountersAndBackendTags) {
   EXPECT_GE(stats.jit_hits, 1u);
 }
 
-TEST(JitStatsTest, SimdAndInterpTagsWhenJitOff) {
+TEST(JitStatsTest, InterpTagsWhenJitOff) {
   auto data = MakeFavorita(FavoritaOptions{.num_sales = 2000});
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   FavoritaData& db = **data;
   const QueryBatch batch = MakeExampleBatch(db);
 
-  Engine simd_engine(&db.catalog, &db.tree, SimdOptions());
-  auto simd_result = simd_engine.Evaluate(batch);
-  ASSERT_TRUE(simd_result.ok()) << simd_result.status().ToString();
-  EXPECT_EQ(simd_result->stats.backend, "simd");
-  EXPECT_EQ(simd_result->stats.groups_jit, 0);
-  EXPECT_EQ(simd_result->stats.groups_simd,
-            simd_result->stats.num_groups);
-  EXPECT_EQ(simd_engine.plan_cache_stats().jit_compiles, 0u);
-
   Engine interp_engine(&db.catalog, &db.tree, InterpOptions());
   auto interp_result = interp_engine.Evaluate(batch);
   ASSERT_TRUE(interp_result.ok()) << interp_result.status().ToString();
   EXPECT_EQ(interp_result->stats.backend, "interp");
+  EXPECT_EQ(interp_result->stats.groups_jit, 0);
   EXPECT_EQ(interp_result->stats.groups_interp,
             interp_result->stats.num_groups);
+  for (const GroupStats& gs : interp_result->stats.groups) {
+    EXPECT_STREQ(gs.backend, "interp");
+  }
+  EXPECT_EQ(interp_engine.plan_cache_stats().jit_compiles, 0u);
 }
 
 // --- Graceful degradation -----------------------------------------------
 
 /// A compiler that always fails (the documented LMFAO_JIT_CC=/bin/false
-/// scenario): Prepare and Execute must succeed on the interpreter tiers,
+/// scenario): Prepare and Execute must succeed on the interpreter,
 /// with the failure visible in the plan-cache stats, not in any Status.
-TEST(JitFallbackTest, BrokenCompilerFallsBackToInterpreterTiers) {
+TEST(JitFallbackTest, BrokenCompilerFallsBackToInterpreter) {
   auto data = MakeFavorita(FavoritaOptions{.num_sales = 2000});
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   FavoritaData& db = **data;
@@ -459,7 +440,7 @@ TEST(JitFallbackTest, BrokenCompilerFallsBackToInterpreterTiers) {
   auto result = engine.Evaluate(batch);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stats.groups_jit, 0);
-  EXPECT_EQ(result->stats.backend, "simd");
+  EXPECT_EQ(result->stats.backend, "interp");
 
   auto stats = engine.plan_cache_stats();
   EXPECT_EQ(stats.jit_compiles, 1u);

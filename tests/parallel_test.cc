@@ -38,7 +38,7 @@ GroupedWorkload MakeDiamond() {
 TEST(ScheduleGroupsTest, SequentialRespectsOrder) {
   GroupedWorkload g = MakeDiamond();
   std::vector<int> order;
-  auto st = ScheduleGroups(g, nullptr, [&](int gid) {
+  auto st = ScheduleGroupsTimed(g, nullptr, [&](int gid, const GroupStart&) {
     order.push_back(gid);
     return Status::OK();
   });
@@ -53,7 +53,7 @@ TEST(ScheduleGroupsTest, ParallelRespectsDependencies) {
   ThreadPool pool(4);
   std::mutex mu;
   std::vector<int> done;
-  auto st = ScheduleGroups(g, &pool, [&](int gid) {
+  auto st = ScheduleGroupsTimed(g, &pool, [&](int gid, const GroupStart&) {
     std::lock_guard<std::mutex> lock(mu);
     // Dependencies must already be complete.
     for (int dep : g.groups[static_cast<size_t>(gid)].depends_on) {
@@ -70,7 +70,7 @@ TEST(ScheduleGroupsTest, ErrorAbortsDownstream) {
   GroupedWorkload g = MakeDiamond();
   ThreadPool pool(2);
   std::atomic<int> runs{0};
-  auto st = ScheduleGroups(g, &pool, [&](int gid) -> Status {
+  auto st = ScheduleGroupsTimed(g, &pool, [&](int gid, const GroupStart&) {
     runs.fetch_add(1);
     if (gid == 0) return Status::Internal("boom");
     return Status::OK();
@@ -84,7 +84,7 @@ TEST(ScheduleGroupsTest, ErrorAbortsDownstream) {
 TEST(ScheduleGroupsTest, ErrorInParallelBranchPropagates) {
   GroupedWorkload g = MakeDiamond();
   ThreadPool pool(2);
-  auto st = ScheduleGroups(g, &pool, [&](int gid) -> Status {
+  auto st = ScheduleGroupsTimed(g, &pool, [&](int gid, const GroupStart&) {
     if (gid == 2) return Status::IOError("branch failed");
     return Status::OK();
   });
@@ -95,7 +95,9 @@ TEST(ScheduleGroupsTest, ErrorInParallelBranchPropagates) {
 TEST(ScheduleGroupsTest, EmptyGraph) {
   GroupedWorkload g;
   ThreadPool pool(2);
-  EXPECT_TRUE(ScheduleGroups(g, &pool, [](int) { return Status::OK(); }).ok());
+  EXPECT_TRUE(ScheduleGroupsTimed(g, &pool, [](int, const GroupStart&) {
+                return Status::OK();
+              }).ok());
 }
 
 TEST(ScheduleGroupsTest, LargeChain) {
@@ -110,7 +112,7 @@ TEST(ScheduleGroupsTest, LargeChain) {
   }
   ThreadPool pool(4);
   std::atomic<int> last{-1};
-  auto st = ScheduleGroups(g, &pool, [&](int gid) {
+  auto st = ScheduleGroupsTimed(g, &pool, [&](int gid, const GroupStart&) {
     // Strict chain: must observe predecessor already done.
     EXPECT_EQ(last.load(), gid - 1);
     last.store(gid);
