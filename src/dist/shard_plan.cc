@@ -1,8 +1,9 @@
 #include "dist/shard_plan.h"
 
 #include <algorithm>
+#include <cstdint>
 
-#include "util/logging.h"
+#include "engine/parallel.h"
 
 namespace lmfao {
 
@@ -17,14 +18,17 @@ StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
         std::to_string(catalog.num_relations()));
   }
 
-  // Relations some group actually reads. Splitting anything else would
-  // multiply the result by the shard count instead of partitioning it:
-  // the batch is constant — not linear — in a relation outside every
-  // group's input closure.
-  uint64_t eligible = 0;
-  for (const GroupPlan& plan : compiled.plans) {
-    eligible |= plan.source_relation_mask;
-  }
+  // The groups whose input closure holds `r`. Only a relation some group
+  // reads is eligible: splitting anything else would multiply the result
+  // by the shard count instead of partitioning it, since the batch is
+  // constant — not linear — in a relation outside every input closure.
+  auto dirty_groups = [&compiled](RelationId r) {
+    return static_cast<int>(std::count_if(
+        compiled.plans.begin(), compiled.plans.end(),
+        [r](const GroupPlan& plan) {
+          return ClosureContains(plan.source_relation_mask, r);
+        }));
+  };
 
   ShardedPlan sharded;
   if (spec.relation != kInvalidRelation) {
@@ -33,7 +37,7 @@ StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
           "MakeShardedPlan: pinned shard relation " +
           std::to_string(spec.relation) + " is not in the catalog");
     }
-    if (spec.relation >= 64 || ((eligible >> spec.relation) & 1) == 0) {
+    if (dirty_groups(spec.relation) == 0) {
       return Status::InvalidArgument(
           "MakeShardedPlan: relation " +
           catalog.relation(spec.relation).name() +
@@ -42,8 +46,8 @@ StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
     }
     sharded.relation = spec.relation;
   } else {
-    for (RelationId r = 0; r < catalog.num_relations() && r < 64; ++r) {
-      if (((eligible >> r) & 1) == 0) continue;
+    for (RelationId r = 0; r < catalog.num_relations(); ++r) {
+      if (dirty_groups(r) == 0) continue;
       if (sharded.relation == kInvalidRelation ||
           epoch.at(r) > epoch.at(sharded.relation)) {
         sharded.relation = r;
@@ -56,30 +60,15 @@ StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
     }
   }
 
-  for (const GroupPlan& plan : compiled.plans) {
-    if (sharded.relation < 64 &&
-        ((plan.source_relation_mask >> sharded.relation) & 1)) {
-      ++sharded.dirty_groups;
-    }
-  }
+  sharded.dirty_groups = dirty_groups(sharded.relation);
 
-  const size_t rows = epoch.at(sharded.relation);
-  const size_t requested =
-      spec.num_shards > 1 ? static_cast<size_t>(spec.num_shards) : 1;
-  const size_t n = std::max<size_t>(1, std::min(requested, std::max<size_t>(
-                                                               rows, 1)));
-  // Balanced contiguous ranges: base rows each, the first rows % n shards
-  // take one extra.
-  const size_t base = rows / n;
-  const size_t extra = rows % n;
-  size_t lo = 0;
-  sharded.ranges.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    const size_t len = base + (s < extra ? 1 : 0);
-    sharded.ranges.push_back(ShardRange{lo, lo + len});
-    lo += len;
-  }
-  LMFAO_CHECK_EQ(lo, rows);
+  // Balanced contiguous row ranges; asking for more shards than rows
+  // yields one row each.
+  const int64_t rows = static_cast<int64_t>(epoch.at(sharded.relation));
+  sharded.ranges = KeyAlignedRanges(
+      nullptr, static_cast<size_t>(rows),
+      static_cast<int>(std::min<int64_t>(spec.num_shards,
+                                         std::max<int64_t>(rows, 1))));
   return sharded;
 }
 

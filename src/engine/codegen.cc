@@ -150,19 +150,22 @@ void EmitDictDefinition(std::ostringstream& out, const std::string& symbol,
 ///
 /// Two modes share the entire loop-nest / register / write lowering — the
 /// core emits against local aliases (rel_<attr>, v<N>_size / _k<C> /
-/// _payload / _estride / _sstride, shard, num_shards, par<K>, up<O>) that
-/// only the per-mode prologue binds differently:
+/// _payload / _estride / _sstride, par<K>, up<O>) that only the per-mode
+/// prologue binds differently:
 ///
 ///   - kStandalone: the offline validator form. Aliases read the embedded
-///     `Input` struct; payload strides are compile-time constants; shard is
-///     pinned to 0/1; writes go to std::unordered_map outputs; function
-///     parameters are rejected (standalone programs bake constants in).
+///     `Input` struct; payload strides are compile-time constants; writes go
+///     to std::unordered_map outputs; function parameters are rejected
+///     (standalone programs bake constants in).
 ///   - kRuntime: the JIT form (`extern "C" lmfao_jit_group_<id>`). Aliases
 ///     read the LmfaoJitInput ABI struct (jit.h); payload strides come from
 ///     the view descriptors so row-major and borrowed-columnar layouts both
-///     work; shard/num_shards come from the caller; writes go through the
-///     host upsert callback; parameterized thresholds read the dense
-///     params array.
+///     work; writes go through the host upsert callback; parameterized
+///     thresholds read the dense params array.
+///
+/// Both modes scan rows [0, rel_rows): the host passes a domain shard or
+/// split slice as a shorter relation (columns offset to its first row), so
+/// the emitted code knows nothing of shards.
 ///
 /// Because the body text is produced by one code path, the offline
 /// validator and the runtime JIT cannot drift.
@@ -453,8 +456,6 @@ class GroupEmitter {
               << "_sstride;\n";
         }
       }
-      out << "  const int32_t shard = 0; (void)shard;\n";
-      out << "  const int32_t num_shards = 1; (void)num_shards;\n";
       for (size_t o = 0; o < plan_.outputs.size(); ++o) {
         const auto& info = plan_.outputs[o];
         if (info.key_sources.empty()) {
@@ -503,9 +504,6 @@ class GroupEmitter {
             << "static_cast<size_t>(in->views[" << v
             << "].slot_stride); (void)v" << v << "_sstride;\n";
       }
-      out << "  const int32_t shard = in->shard; (void)shard;\n";
-      out << "  const int32_t num_shards = in->num_shards; "
-             "(void)num_shards;\n";
       for (size_t i = 0; i < param_order_.size(); ++i) {
         out << "  const double par" << i << " = in->params[" << i
             << "]; (void)par" << i << ";\n";
@@ -546,8 +544,6 @@ class GroupEmitter {
     }
     const int levels = plan_.num_levels();
     if (levels == 0) {
-      // Flat scan: only shard 0 contributes (the interpreter's rule).
-      out << "  if (shard != 0) return;\n";
       EmitLeaf(out, 1, 0);
       EmitWrites(out, 1, 0);
     } else {
@@ -586,14 +582,6 @@ class GroupEmitter {
     for (const auto& [v, c] : vps) {
       Indent(out, depth);
       out << "size_t v" << v << "_pos = v" << v << "_lo" << p << ";\n";
-    }
-    if (level == 1) {
-      // Domain sharding: top-level value matches are dealt round-robin
-      // (match_index % num_shards == shard), like the interpreter. The
-      // standalone prologue pins shard/num_shards to 0/1 so this folds
-      // away.
-      Indent(out, depth);
-      out << "size_t match_index = 0; (void)match_index;\n";
     }
     Indent(out, depth);
     out << "while (true) {\n";
@@ -672,17 +660,6 @@ class GroupEmitter {
       out << "(void)v" << v << "_lo" << l << "; (void)v" << v << "_hi" << l
           << ";\n";
     }
-    if (level == 1) {
-      Indent(out, depth);
-      out << "const bool mine = num_shards <= 1 || (match_index % "
-             "static_cast<size_t>(num_shards)) == "
-             "static_cast<size_t>(shard);\n";
-      Indent(out, depth);
-      out << "++match_index;\n";
-      Indent(out, depth);
-      out << "if (mine) {\n";
-      ++depth;
-    }
     // Alphas at this level (with any range sums they need).
     std::set<std::string> emitted_sums;
     for (int a : plan_.alphas_at_level[static_cast<size_t>(level)]) {
@@ -729,11 +706,6 @@ class GroupEmitter {
       out << ";\n";
     }
     EmitWrites(out, depth, level);
-    if (level == 1) {
-      --depth;
-      Indent(out, depth);
-      out << "}\n";
-    }
     Indent(out, depth);
     out << "r_pos = r_hi" << l << ";\n";
     for (const auto& [v, c] : vps) {
@@ -961,8 +933,6 @@ StatusOr<RuntimeBatchCode> GenerateRuntimeBatchCode(
          "  const void* const* rel_cols;\n"
          "  const LmfaoJitView* views;\n"
          "  const double* params;\n"
-         "  int32_t shard;\n"
-         "  int32_t num_shards;\n"
          "};\n"
          "struct LmfaoJitOutput {\n"
          "  void* ctx;\n"

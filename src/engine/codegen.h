@@ -75,9 +75,10 @@ struct RuntimeBatchCode {
 /// modes share one emitter core, so the offline validator and the runtime
 /// backend cannot drift — but data access goes through the LmfaoJit* ABI
 /// (pointer indirection instead of embedded literals), writes go through
-/// the host upsert callback, sharding honours the caller's
-/// (shard, num_shards), and parameterized function thresholds are read
-/// from the params array instead of being baked in.
+/// the host upsert callback, the relation is whatever row range the host
+/// passes (a domain shard or split slice is just fewer rows), and
+/// parameterized function thresholds are read from the params array
+/// instead of being baked in.
 StatusOr<RuntimeBatchCode> GenerateRuntimeBatchCode(
     const std::vector<GroupPlan>& plans, const Workload& workload,
     const Catalog& catalog);

@@ -485,7 +485,7 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
     LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(spec, params, cancel));
     result.stats.Accumulate(term.stats);
     for (const GroupPlan& plan : plans) {
-      if (r < 64 && ((plan.source_relation_mask >> r) & 1)) {
+      if (ClosureContains(plan.source_relation_mask, r)) {
         ++result.stats.delta_dirty_groups;
       }
     }

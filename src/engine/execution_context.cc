@@ -267,100 +267,99 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // Baseline the budget charge at the store's live bytes as of this
   // group's start; the executor adds its in-flight output maps on top.
   const size_t charge_base = store_.current_bytes();
-  // One shard of the group's scan, on whichever backend was chosen (the
-  // emitted code shards by the same level-1 match_index % num_shards rule
-  // as GroupExecutor::ExecuteShard, so the two tile the domain alike).
-  auto run_shard_inner = [&](const Relation& scanned,
-                             const std::vector<ViewMap*>& ptrs, int shard,
-                             int num_shards) -> Status {
-    if (use_jit) {
+  // One scan piece, rows [range.lo, range.hi) of `scanned`, on whichever
+  // backend was chosen; the JIT gets column pointers offset by range.lo.
+  auto run_piece = [&](const Relation& scanned, ShardRange range,
+                       const std::vector<ViewMap*>& ptrs) -> Status {
+    Status st = [&]() -> Status {
+      if (!use_jit) {
+        GroupExecutor executor(plan, scanned, consumed_ptrs, params_, cancel_,
+                               charge_base);
+        return executor.Execute(ptrs, range);
+      }
       std::vector<const void*> jit_rel_cols;
       jit_rel_cols.reserve(jit_meta->used_cols.size());
       for (int col : jit_meta->used_cols) {
         const Column& c = scanned.column(col);
-        jit_rel_cols.push_back(c.type() == AttrType::kInt
-                                   ? static_cast<const void*>(c.ints().data())
-                                   : static_cast<const void*>(
-                                         c.doubles().data()));
+        jit_rel_cols.push_back(
+            c.type() == AttrType::kInt
+                ? static_cast<const void*>(c.ints().data() + range.lo)
+                : static_cast<const void*>(c.doubles().data() + range.lo));
       }
       JitUpsertCtx uctx;
       uctx.outputs = &ptrs;
       uctx.arities = jit_arities.data();
       LmfaoJitInput input;
-      input.rel_rows = scanned.num_rows();
+      input.rel_rows = range.rows();
       input.rel_cols = jit_rel_cols.data();
       input.views = jit_views.data();
       input.params = jit_params.data();
-      input.shard = shard;
-      input.num_shards = num_shards;
       LmfaoJitOutput output;
       output.ctx = &uctx;
       output.upsert = &JitUpsert;
       jit_fn(&input, &output);
       return Status::OK();
-    }
-    GroupExecutor executor(plan, scanned, consumed_ptrs, params_, cancel_,
-                           charge_base);
-    return num_shards <= 1 ? executor.Execute(ptrs)
-                           : executor.ExecuteShard(ptrs, shard, num_shards);
-  };
-  auto run_shard = [&](const Relation& scanned,
-                       const std::vector<ViewMap*>& ptrs, int shard,
-                       int num_shards) -> Status {
-    Status st = run_shard_inner(scanned, ptrs, shard, num_shards);
+    }();
     HarvestParked(&st);
     return st;
   };
 
-  // Shard count from true pool occupancy: busy_threads_ counts group
-  // runners plus active shard helpers (the scheduler alone only sees whole
-  // groups, so a fully sharded pool would look idle to it).
-  const int free_threads =
-      std::max(0, options_.ResolvedThreads() - busy_threads_.load());
-  int shards = 1;
+  // The group's scan pieces: the split's ranges (each scanned whole out of
+  // its own slice), else key-aligned ranges of the held sorted relation —
+  // cost-based domain shards from true pool occupancy (busy_threads_ counts
+  // shard helpers too; the scheduler alone sees only whole groups).
+  const ShardRange whole{0, rel != nullptr ? rel->num_rows() : 0};
+  std::vector<ShardRange> pieces{whole};
   if (split) {
-    shards = static_cast<int>(split_->ranges.size());
+    pieces = split_->ranges;
   } else if (plan.num_levels() > 0) {
-    shards = ChooseShardCount(static_cast<int64_t>(rel->num_rows()), options_,
-                              free_threads);
+    const int free_threads =
+        std::max(0, options_.ResolvedThreads() - busy_threads_.load());
+    pieces = KeyAlignedRanges(
+        rel->column(plan.level_column[0]).ints().data(), whole.rows(),
+        ChooseShardCount(static_cast<int64_t>(whole.rows()), options_,
+                         free_threads));
   }
   std::vector<std::unique_ptr<ViewMap>> out_maps;
   std::vector<ViewMap*> out_ptrs;
-  // Scans the group in `num_shards` pieces into out_maps/out_ptrs. One
-  // unsplit piece scans straight into the outputs. Otherwise each piece —
-  // a domain shard of the node relation, or one of the split's row ranges —
-  // fills private maps, concurrently on the pool when there is one, and is
-  // folded into the outputs (MergeAdd, or the split's exchange) in piece
-  // order, a scheduling-independent summation order. A piece's maps and
-  // slice die right after its fold, before its thread takes another piece.
-  auto scan_all = [&](int num_shards) -> Status {
+  // Scans the group's `ranges` into out_maps/out_ptrs. One unsplit piece
+  // scans straight into the outputs. Otherwise each piece fills private
+  // maps, concurrently on the pool when there is one, and is folded into
+  // the outputs (MergeAdd, or the split's exchange) in piece order, a
+  // scheduling-independent summation order. A piece's maps and slice die
+  // right after its fold, before its thread takes another piece.
+  auto scan_all = [&](const std::vector<ShardRange>& ranges) -> Status {
     out_maps.clear();
     out_ptrs.clear();
     make_output_maps(1, &out_maps, &out_ptrs);
-    if (!split && num_shards <= 1) return run_shard(*rel, out_ptrs, 0, 1);
-    const size_t n = static_cast<size_t>(num_shards);
+    if (!split && ranges.size() == 1) {
+      return run_piece(*rel, ranges[0], out_ptrs);
+    }
+    const size_t n = ranges.size();
     std::mutex turn_mu;
     std::condition_variable turn_cv;
     size_t turn = 0;
     Status first_error;
     BusyScope helpers(&busy_threads_,
-                      std::min(num_shards, options_.ResolvedThreads()) - 1);
+                      std::min(static_cast<int>(n),
+                               options_.ResolvedThreads()) - 1);
     ParallelForShared(pool_.get(), n, [&](size_t s) {
       Timer scan_timer;
       std::vector<std::unique_ptr<ViewMap>> maps;
       std::vector<ViewMap*> ptrs;
       Status st = [&]() -> Status {
-        if (!split) {
-          make_output_maps(n, &maps, &ptrs);
-          return run_shard(*rel, ptrs, static_cast<int>(s), num_shards);
+        std::shared_ptr<const Relation> scanned = rel;
+        ShardRange range = ranges[s];
+        if (split) {
+          LMFAO_ASSIGN_OR_RETURN(
+              scanned, sorted_relation_(group.node, plan.attr_order, &range));
+          range = ShardRange{0, scanned->num_rows()};
         }
-        LMFAO_ASSIGN_OR_RETURN(
-            std::shared_ptr<const Relation> slice,
-            sorted_relation_(group.node, plan.attr_order, &split_->ranges[s]));
-        // Row ranges do not partition the keys (domain shards do), so each
-        // private map reserves the full estimate.
-        make_output_maps(1, &maps, &ptrs);
-        return run_shard(*slice, ptrs, 0, 1);
+        // Domain shards partition the level-1 keys, so each private map
+        // reserves its share of the estimate; the split's insertion-order
+        // ranges do not, so theirs reserve all of it.
+        make_output_maps(split ? 1 : n, &maps, &ptrs);
+        return run_piece(*scanned, range, ptrs);
       }();
       const double scan_seconds = scan_timer.ElapsedSeconds();
       std::unique_lock<std::mutex> lock(turn_mu);
@@ -392,9 +391,9 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     }
     return st;
   };
-  Status scan_st = count_trip(scan_all(shards));
+  Status scan_st = count_trip(scan_all(pieces));
   if (scan_st.code() == StatusCode::kResourceExhausted && !split &&
-      shards > 1 && (cancel_ == nullptr || !cancel_->cancelled())) {
+      pieces.size() > 1 && (cancel_ == nullptr || !cancel_->cancelled())) {
     // Graceful degradation: an out-of-memory trip on a domain-sharded scan
     // is retried once unsharded — the dropped per-shard private maps are
     // the memory multiplier the narrow execution avoids. This must happen
@@ -402,8 +401,8 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     // evict an input this retry needs). Budget trips are not sticky on the
     // token, so the retry's own Checks start clean.
     gs->degraded = true;
-    shards = 1;
-    scan_st = count_trip(scan_all(1));
+    pieces = {whole};
+    scan_st = count_trip(scan_all(pieces));
   }
   LMFAO_RETURN_NOT_OK(scan_st);
 
@@ -435,7 +434,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   gs->num_outputs = static_cast<int>(group.outputs.size());
   gs->seconds = group_timer.ElapsedSeconds();
   gs->output_entries = entries;
-  gs->shards = shards;
+  gs->shards = static_cast<int>(pieces.size());
   gs->wait_seconds = start.wait_seconds;
   gs->backend = use_jit ? "jit" : "interp";
   gs->store_key_bytes = store_.current_key_bytes();

@@ -10,12 +10,12 @@
 ///   1. every workload view is registered in the ViewStore with its
 ///      consumer count (derived from the group plans) and its materialized
 ///      form (the plan-layer freeze decision, AssignViewForms);
-///   2. groups run over the dependency graph via ScheduleGroupsTimed; a
-///      group whose node relation is large claims idle pool slots for
-///      cost-based domain shards (ChooseShardCount) while other ready
-///      groups keep running — except a group at a ScanSplit's node, which
-///      scans each shard range's slice instead;
-///   3. per-shard private maps are merged, outputs published into the
+///   2. groups run over the dependency graph via ScheduleGroupsTimed, each
+///      scanning (relation, row range) pieces: a large group claims idle
+///      pool slots (ChooseShardCount) for key-aligned ranges of its sorted
+///      relation (KeyAlignedRanges) while other ready groups keep running,
+///      and a group at a ScanSplit's node scans each range's slice;
+///   3. per-piece private maps are merged, outputs published into the
 ///      store (frozen to sorted form when the plan says so), and consumed
 ///      views released — the store evicts each view after its last
 ///      consumer finishes.

@@ -441,10 +441,11 @@ Status GroupExecutor::Validate() const {
   return Status::OK();
 }
 
-void GroupExecutor::Prepare(const std::vector<ViewMap*>& outputs) {
+void GroupExecutor::Prepare(const std::vector<ViewMap*>& outputs,
+                            ShardRange rows) {
   const int levels = plan_.num_levels();
   rel_range_.assign(static_cast<size_t>(levels) + 1, Range{});
-  rel_range_[0] = Range{0, relation_.num_rows()};
+  rel_range_[0] = Range{rows.lo, rows.hi};
   view_range_.assign(views_.size() * level_stride_, Range{});
   for (size_t v = 0; v < views_.size(); ++v) {
     view_range_[v * level_stride_] = Range{0, views_[v]->size};
@@ -462,13 +463,12 @@ void GroupExecutor::Prepare(const std::vector<ViewMap*>& outputs) {
   outputs_ = outputs;
 }
 
-Status GroupExecutor::Execute(const std::vector<ViewMap*>& outputs) {
-  return ExecuteShard(outputs, 0, 1);
-}
-
-Status GroupExecutor::ExecuteShard(const std::vector<ViewMap*>& outputs,
-                                   int shard, int num_shards) {
+Status GroupExecutor::Execute(const std::vector<ViewMap*>& outputs,
+                              ShardRange rows) {
   LMFAO_RETURN_NOT_OK(Validate());
+  if (rows.lo > rows.hi || rows.hi > relation_.num_rows()) {
+    return Status::InvalidArgument("executor: row range out of bounds");
+  }
   if (outputs.size() != plan_.outputs.size()) {
     return Status::InvalidArgument("executor: output count mismatch");
   }
@@ -480,7 +480,7 @@ Status GroupExecutor::ExecuteShard(const std::vector<ViewMap*>& outputs,
       return Status::InvalidArgument("executor: output key arity mismatch");
     }
   }
-  Prepare(outputs);
+  Prepare(outputs, rows);
   abort_status_ = Status::OK();
   cancel_countdown_ = kCancelCheckInterval;
   if (cancel_ != nullptr) {
@@ -488,26 +488,23 @@ Status GroupExecutor::ExecuteShard(const std::vector<ViewMap*>& outputs,
   }
   const int levels = plan_.num_levels();
   if (levels == 0) {
-    // Single flat scan; only shard 0 contributes.
-    if (shard == 0) {
-      for (double& v : leaf_vals_) v = 0.0;
-      LeafLoop(rel_range_[0]);
-      WriteOutputs(0);
-    }
+    for (double& v : leaf_vals_) v = 0.0;
+    LeafLoop(rel_range_[0]);
+    WriteOutputs(0);
     return Status::OK();
   }
   for (uint32_t i = beta_level_begin_[1]; i < beta_level_begin_[2]; ++i) {
     beta_vals_[static_cast<size_t>(beta_ops_[i].reg)] = 0.0;
   }
-  IterateLevel(1, shard, num_shards);
+  IterateLevel(1);
   LMFAO_RETURN_NOT_OK(abort_status_);
-  // Write outputs with empty write level; their beta values are
-  // shard-partial sums, so every shard emits and the caller merges.
+  // Write outputs with empty write level; their beta values are sums over
+  // this range only, so every piece emits and the caller merges.
   WriteOutputs(0);
   return Status::OK();
 }
 
-void GroupExecutor::IterateLevel(int level, int shard, int num_shards) {
+void GroupExecutor::IterateLevel(int level) {
   const int64_t* rel_col = level_rel_column_[static_cast<size_t>(level)];
   const Range rel = rel_range_[static_cast<size_t>(level - 1)];
   const auto& vps = level_views_[static_cast<size_t>(level)];
@@ -535,7 +532,6 @@ void GroupExecutor::IterateLevel(int level, int shard, int num_shards) {
     if (vpos[i] >= view_hi(i)) return;
   }
 
-  size_t match_index = 0;
   for (;;) {
     int64_t target = rel_col[rel_pos];
     bool exhausted = false;
@@ -581,15 +577,8 @@ void GroupExecutor::IterateLevel(int level, int shard, int num_shards) {
                   static_cast<size_t>(level)] = Range{vpos[i], run_end};
     }
 
-    const bool mine =
-        level > 1 || num_shards <= 1 ||
-        (match_index % static_cast<size_t>(num_shards)) ==
-            static_cast<size_t>(shard);
-    if (mine) {
-      ProcessMatch(level, target, shard, num_shards);
-      if (!abort_status_.ok()) return;
-    }
-    ++match_index;
+    ProcessMatch(level, target);
+    if (!abort_status_.ok()) return;
 
     rel_pos = rel_range_[static_cast<size_t>(level)].hi;
     if (rel_pos >= rel.hi) return;
@@ -603,8 +592,7 @@ void GroupExecutor::IterateLevel(int level, int shard, int num_shards) {
   }
 }
 
-void GroupExecutor::ProcessMatch(int level, int64_t value, int shard,
-                                 int num_shards) {
+void GroupExecutor::ProcessMatch(int level, int64_t value) {
   // Amortized deadline/budget poll: once every kCancelCheckInterval
   // matches, charging the pass baseline plus this executor's in-flight
   // output maps. A trip unwinds the whole trie iteration via
@@ -637,7 +625,7 @@ void GroupExecutor::ProcessMatch(int level, int64_t value, int shard,
          ++i) {
       beta_vals_[static_cast<size_t>(beta_ops_[i].reg)] = 0.0;
     }
-    IterateLevel(level + 1, shard, num_shards);
+    IterateLevel(level + 1);
     if (!abort_status_.ok()) return;
   }
   AccumulateBetas(level);

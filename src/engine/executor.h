@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "dist/shard_spec.h"
 #include "engine/leaf_kernels.h"
 #include "engine/plan.h"
 #include "storage/key_columns.h"
@@ -126,22 +127,23 @@ class GroupExecutor {
   /// `cancel` (optional) is polled amortized — once every
   /// kCancelCheckInterval trie matches — charging `charge_base` plus the
   /// current memory of this executor's output maps against the token's
-  /// budget. On a trip the iteration unwinds early and Execute/ExecuteShard
-  /// return the token's status; partially-filled outputs are the caller's
+  /// budget. On a trip the iteration unwinds early and Execute returns the
+  /// token's status; partially-filled outputs are the caller's
   /// to discard.
   GroupExecutor(const GroupPlan& plan, const Relation& sorted_relation,
                 std::vector<const ConsumedView*> views,
                 const ParamPack* params = nullptr,
                 const CancelToken* cancel = nullptr, size_t charge_base = 0);
 
-  /// Runs the whole group.
-  Status Execute(const std::vector<ViewMap*>& outputs);
+  /// Runs the whole group over the whole relation.
+  Status Execute(const std::vector<ViewMap*>& outputs) {
+    return Execute(outputs, ShardRange{0, relation_.num_rows()});
+  }
 
-  /// Domain parallelism: processes only the top-level value matches with
-  /// index % num_shards == shard. Results from all shards must be merged
-  /// with ViewMap::MergeAdd to obtain the full group result.
-  Status ExecuteShard(const std::vector<ViewMap*>& outputs, int shard,
-                      int num_shards);
+  /// Runs the whole group over rows [rows.lo, rows.hi) — one scan piece.
+  /// The batch is linear in the relation's rows, so the results of any
+  /// row partition's pieces MergeAdd to the full result.
+  Status Execute(const std::vector<ViewMap*>& outputs, ShardRange rows);
 
  private:
   struct Range {
@@ -221,9 +223,9 @@ class GroupExecutor {
   /// @}
 
   Status Validate() const;
-  void Prepare(const std::vector<ViewMap*>& outputs);
-  void IterateLevel(int level, int shard, int num_shards);
-  void ProcessMatch(int level, int64_t value, int shard, int num_shards);
+  void Prepare(const std::vector<ViewMap*>& outputs, ShardRange rows);
+  void IterateLevel(int level);
+  void ProcessMatch(int level, int64_t value);
   /// Column-at-a-time leaf evaluation of one relation range: lowers each
   /// distinct leaf factor once into a scratch column (kind-specialized
   /// kernels, no per-row Function::Eval dispatch), folds leaf sums as

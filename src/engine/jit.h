@@ -56,15 +56,14 @@ struct LmfaoJitView {
 };
 
 /// Everything one group invocation reads. `rel_cols[i]` is the column for
-/// RuntimeGroupMeta::used_cols[i] (int64_t* or double* per the schema);
-/// `params[i]` is the resolved value for RuntimeGroupMeta::param_order[i].
+/// RuntimeGroupMeta::used_cols[i] (int64_t* or double* per the schema),
+/// from the scanned range's first row on; `params[i]` is the resolved
+/// value for RuntimeGroupMeta::param_order[i].
 struct LmfaoJitInput {
   uint64_t rel_rows = 0;
   const void* const* rel_cols = nullptr;
   const LmfaoJitView* views = nullptr;
   const double* params = nullptr;
-  int32_t shard = 0;
-  int32_t num_shards = 1;
 };
 
 /// Where group results go: one host-side upsert callback for all outputs.
@@ -83,7 +82,6 @@ static_assert(sizeof(LmfaoJitView) == 8 + 12 * 8 + 8 + 8 + 8,
               "LmfaoJitView layout drifted from the emitted copy");
 static_assert(offsetof(LmfaoJitView, payload) == 8 + 12 * 8, "ABI drift");
 static_assert(offsetof(LmfaoJitInput, params) == 24, "ABI drift");
-static_assert(offsetof(LmfaoJitInput, num_shards) == 36, "ABI drift");
 static_assert(offsetof(LmfaoJitOutput, upsert) == 8, "ABI drift");
 
 /// Signature of each emitted `extern "C" lmfao_jit_group_<id>` function.

@@ -61,6 +61,25 @@ int ChooseShardCount(int64_t rows, const SchedulerOptions& options,
   return static_cast<int>(std::max<int64_t>(1, shards));
 }
 
+std::vector<ShardRange> KeyAlignedRanges(const int64_t* keys, size_t rows,
+                                         int n) {
+  const size_t pieces = static_cast<size_t>(std::max(1, n));
+  std::vector<ShardRange> ranges;
+  size_t lo = 0;
+  for (size_t s = 1; s <= pieces; ++s) {
+    size_t cut = rows * s / pieces;
+    if (cut <= lo) continue;
+    if (keys != nullptr && cut < rows) {
+      cut = static_cast<size_t>(
+          std::upper_bound(keys + cut, keys + rows, keys[cut - 1]) - keys);
+    }
+    ranges.push_back(ShardRange{lo, cut});
+    lo = cut;
+  }
+  if (ranges.empty()) ranges.push_back(ShardRange{0, 0});
+  return ranges;
+}
+
 Status ScheduleGroupsTimed(
     const GroupedWorkload& grouped, ThreadPool* pool,
     const std::function<Status(int, const GroupStart&)>& run_group) {

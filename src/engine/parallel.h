@@ -3,9 +3,10 @@
 ///
 /// LMFAO "computes the groups in parallel by exploiting both task and
 /// domain parallelism" (Section 2). Task parallelism schedules whole groups
-/// over the group dependency graph; domain parallelism splits one group's
-/// top-level trie values across threads, giving each shard private result
-/// maps that are merged afterwards. The two compose: every ready group runs
+/// over the group dependency graph; domain parallelism cuts one group's
+/// sorted node relation into contiguous row ranges on level-1 key
+/// boundaries (KeyAlignedRanges), giving each shard private result maps
+/// that are merged afterwards. The two compose: every ready group runs
 /// as a task, and a group whose node relation is large enough claims idle
 /// pool slots for domain shards while other ready groups keep running
 /// (ChooseShardCount is the cost model). The three seed-era ParallelModes
@@ -16,9 +17,12 @@
 #ifndef LMFAO_ENGINE_PARALLEL_H_
 #define LMFAO_ENGINE_PARALLEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
+#include "dist/shard_spec.h"
 #include "engine/ir.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -33,7 +37,8 @@ struct SchedulerOptions {
   int num_threads = 1;
   /// Run independent groups concurrently over the dependency graph.
   bool task_parallel = true;
-  /// Shard large groups over their top-level trie values, merging per-shard
+  /// Shard large groups into key-aligned row ranges of their sorted node
+  /// relation (each top-level trie value in one shard), merging per-shard
   /// private maps afterwards.
   bool domain_parallel = true;
   /// Cost-model floor: a group is sharded only when its node relation has
@@ -62,6 +67,15 @@ struct GroupStart {
 /// off or the relation is too small.
 int ChooseShardCount(int64_t rows, const SchedulerOptions& options,
                      int free_threads);
+
+/// \brief Cuts rows [0, rows) of a relation sorted on `keys` (its level-1
+/// column) into at most `n` contiguous, non-empty domain-shard ranges: cut
+/// s moves forward from row rows * s / n to the end of its key run, so no
+/// key straddles two ranges and each is within one key run of rows / n.
+/// Null `keys` (a flat scan) cuts plain row ranges; an empty relation
+/// yields the one range [0, 0).
+std::vector<ShardRange> KeyAlignedRanges(const int64_t* keys, size_t rows,
+                                         int n);
 
 /// \brief Runs `run_group(group_id, start)` for every group, respecting the
 /// dependency graph, using `pool` (or inline in topological order when pool

@@ -79,6 +79,13 @@ struct PlanPart {
   uint64_t Signature() const;
 };
 
+/// \brief Whether an input closure (GroupPlan::source_relation_mask) may
+/// contain relation `r`. Exact for ids below 64; for higher ids only a
+/// saturated mask answers yes (which a closure of all of 0..63 also is).
+inline bool ClosureContains(uint64_t mask, RelationId r) {
+  return r >= 64 ? mask == ~0ull : ((mask >> r) & 1) != 0;
+}
+
 /// \brief The compiled plan of one view group.
 struct GroupPlan {
   RelationId node = kInvalidRelation;
@@ -88,9 +95,9 @@ struct GroupPlan {
   /// Bitmask of the base relations in this group's input closure: the
   /// group's own node plus every relation reachable through its incoming
   /// views' producers (bit = RelationId, relations beyond 63 saturate the
-  /// whole mask). Set by AssignViewForms. Delta execution uses it to skip
-  /// groups whose closure does not contain the changed relation — their
-  /// delta term is identically zero.
+  /// whole mask). Set by AssignViewForms. Read it through ClosureContains.
+  /// Delta execution uses it to skip groups whose closure does not contain
+  /// the changed relation — their delta term is identically zero.
   uint64_t source_relation_mask = ~0ull;
 
   /// The trie attribute order (levels 1..L); all are relation attributes.

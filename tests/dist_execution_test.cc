@@ -191,7 +191,7 @@ TEST(DistFuzzCoverageTest, SomeSeedHasADirtyGroupDownstreamOfTheSplit) {
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     for (const GroupPlan& gp : prepared->compiled().plans) {
       if (gp.node != plan->relation &&
-          ((gp.source_relation_mask >> plan->relation) & 1) != 0) {
+          ClosureContains(gp.source_relation_mask, plan->relation)) {
         ++seeds_with_downstream;
         break;
       }
@@ -309,6 +309,90 @@ TEST_F(ShardPlanTest, PinnedRelationOutsideInputClosureRejected) {
   auto none = MakeShardedPlan(doctored, data_->catalog, epoch, spec);
   EXPECT_FALSE(none.ok());
   EXPECT_EQ(none.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Relation ids beyond 63 saturate the closure masks. Such a relation is
+// still read by the batch: it can be pinned or auto-picked for a split, and
+// a refresh of it counts its dirty groups.
+TEST(ShardPlanWideCatalogTest, RelationBeyond63ShardsAndRefreshes) {
+  // A 65-relation star on one join attribute: R0 at the centre, R1..R64
+  // around it, one row per key everywhere except R64 (four rows per key).
+  Catalog catalog;
+  const AttrId k = catalog.AddAttribute("k", AttrType::kInt).value();
+  const AttrId v = catalog.AddAttribute("v", AttrType::kDouble).value();
+  std::vector<std::pair<RelationId, RelationId>> edges;
+  RelationId wide = kInvalidRelation;
+  for (int r = 0; r < 65; ++r) {
+    const bool last = r == 64;
+    const std::vector<std::string> attrs =
+        last ? std::vector<std::string>{"k", "v"}
+             : std::vector<std::string>{"k"};
+    const RelationId id =
+        catalog.AddRelation("R" + std::to_string(r), attrs).value();
+    Relation& rel = catalog.mutable_relation(id);
+    for (int i = 0; i < (last ? 40 : 10); ++i) {
+      if (last) {
+        rel.AppendRowUnchecked({Value::Int(i % 10), Value::Double(i)});
+      } else {
+        rel.AppendRowUnchecked({Value::Int(i)});
+      }
+    }
+    if (r > 0) edges.emplace_back(0, id);
+    wide = id;
+  }
+  ASSERT_EQ(wide, 64);
+  catalog.RefreshDomainSizes();
+  JoinTree tree = JoinTree::FromEdges(catalog, edges).value();
+
+  Query q;
+  q.name = "by_k";
+  q.group_by = {k};
+  q.aggregates = {Aggregate::Count(), Aggregate::Sum(v)};
+  QueryBatch batch;
+  batch.Add(std::move(q));
+  Engine engine(&catalog, &tree, EngineOptions{});
+
+  // Auto-pick sees the largest relation, id 64.
+  auto unpinned = engine.Prepare(batch);
+  ASSERT_TRUE(unpinned.ok()) << unpinned.status().ToString();
+  auto picked = MakeShardedPlan(unpinned->compiled(), catalog,
+                                catalog.SnapshotEpoch(), ShardSpec{3});
+  ASSERT_TRUE(picked.ok()) << picked.status().ToString();
+  EXPECT_EQ(picked->relation, wide);
+  EXPECT_GT(picked->dirty_groups, 0);
+
+  ShardSpec spec;
+  spec.num_shards = 3;
+  spec.relation = wide;
+  auto prepared = engine.PrepareSharded(batch, spec);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto sharded = prepared->ExecuteSharded(0);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_EQ(sharded->stats.dist_relation, wide);
+  EXPECT_EQ(sharded->stats.dist_shards, 3);
+  auto full = prepared->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ExpectResultsMatch(sharded->results, full->results, 0.0,
+                     "sharded on relation 64");
+
+  ASSERT_TRUE(catalog
+                  .AppendRows(wide, {{Value::Int(3), Value::Double(100)},
+                                     {Value::Int(7), Value::Double(5)}})
+                  .ok());
+  auto refreshed = prepared->ExecuteDelta(*sharded);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(refreshed->stats.delta_passes, 1);
+  EXPECT_GT(refreshed->stats.delta_dirty_groups, 0);
+  auto recomputed = prepared->Execute();
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  ExpectResultsMatch(refreshed->results, recomputed->results, 0.0,
+                     "refresh of relation 64");
+  auto joined = MaterializeJoin(catalog, tree, 0);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  auto baseline = EvaluateBatchSharedScan(*joined, batch);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ExpectResultsMatch(refreshed->results, *baseline, 0.0,
+                     "refresh of relation 64 vs scan baseline");
 }
 
 // --- PrepareSharded and observability ------------------------------------

@@ -38,6 +38,16 @@ EngineOptions JitOptionsSync() {
   return options;
 }
 
+/// JIT plus in-group domain shards on every group with two or more rows:
+/// the native functions scan key-aligned row ranges of the sorted relation.
+EngineOptions JitDomainShardedOptions() {
+  EngineOptions options = JitOptionsSync();
+  options.scheduler.num_threads = 3;
+  options.scheduler.task_parallel = false;
+  options.scheduler.min_shard_rows = 1;
+  return options;
+}
+
 EngineOptions InterpOptions() {
   EngineOptions options;
   options.jit.mode = JitMode::kOff;
@@ -258,12 +268,30 @@ TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
   LMFAO_REPRO_TRACE(GetParam() * 977 + 5);
 
   Engine jit_engine(&db.catalog, &db.tree, JitOptionsSync());
+  Engine domain_engine(&db.catalog, &db.tree, JitDomainShardedOptions());
   Engine interp_engine(&db.catalog, &db.tree, InterpOptions());
 
   auto jit_prepared = jit_engine.Prepare(batch);
+  auto domain_prepared = domain_engine.Prepare(batch);
   auto interp_prepared = interp_engine.Prepare(batch);
   ASSERT_TRUE(jit_prepared.ok()) << jit_prepared.status().ToString();
+  ASSERT_TRUE(domain_prepared.ok()) << domain_prepared.status().ToString();
   ASSERT_TRUE(interp_prepared.ok()) << interp_prepared.status().ToString();
+  // In-group domain shards hand the native functions key-aligned row
+  // ranges of the sorted relation.
+  auto check_domain_sharded = [&](const BatchResult& expected,
+                                  const std::string& label) {
+    auto sharded = domain_prepared->Execute(params);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    EXPECT_GT(sharded->stats.groups_jit, 0);
+    bool any_sharded = false;
+    for (const GroupStats& gs : sharded->stats.groups) {
+      any_sharded = any_sharded || gs.shards > 1;
+    }
+    EXPECT_TRUE(any_sharded) << label << ": no group domain-sharded";
+    ExpectResultsMatch(sharded->results, expected.results, 0.0,
+                       label + ": jit domain-sharded vs interp");
+  };
 
   auto jit_result = jit_prepared->Execute(params);
   auto interp_result = interp_prepared->Execute(params);
@@ -284,6 +312,7 @@ TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
   EXPECT_GT(jit_sharded->stats.groups_jit, 0);
   ExpectResultsMatch(jit_sharded->results, interp_result->results, 0.0,
                      "jit sharded vs interp (initial)");
+  ASSERT_NO_FATAL_FAILURE(check_domain_sharded(*interp_result, "initial"));
 
   for (int round = 0; round < 3; ++round) {
     ASSERT_NO_FATAL_FAILURE(AppendRandomRows(&db, &rng, &schedule));
@@ -302,6 +331,8 @@ TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
     ExpectResultsMatch(jit_delta->results, jit_full->results, 0.0,
                        "round " + std::to_string(round) +
                            ": jit delta vs jit full recompute");
+    ASSERT_NO_FATAL_FAILURE(check_domain_sharded(
+        *interp_delta, "round " + std::to_string(round)));
     jit_result = std::move(jit_delta);
     interp_result = std::move(interp_delta);
   }

@@ -4,8 +4,11 @@
 
 #include "engine/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <mutex>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -163,6 +166,75 @@ TEST(ChooseShardCountTest, CostModel) {
   // Sequential configuration never shards.
   options.num_threads = 1;
   EXPECT_EQ(ChooseShardCount(100000, options, 0), 1);
+}
+
+/// Checks the KeyAlignedRanges contract on `keys` (sorted) cut into `n`.
+void ExpectKeyAlignedCut(const std::vector<int64_t>& keys, int n) {
+  const size_t rows = keys.size();
+  const std::vector<ShardRange> ranges =
+      KeyAlignedRanges(keys.data(), rows, n);
+  ASSERT_FALSE(ranges.empty());
+  ASSERT_LE(ranges.size(), static_cast<size_t>(n));
+  size_t longest_run = 0;
+  for (size_t i = 0, run = 0; i < rows; ++i) {
+    run = i > 0 && keys[i] == keys[i - 1] ? run + 1 : 1;
+    longest_run = std::max(longest_run, run);
+  }
+  size_t lo = 0;
+  for (const ShardRange& r : ranges) {
+    // In order, contiguous and non-empty.
+    EXPECT_EQ(r.lo, lo) << "n=" << n;
+    EXPECT_GT(r.hi, r.lo) << "n=" << n;
+    // No key straddles two ranges.
+    if (r.hi < rows) EXPECT_NE(keys[r.hi - 1], keys[r.hi]) << "n=" << n;
+    // Balanced to within one key run.
+    EXPECT_LE(std::abs(static_cast<double>(r.rows()) -
+                       static_cast<double>(rows) / n),
+              static_cast<double>(longest_run))
+        << "n=" << n << " range [" << r.lo << ", " << r.hi << ")";
+    lo = r.hi;
+  }
+  EXPECT_EQ(lo, rows) << "n=" << n;
+}
+
+TEST(KeyAlignedRangesTest, CoversRowsOnKeyBoundaries) {
+  // Runs of lengths 1..9 repeating: short and long keys side by side.
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 60; ++k) {
+    keys.insert(keys.end(), static_cast<size_t>(k % 9 + 1), k * 3);
+  }
+  for (int n = 1; n <= 16; ++n) ExpectKeyAlignedCut(keys, n);
+  // One dominant key.
+  std::vector<int64_t> skewed(500, 1);
+  for (int64_t k = 2; k < 50; ++k) skewed.push_back(k);
+  for (int n = 1; n <= 8; ++n) ExpectKeyAlignedCut(skewed, n);
+}
+
+TEST(KeyAlignedRangesTest, EdgeCases) {
+  // An empty relation yields one empty range.
+  const std::vector<ShardRange> empty = KeyAlignedRanges(nullptr, 0, 4);
+  ASSERT_EQ(empty.size(), 1u);
+  EXPECT_EQ(empty[0].lo, 0u);
+  EXPECT_EQ(empty[0].hi, 0u);
+  // Fewer keys than shards: one range per key at most.
+  const std::vector<int64_t> two_keys = {5, 5, 5, 9, 9};
+  const std::vector<ShardRange> two = KeyAlignedRanges(two_keys.data(), 5, 4);
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[0].hi, 3u);
+  EXPECT_EQ(two[1].hi, 5u);
+  ExpectKeyAlignedCut(two_keys, 4);
+  const std::vector<int64_t> one_key(7, 42);
+  const std::vector<ShardRange> one = KeyAlignedRanges(one_key.data(), 7, 3);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].hi, 7u);
+  // A flat scan (no level-1 column) is a plain balanced row split.
+  const std::vector<ShardRange> flat = KeyAlignedRanges(nullptr, 10, 3);
+  ASSERT_EQ(flat.size(), 3u);
+  EXPECT_EQ(flat[0].hi, 3u);
+  EXPECT_EQ(flat[1].hi, 6u);
+  EXPECT_EQ(flat[2].hi, 10u);
+  // More shards than rows: empty cuts are dropped.
+  EXPECT_EQ(KeyAlignedRanges(nullptr, 2, 4).size(), 2u);
 }
 
 /// Full-engine parity: every scheduler configuration (hybrid, task-only,
