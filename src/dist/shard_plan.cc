@@ -1,7 +1,6 @@
 #include "dist/shard_plan.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "engine/parallel.h"
 
@@ -64,11 +63,8 @@ StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
 
   // Balanced contiguous row ranges; asking for more shards than rows
   // yields one row each.
-  const int64_t rows = static_cast<int64_t>(epoch.at(sharded.relation));
-  sharded.ranges = KeyAlignedRanges(
-      nullptr, static_cast<size_t>(rows),
-      static_cast<int>(std::min<int64_t>(spec.num_shards,
-                                         std::max<int64_t>(rows, 1))));
+  sharded.ranges =
+      KeyAlignedRanges(nullptr, epoch.at(sharded.relation), spec.num_shards);
   return sharded;
 }
 

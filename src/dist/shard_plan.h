@@ -32,7 +32,8 @@ struct ShardedPlan {
   /// Group plans whose input closure (GroupPlan::source_relation_mask)
   /// contains the partitioned relation: the groups at its node, which scan
   /// once per shard, plus the groups downstream of them, which run once on
-  /// the merged views. Groups outside the closure also run once.
+  /// the merged views. Groups outside the closure also run once. Exact for
+  /// relation ids below 64; for higher ids an upper bound (ClosureContains).
   int dirty_groups = 0;
 
   int num_shards() const { return static_cast<int>(ranges.size()); }

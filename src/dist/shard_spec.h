@@ -1,19 +1,20 @@
 /// \file shard_spec.h
 /// \brief How a batch execution is split across shards of one relation.
 ///
-/// Leaf header (no engine dependencies): the spec travels on the
-/// PreparedBatch handle (engine.h holds one by value), and the scan split
-/// below is the whole contract between the execution runtime and the rest
-/// of src/dist/ — plan splitting, view exchange and coordinator merge stay
-/// on the dist side of the exchange callback.
+/// Depends on the engine only for its scan-piece type (ShardRange,
+/// parallel.h): the spec travels on the PreparedBatch handle (engine.h
+/// holds one by value), and the scan split below is the whole contract
+/// between the execution runtime and the rest of src/dist/ — plan
+/// splitting, view exchange and coordinator merge stay on the dist side of
+/// the exchange callback.
 
 #ifndef LMFAO_DIST_SHARD_SPEC_H_
 #define LMFAO_DIST_SHARD_SPEC_H_
 
-#include <cstddef>
 #include <functional>
 #include <vector>
 
+#include "engine/parallel.h"
 #include "storage/types.h"
 #include "storage/view.h"
 #include "util/status.h"
@@ -39,14 +40,6 @@ struct ShardSpec {
   /// Pins the partitioned relation; kInvalidRelation lets MakeShardedPlan
   /// pick the largest eligible one.
   RelationId relation = kInvalidRelation;
-};
-
-/// \brief One shard's slice of the partitioned relation: rows [lo, hi).
-struct ShardRange {
-  size_t lo = 0;
-  size_t hi = 0;
-
-  size_t rows() const { return hi - lo; }
 };
 
 /// \brief The scan split of one execution pass.

@@ -163,9 +163,9 @@ void EmitDictDefinition(std::ostringstream& out, const std::string& symbol,
 ///     work; writes go through the host upsert callback; parameterized
 ///     thresholds read the dense params array.
 ///
-/// Both modes scan rows [0, rel_rows): the host passes a domain shard or
-/// split slice as a shorter relation (columns offset to its first row), so
-/// the emitted code knows nothing of shards.
+/// Both modes scan rows [0, rel_rows): the host passes a domain-shard block
+/// or split slice as a shorter relation (columns offset to its first row),
+/// so the emitted code knows nothing of shards.
 ///
 /// Because the body text is produced by one code path, the offline
 /// validator and the runtime JIT cannot drift.

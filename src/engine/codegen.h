@@ -76,7 +76,7 @@ struct RuntimeBatchCode {
 /// backend cannot drift — but data access goes through the LmfaoJit* ABI
 /// (pointer indirection instead of embedded literals), writes go through
 /// the host upsert callback, the relation is whatever row range the host
-/// passes (a domain shard or split slice is just fewer rows), and
+/// passes (a domain-shard block or split slice is just fewer rows), and
 /// parameterized function thresholds are read from the params array
 /// instead of being baked in.
 StatusOr<RuntimeBatchCode> GenerateRuntimeBatchCode(

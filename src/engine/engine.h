@@ -209,7 +209,7 @@ struct ExecutionStats {
   /// Across all delta passes, group executions whose input closure
   /// (GroupPlan::source_relation_mask) contains the pass's delta relation —
   /// the groups that computed true deltas rather than replaying unchanged
-  /// inputs.
+  /// inputs. An upper bound for relation ids beyond 63 (ClosureContains).
   int delta_dirty_groups = 0;
   /// @}
   /// \name Sharded distributed execution (PreparedBatch::ExecuteSharded).

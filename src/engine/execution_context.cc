@@ -304,38 +304,44 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     return st;
   };
 
-  // The group's scan pieces: the split's ranges (each scanned whole out of
-  // its own slice), else key-aligned ranges of the held sorted relation —
-  // cost-based domain shards from true pool occupancy (busy_threads_ counts
-  // shard helpers too; the scheduler alone sees only whole groups).
+  // The group's scan pieces and shards: the split's ranges, one per shard,
+  // else key-aligned blocks of about min_shard_rows rows of the held sorted
+  // relation dealt round-robin to cost-based domain shards (busy_threads_
+  // counts shard helpers too). Work per row drifts along the key order, so
+  // one contiguous range per shard would leave shards far apart.
   const ShardRange whole{0, rel != nullptr ? rel->num_rows() : 0};
-  std::vector<ShardRange> pieces{whole};
-  if (split) {
-    pieces = split_->ranges;
-  } else if (plan.num_levels() > 0) {
-    const int free_threads =
-        std::max(0, options_.ResolvedThreads() - busy_threads_.load());
-    pieces = KeyAlignedRanges(
-        rel->column(plan.level_column[0]).ints().data(), whole.rows(),
-        ChooseShardCount(static_cast<int64_t>(whole.rows()), options_,
-                         free_threads));
+  std::vector<ShardRange> pieces =
+      split ? split_->ranges : std::vector<ShardRange>{whole};
+  size_t shards = pieces.size();
+  if (!split && plan.num_levels() > 0) {
+    const int64_t rows = static_cast<int64_t>(whole.rows());
+    shards = static_cast<size_t>(ChooseShardCount(
+        rows, options_,
+        std::max(0, options_.ResolvedThreads() - busy_threads_.load())));
+    if (shards > 1) {  // ChooseShardCount keeps rows / block >= shards.
+      pieces = KeyAlignedRanges(
+          rel->column(plan.level_column[0]).ints().data(), whole.rows(),
+          static_cast<int>(rows /
+                           std::max<int64_t>(1, options_.min_shard_rows)));
+      shards = std::min(shards, pieces.size());
+    }
   }
   std::vector<std::unique_ptr<ViewMap>> out_maps;
   std::vector<ViewMap*> out_ptrs;
-  // Scans the group's `ranges` into out_maps/out_ptrs. One unsplit piece
-  // scans straight into the outputs. Otherwise each piece fills private
-  // maps, concurrently on the pool when there is one, and is folded into
-  // the outputs (MergeAdd, or the split's exchange) in piece order, a
-  // scheduling-independent summation order. A piece's maps and slice die
-  // right after its fold, before its thread takes another piece.
-  auto scan_all = [&](const std::vector<ShardRange>& ranges) -> Status {
+  // Scans `ranges` in `n` shards into out_maps/out_ptrs. One unsplit piece
+  // scans straight into the outputs. Otherwise shard s scans ranges s,
+  // s + n, ... into private maps, concurrently on the pool when there is
+  // one, folded into the outputs (MergeAdd, or the split's exchange) in
+  // shard order, a scheduling-independent summation order. A shard's maps
+  // and slices die right after its fold.
+  auto scan_all = [&](const std::vector<ShardRange>& ranges,
+                      size_t n) -> Status {
     out_maps.clear();
     out_ptrs.clear();
     make_output_maps(1, &out_maps, &out_ptrs);
     if (!split && ranges.size() == 1) {
       return run_piece(*rel, ranges[0], out_ptrs);
     }
-    const size_t n = ranges.size();
     std::mutex turn_mu;
     std::condition_variable turn_cv;
     size_t turn = 0;
@@ -348,18 +354,22 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       std::vector<std::unique_ptr<ViewMap>> maps;
       std::vector<ViewMap*> ptrs;
       Status st = [&]() -> Status {
-        std::shared_ptr<const Relation> scanned = rel;
-        ShardRange range = ranges[s];
-        if (split) {
-          LMFAO_ASSIGN_OR_RETURN(
-              scanned, sorted_relation_(group.node, plan.attr_order, &range));
-          range = ShardRange{0, scanned->num_rows()};
-        }
         // Domain shards partition the level-1 keys, so each private map
         // reserves its share of the estimate; the split's insertion-order
         // ranges do not, so theirs reserve all of it.
         make_output_maps(split ? 1 : n, &maps, &ptrs);
-        return run_piece(*scanned, range, ptrs);
+        for (size_t i = s; i < ranges.size(); i += n) {
+          std::shared_ptr<const Relation> scanned = rel;
+          ShardRange range = ranges[i];
+          if (split) {
+            LMFAO_ASSIGN_OR_RETURN(
+                scanned,
+                sorted_relation_(group.node, plan.attr_order, &range));
+            range = ShardRange{0, scanned->num_rows()};
+          }
+          LMFAO_RETURN_NOT_OK(run_piece(*scanned, range, ptrs));
+        }
+        return Status::OK();
       }();
       const double scan_seconds = scan_timer.ElapsedSeconds();
       std::unique_lock<std::mutex> lock(turn_mu);
@@ -391,9 +401,9 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     }
     return st;
   };
-  Status scan_st = count_trip(scan_all(pieces));
+  Status scan_st = count_trip(scan_all(pieces, shards));
   if (scan_st.code() == StatusCode::kResourceExhausted && !split &&
-      pieces.size() > 1 && (cancel_ == nullptr || !cancel_->cancelled())) {
+      shards > 1 && (cancel_ == nullptr || !cancel_->cancelled())) {
     // Graceful degradation: an out-of-memory trip on a domain-sharded scan
     // is retried once unsharded — the dropped per-shard private maps are
     // the memory multiplier the narrow execution avoids. This must happen
@@ -402,7 +412,8 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     // token, so the retry's own Checks start clean.
     gs->degraded = true;
     pieces = {whole};
-    scan_st = count_trip(scan_all(pieces));
+    shards = 1;
+    scan_st = count_trip(scan_all(pieces, shards));
   }
   LMFAO_RETURN_NOT_OK(scan_st);
 
@@ -434,7 +445,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   gs->num_outputs = static_cast<int>(group.outputs.size());
   gs->seconds = group_timer.ElapsedSeconds();
   gs->output_entries = entries;
-  gs->shards = static_cast<int>(pieces.size());
+  gs->shards = static_cast<int>(shards);
   gs->wait_seconds = start.wait_seconds;
   gs->backend = use_jit ? "jit" : "interp";
   gs->store_key_bytes = store_.current_key_bytes();

@@ -12,10 +12,11 @@
 ///      form (the plan-layer freeze decision, AssignViewForms);
 ///   2. groups run over the dependency graph via ScheduleGroupsTimed, each
 ///      scanning (relation, row range) pieces: a large group claims idle
-///      pool slots (ChooseShardCount) for key-aligned ranges of its sorted
-///      relation (KeyAlignedRanges) while other ready groups keep running,
-///      and a group at a ScanSplit's node scans each range's slice;
-///   3. per-piece private maps are merged, outputs published into the
+///      pool slots (ChooseShardCount) for domain shards, each scanning
+///      every n-th key-aligned block of its sorted relation
+///      (KeyAlignedRanges), while other ready groups keep running, and a
+///      group at a ScanSplit's node scans each range's slice;
+///   3. per-shard private maps are merged, outputs published into the
 ///      store (frozen to sorted form when the plan says so), and consumed
 ///      views released — the store evicts each view after its last
 ///      consumer finishes.

@@ -21,8 +21,8 @@
 #include <memory>
 #include <vector>
 
-#include "dist/shard_spec.h"
 #include "engine/leaf_kernels.h"
+#include "engine/parallel.h"
 #include "engine/plan.h"
 #include "storage/key_columns.h"
 #include "storage/payload_columns.h"

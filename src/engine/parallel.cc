@@ -67,7 +67,7 @@ std::vector<ShardRange> KeyAlignedRanges(const int64_t* keys, size_t rows,
   std::vector<ShardRange> ranges;
   size_t lo = 0;
   for (size_t s = 1; s <= pieces; ++s) {
-    size_t cut = rows * s / pieces;
+    size_t cut = rows / pieces * s + std::min(s, rows % pieces);
     if (cut <= lo) continue;
     if (keys != nullptr && cut < rows) {
       cut = static_cast<size_t>(

@@ -4,12 +4,12 @@
 /// LMFAO "computes the groups in parallel by exploiting both task and
 /// domain parallelism" (Section 2). Task parallelism schedules whole groups
 /// over the group dependency graph; domain parallelism cuts one group's
-/// sorted node relation into contiguous row ranges on level-1 key
-/// boundaries (KeyAlignedRanges), giving each shard private result maps
-/// that are merged afterwards. The two compose: every ready group runs
-/// as a task, and a group whose node relation is large enough claims idle
-/// pool slots for domain shards while other ready groups keep running
-/// (ChooseShardCount is the cost model). The three seed-era ParallelModes
+/// sorted node relation into row blocks on level-1 key boundaries
+/// (KeyAlignedRanges) and deals them round-robin to shards with private
+/// result maps that are merged afterwards. The two compose: every ready
+/// group runs as a task, and a group whose node relation is large enough
+/// claims idle pool slots for domain shards while other ready groups keep
+/// running (ChooseShardCount is the cost model). The three seed-era ParallelModes
 /// are the degenerate configurations of SchedulerOptions: sequential
 /// (num_threads = 1), task-only (domain_parallel = false), and domain-only
 /// (task_parallel = false).
@@ -22,7 +22,6 @@
 #include <functional>
 #include <vector>
 
-#include "dist/shard_spec.h"
 #include "engine/ir.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -37,13 +36,13 @@ struct SchedulerOptions {
   int num_threads = 1;
   /// Run independent groups concurrently over the dependency graph.
   bool task_parallel = true;
-  /// Shard large groups into key-aligned row ranges of their sorted node
+  /// Shard large groups over key-aligned row blocks of their sorted node
   /// relation (each top-level trie value in one shard), merging per-shard
   /// private maps afterwards.
   bool domain_parallel = true;
   /// Cost-model floor: a group is sharded only when its node relation has
   /// at least 2 * min_shard_rows rows, and never into shards smaller than
-  /// min_shard_rows.
+  /// min_shard_rows. Also the size of the blocks dealt to the shards.
   int64_t min_shard_rows = 4096;
 
   /// Resolved thread count (num_threads, or hardware concurrency when 0).
@@ -68,10 +67,21 @@ struct GroupStart {
 int ChooseShardCount(int64_t rows, const SchedulerOptions& options,
                      int free_threads);
 
+/// \brief The engine's one scan-piece type: rows [lo, hi) of a scanned
+/// relation — a key-aligned block of a group's sorted node relation, or
+/// one shard's slice of a split relation (ScanSplit, dist/shard_spec.h).
+struct ShardRange {
+  size_t lo = 0;
+  size_t hi = 0;
+
+  size_t rows() const { return hi - lo; }
+};
+
 /// \brief Cuts rows [0, rows) of a relation sorted on `keys` (its level-1
-/// column) into at most `n` contiguous, non-empty domain-shard ranges: cut
-/// s moves forward from row rows * s / n to the end of its key run, so no
-/// key straddles two ranges and each is within one key run of rows / n.
+/// column) into at most `n` contiguous, non-empty row blocks: cut s moves
+/// forward from the end of balanced row range s (rows / n rows, the first
+/// rows % n ranges one more) to the end of its key run, so no key
+/// straddles two ranges and each is within one key run of rows / n.
 /// Null `keys` (a flat scan) cuts plain row ranges; an empty relation
 /// yields the one range [0, 0).
 std::vector<ShardRange> KeyAlignedRanges(const int64_t* keys, size_t rows,

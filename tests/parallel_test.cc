@@ -227,11 +227,12 @@ TEST(KeyAlignedRangesTest, EdgeCases) {
   const std::vector<ShardRange> one = KeyAlignedRanges(one_key.data(), 7, 3);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].hi, 7u);
-  // A flat scan (no level-1 column) is a plain balanced row split.
+  // A flat scan (no level-1 column) is a plain balanced row split; the
+  // first rows % n ranges take the extra rows.
   const std::vector<ShardRange> flat = KeyAlignedRanges(nullptr, 10, 3);
   ASSERT_EQ(flat.size(), 3u);
-  EXPECT_EQ(flat[0].hi, 3u);
-  EXPECT_EQ(flat[1].hi, 6u);
+  EXPECT_EQ(flat[0].hi, 4u);
+  EXPECT_EQ(flat[1].hi, 7u);
   EXPECT_EQ(flat[2].hi, 10u);
   // More shards than rows: empty cuts are dropped.
   EXPECT_EQ(KeyAlignedRanges(nullptr, 2, 4).size(), 2u);
@@ -279,6 +280,9 @@ TEST(ParallelParityTest, CovarianceBatchAllSchedulerConfigs) {
           << "task=" << config.task << " domain=" << config.domain
           << " min_shard_rows=" << config.min_shard_rows << " query " << q;
     }
+    // A group's key-aligned blocks outnumber its shards at
+    // min_shard_rows = 1; the shards, not the blocks, are capped.
+    for (const GroupStats& gs : got->stats.groups) EXPECT_LE(gs.shards, 4);
   }
 }
 
