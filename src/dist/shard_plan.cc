@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/parallel.h"
-
 namespace lmfao {
 
 StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
@@ -59,12 +57,8 @@ StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
     }
   }
 
+  sharded.num_shards = std::max(1, spec.num_shards);
   sharded.dirty_groups = dirty_groups(sharded.relation);
-
-  // Balanced contiguous row ranges; asking for more shards than rows
-  // yields one row each.
-  sharded.ranges =
-      KeyAlignedRanges(nullptr, epoch.at(sharded.relation), spec.num_shards);
   return sharded;
 }
 

@@ -5,12 +5,14 @@
 /// One execution pass per call, with three stages mirroring a
 /// coordinator/worker deployment while keeping every stage an in-process
 /// function:
-///   1. plan splitting (shard_plan.h) — partition one relation's rows;
+///   1. plan splitting (shard_plan.h) — pick the partitioned relation and
+///      the shard count;
 ///   2. local phase — only the groups at the partitioned node run per
-///      shard: each scans the shard's uncached sorted slice
-///      (SortedDeltaSlice, so concurrent sharded executions never fight
-///      over the sorted-relation cache) into private maps, which the
-///      exchange below ViewWire-encodes. Every other group runs once;
+///      shard: each group cuts the cached sorted relation it holds (the
+///      snapshot every other pass reads) into level-1 key blocks dealt
+///      round-robin to the shards, and scans each shard's blocks into
+///      private maps, which the exchange below ViewWire-encodes. Every
+///      other group runs once;
 ///   3. coordinator merge (coordinator.h) — decode each shard's frames and
 ///      fold them into the group's outputs, in shard order, so the
 ///      floating-point summation order is deterministic.
@@ -48,17 +50,15 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
       ShardedPlan plan,
       MakeShardedPlan(artifact_->compiled, *engine_->catalog_, epoch, spec));
 
-  std::vector<DistShardStats> shard_stats(plan.ranges.size());
-  for (size_t s = 0; s < shard_stats.size(); ++s) {
-    shard_stats[s].shard = static_cast<int>(s);
-    shard_stats[s].rows = plan.ranges[s].rows();
-  }
+  // Grows to the shards that ran: a relation with fewer key blocks than
+  // requested shards runs fewer.
+  std::vector<DistShardStats> shard_stats;
   double merge_seconds = 0.0;
   std::mutex stats_mu;  // Groups at the partitioned node may run at once.
 
   ScanSplit split;
   split.node = plan.relation;
-  split.ranges = plan.ranges;
+  split.num_shards = plan.num_shards;
   // The exchange: the shard encodes its partials — only these bytes cross
   // to the coordinator, as any worker's would — and the coordinator folds
   // them into the group's outputs. Frames carry at most kFrameEntries
@@ -67,7 +67,7 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
   // the pass, so a failed sharded execution leaks nothing and the handle
   // stays re-executable.
   constexpr size_t kFrameEntries = 256;
-  split.exchange = [&](int shard, double scan_seconds,
+  split.exchange = [&](int shard, size_t rows, double scan_seconds,
                        const std::vector<ViewMap*>& partial,
                        const std::vector<ViewMap*>& outputs) -> Status {
     LMFAO_FAILPOINT("dist.shard_execute");
@@ -94,7 +94,12 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
       }
     }
     std::lock_guard<std::mutex> lock(stats_mu);
+    if (static_cast<size_t>(shard) >= shard_stats.size()) {
+      shard_stats.resize(static_cast<size_t>(shard) + 1);
+    }
     DistShardStats& ss = shard_stats[static_cast<size_t>(shard)];
+    ss.shard = shard;
+    ss.rows += rows;
     ss.seconds +=
         scan_seconds + exchange_timer.ElapsedSeconds() - fold_seconds;
     ss.exchange_bytes += bytes;
@@ -110,7 +115,7 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
 
   ExecutionStats& stats = result.stats;
   stats.dist_execution = true;
-  stats.dist_shards = plan.num_shards();
+  stats.dist_shards = static_cast<int>(shard_stats.size());
   stats.dist_relation = plan.relation;
   stats.merge_seconds = merge_seconds;
   for (const DistShardStats& ss : shard_stats) {
@@ -118,7 +123,8 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
     stats.shard_max_seconds = std::max(stats.shard_max_seconds, ss.seconds);
     stats.shard_mean_seconds += ss.seconds;
   }
-  stats.shard_mean_seconds /= static_cast<double>(plan.num_shards());
+  stats.shard_mean_seconds /=
+      static_cast<double>(std::max<size_t>(1, shard_stats.size()));
   stats.dist_shard_stats = std::move(shard_stats);
   stats.total_seconds = total_timer.ElapsedSeconds();
   // RunPass gave the result ExecuteAt's identity at this epoch, so a

@@ -333,12 +333,8 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
   ExecutionContext context(
       compiled.workload, compiled.grouped, compiled.plans,
       options_.scheduler,
-      [this, &spec](RelationId node, const std::vector<AttrId>& order,
-                    const ShardRange* slice)
+      [this, &spec](RelationId node, const std::vector<AttrId>& order)
           -> StatusOr<std::shared_ptr<const Relation>> {
-        if (slice != nullptr) {
-          return engine_->SortedDeltaSlice(node, order, slice->lo, slice->hi);
-        }
         if (node == spec.delta_node) {
           return engine_->SortedDeltaSlice(node, order, spec.delta_lo,
                                            spec.delta_hi);

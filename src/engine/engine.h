@@ -124,8 +124,8 @@ struct GroupStats {
   int num_outputs = 0;
   double seconds = 0.0;
   size_t output_entries = 0;
-  /// Domain shards the group ran in (1 = unsharded); for a group at the
-  /// partitioned node of ExecuteSharded, the row-range shards it scanned.
+  /// Shards the group ran in (1 = unsharded): its domain shards, or for a
+  /// group at the partitioned node of ExecuteSharded, the split's shards.
   int shards = 1;
   /// Seconds the group waited between becoming ready and starting.
   double wait_seconds = 0.0;
@@ -147,15 +147,16 @@ struct GroupStats {
 };
 
 /// \brief One shard's figures from a sharded execution
-/// (PreparedBatch::ExecuteSharded): its slice of the partitioned
+/// (PreparedBatch::ExecuteSharded): its key blocks of the partitioned
 /// relation, its local scan time, and the bytes it shipped to the
 /// coordinator.
 struct DistShardStats {
   int shard = 0;
-  /// Rows of the partitioned relation in this shard's slice.
+  /// Rows of the partitioned relation this shard scanned, summed over the
+  /// groups at the partitioned node (each cuts its own sorted relation).
   size_t rows = 0;
-  /// Seconds this shard's slice fetches, scans and encodes took, summed
-  /// over the groups at the partitioned node.
+  /// Seconds this shard's scans and encodes took, summed over the groups
+  /// at the partitioned node.
   double seconds = 0.0;
   /// Encoded view-exchange bytes this shard produced.
   size_t exchange_bytes = 0;
@@ -409,21 +410,21 @@ class PreparedBatch {
                                      const ExecLimits& limits) const;
 
   /// Sharded distributed execution (src/dist/): partitions one base
-  /// relation into `num_shards` row-range shards (num_shards <= 0 uses the
-  /// handle's ShardSpec — see Engine::PrepareSharded) and runs the
-  /// unchanged compiled plans as ONE pass. Only the groups at the
-  /// partitioned relation's node run per shard: each shard scans its sorted
-  /// slice into private maps, which cross the ViewWire exchange and are
-  /// folded, in shard order, into the group's outputs by the coordinator
-  /// merge. Every other group runs once, on complete inputs; each shard
-  /// adds a slice sort, its exchange and the key prefixes its scan revisits.
+  /// relation into `num_shards` shards (num_shards <= 0 uses the handle's
+  /// ShardSpec — see Engine::PrepareSharded) and runs the unchanged
+  /// compiled plans as ONE pass. Only the groups at the partitioned
+  /// relation's node run per shard, each shard scanning level-1 key blocks
+  /// of the cached sorted relation into private maps, which cross the
+  /// ViewWire exchange and are folded, in shard order, into the group's
+  /// outputs by the coordinator merge. Every other group runs once, on
+  /// complete inputs.
   /// Multilinearity makes the merged result bit-for-bit equal to Execute
   /// on integer-exact data (the per-key float summation order is shard-
   /// major and deterministic). The returned BatchResult carries the same
   /// epoch/signature/fingerprint a plain Execute would, so ExecuteDelta
-  /// composes: a sharded base refreshes incrementally, and the delta slice
-  /// of the partitioned relation is exactly the owning (last) shard's
-  /// extension. Defined in src/dist/sharded_exec.cc.
+  /// composes: a sharded base refreshes incrementally, and the delta pass
+  /// serves the partitioned relation's appended rows like any other's.
+  /// Defined in src/dist/sharded_exec.cc.
   StatusOr<BatchResult> ExecuteSharded(int num_shards,
                                        const ParamPack& params = {}) const;
   StatusOr<BatchResult> ExecuteSharded(int num_shards,
@@ -467,8 +468,8 @@ class PreparedBatch {
   /// served as its row slice [delta_lo, delta_hi) instead. The shared
   /// machinery behind ExecuteAt (no delta node), each ExecuteDelta term
   /// (the slice is the relation's appended rows) and ExecuteSharded (no
-  /// delta node, but a `split`: the groups at the split node scan each
-  /// shard's slice and hand it to the split's exchange). `cancel` is armed
+  /// delta node, but a `split`: the groups at the split node shard their
+  /// scan and hand each shard to the split's exchange). `cancel` is armed
   /// once per call, so its deadline covers every pass of the call.
   struct PassSpec {
     const EpochSnapshot* rows = nullptr;
@@ -605,8 +606,8 @@ class Engine {
       RelationId node, const std::vector<AttrId>& order, size_t rows);
 
   /// Builds rows [lo, hi) of `node` sorted by `order`'s subsequence — the
-  /// delta slice of one ExecuteDelta term, one shard of ExecuteSharded, or
-  /// the missing tail of a cached epoch. Uncached (read once per group).
+  /// delta slice of one ExecuteDelta term, or the missing tail of a cached
+  /// epoch. Uncached (read once per group).
   StatusOr<std::shared_ptr<const Relation>> SortedDeltaSlice(
       RelationId node, const std::vector<AttrId>& order, size_t lo,
       size_t hi);

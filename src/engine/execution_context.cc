@@ -181,14 +181,9 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   }
   const ViewGroup& group = grouped_.groups[static_cast<size_t>(gid)];
   const GroupPlan& plan = plans_[static_cast<size_t>(gid)];
-  // A group at the split node reads its relation range by range instead
-  // (scan_all below).
   const bool split = split_ != nullptr && group.node == split_->node;
-  std::shared_ptr<const Relation> rel;
-  if (!split) {
-    LMFAO_ASSIGN_OR_RETURN(
-        rel, sorted_relation_(group.node, plan.attr_order, nullptr));
-  }
+  LMFAO_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> rel,
+                         sorted_relation_(group.node, plan.attr_order));
 
   // Consumed forms of the incoming views: identity-order consumers borrow
   // the frozen sorted array with no copy; everything else builds a
@@ -211,8 +206,10 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   }
   for (const ConsumedView& cv : consumed) consumed_ptrs.push_back(&cv);
 
-  // Output maps, preallocated from the plan's cardinality estimates.
-  auto make_output_maps = [&](size_t estimate_divisor,
+  // Output maps, preallocated from the plan's cardinality estimates; in one
+  // of `n` shards, only an output keyed on the level-1 attribute sees an
+  // n-th of the keys, and reserves an n-th of its estimate.
+  auto make_output_maps = [&](size_t n,
                               std::vector<std::unique_ptr<ViewMap>>* maps,
                               std::vector<ViewMap*>* ptrs) {
     for (const GroupPlan::OutputInfo& out : plan.outputs) {
@@ -220,7 +217,10 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       maps->push_back(std::make_unique<ViewMap>(
           static_cast<int>(info.key.size()), out.width));
       if (out.estimated_entries > 0) {
-        maps->back()->Reserve(out.estimated_entries / estimate_divisor + 1);
+        const std::vector<AttrId>& key = info.key;
+        const bool split_keys =
+            n > 1 && std::count(key.begin(), key.end(), plan.attr_order[0]);
+        maps->back()->Reserve(out.estimated_entries / (split_keys ? n : 1) + 1);
       }
       ptrs->push_back(maps->back().get());
     }
@@ -267,20 +267,20 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // Baseline the budget charge at the store's live bytes as of this
   // group's start; the executor adds its in-flight output maps on top.
   const size_t charge_base = store_.current_bytes();
-  // One scan piece, rows [range.lo, range.hi) of `scanned`, on whichever
+  // One scan piece, rows [range.lo, range.hi) of `rel`, on whichever
   // backend was chosen; the JIT gets column pointers offset by range.lo.
-  auto run_piece = [&](const Relation& scanned, ShardRange range,
+  auto run_piece = [&](ShardRange range,
                        const std::vector<ViewMap*>& ptrs) -> Status {
     Status st = [&]() -> Status {
       if (!use_jit) {
-        GroupExecutor executor(plan, scanned, consumed_ptrs, params_, cancel_,
+        GroupExecutor executor(plan, *rel, consumed_ptrs, params_, cancel_,
                                charge_base);
         return executor.Execute(ptrs, range);
       }
       std::vector<const void*> jit_rel_cols;
       jit_rel_cols.reserve(jit_meta->used_cols.size());
       for (int col : jit_meta->used_cols) {
-        const Column& c = scanned.column(col);
+        const Column& c = rel->column(col);
         jit_rel_cols.push_back(
             c.type() == AttrType::kInt
                 ? static_cast<const void*>(c.ints().data() + range.lo)
@@ -304,44 +304,46 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     return st;
   };
 
-  // The group's scan pieces and shards: the split's ranges, one per shard,
-  // else key-aligned blocks of about min_shard_rows rows of the held sorted
-  // relation dealt round-robin to cost-based domain shards (busy_threads_
-  // counts shard helpers too). Work per row drifts along the key order, so
-  // one contiguous range per shard would leave shards far apart.
-  const ShardRange whole{0, rel != nullptr ? rel->num_rows() : 0};
-  std::vector<ShardRange> pieces =
-      split ? split_->ranges : std::vector<ShardRange>{whole};
-  size_t shards = pieces.size();
-  if (!split && plan.num_levels() > 0) {
+  // The group's scan pieces and shards: key-aligned blocks of `rel`, about
+  // min_shard_rows rows each and at least one per shard, dealt round-robin
+  // (work per row drifts along the key order, so one contiguous range per
+  // shard would leave shards far apart). The shard count is the split's at
+  // its node, else the cost model's; fewer key blocks run fewer shards.
+  const ShardRange whole{0, rel->num_rows()};
+  std::vector<ShardRange> pieces{whole};
+  size_t shards = 1;
+  if (plan.num_levels() > 0) {
     const int64_t rows = static_cast<int64_t>(whole.rows());
-    shards = static_cast<size_t>(ChooseShardCount(
-        rows, options_,
-        std::max(0, options_.ResolvedThreads() - busy_threads_.load())));
-    if (shards > 1) {  // ChooseShardCount keeps rows / block >= shards.
+    shards = static_cast<size_t>(
+        split ? split_->num_shards
+              : ChooseShardCount(rows, options_,
+                                 std::max(0, options_.ResolvedThreads() -
+                                                 busy_threads_.load())));
+    if (shards > 1) {
+      const int64_t blocks = std::min(
+          rows, std::max<int64_t>(
+                    static_cast<int64_t>(shards),
+                    rows / std::max<int64_t>(1, options_.min_shard_rows)));
       pieces = KeyAlignedRanges(
           rel->column(plan.level_column[0]).ints().data(), whole.rows(),
-          static_cast<int>(rows /
-                           std::max<int64_t>(1, options_.min_shard_rows)));
+          static_cast<int>(blocks));
       shards = std::min(shards, pieces.size());
     }
   }
   std::vector<std::unique_ptr<ViewMap>> out_maps;
   std::vector<ViewMap*> out_ptrs;
-  // Scans `ranges` in `n` shards into out_maps/out_ptrs. One unsplit piece
+  // Scans `ranges` in `n` shards into out_maps/out_ptrs. One unsplit shard
   // scans straight into the outputs. Otherwise shard s scans ranges s,
   // s + n, ... into private maps, concurrently on the pool when there is
   // one, folded into the outputs (MergeAdd, or the split's exchange) in
   // shard order, a scheduling-independent summation order. A shard's maps
-  // and slices die right after its fold.
+  // die right after its fold.
   auto scan_all = [&](const std::vector<ShardRange>& ranges,
                       size_t n) -> Status {
     out_maps.clear();
     out_ptrs.clear();
     make_output_maps(1, &out_maps, &out_ptrs);
-    if (!split && ranges.size() == 1) {
-      return run_piece(*rel, ranges[0], out_ptrs);
-    }
+    if (!split && n == 1) return run_piece(ranges[0], out_ptrs);
     std::mutex turn_mu;
     std::condition_variable turn_cv;
     size_t turn = 0;
@@ -353,21 +355,12 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       Timer scan_timer;
       std::vector<std::unique_ptr<ViewMap>> maps;
       std::vector<ViewMap*> ptrs;
+      size_t rows = 0;
       Status st = [&]() -> Status {
-        // Domain shards partition the level-1 keys, so each private map
-        // reserves its share of the estimate; the split's insertion-order
-        // ranges do not, so theirs reserve all of it.
-        make_output_maps(split ? 1 : n, &maps, &ptrs);
+        make_output_maps(n, &maps, &ptrs);
         for (size_t i = s; i < ranges.size(); i += n) {
-          std::shared_ptr<const Relation> scanned = rel;
-          ShardRange range = ranges[i];
-          if (split) {
-            LMFAO_ASSIGN_OR_RETURN(
-                scanned,
-                sorted_relation_(group.node, plan.attr_order, &range));
-            range = ShardRange{0, scanned->num_rows()};
-          }
-          LMFAO_RETURN_NOT_OK(run_piece(*scanned, range, ptrs));
+          rows += ranges[i].rows();
+          LMFAO_RETURN_NOT_OK(run_piece(ranges[i], ptrs));
         }
         return Status::OK();
       }();
@@ -376,7 +369,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       turn_cv.wait(lock, [&] { return turn == s; });
       if (st.ok() && first_error.ok()) {
         if (split) {
-          st = split_->exchange(static_cast<int>(s), scan_seconds, ptrs,
+          st = split_->exchange(static_cast<int>(s), rows, scan_seconds, ptrs,
                                 out_ptrs);
         } else {
           for (size_t o = 0; o < out_ptrs.size(); ++o) {

@@ -11,11 +11,12 @@
 ///      consumer count (derived from the group plans) and its materialized
 ///      form (the plan-layer freeze decision, AssignViewForms);
 ///   2. groups run over the dependency graph via ScheduleGroupsTimed, each
-///      scanning (relation, row range) pieces: a large group claims idle
-///      pool slots (ChooseShardCount) for domain shards, each scanning
-///      every n-th key-aligned block of its sorted relation
-///      (KeyAlignedRanges), while other ready groups keep running, and a
-///      group at a ScanSplit's node scans each range's slice;
+///      scanning row-range pieces of its sorted relation: a large group
+///      claims idle pool slots (ChooseShardCount) for domain shards, each
+///      scanning every n-th key-aligned block of the relation
+///      (KeyAlignedRanges), while other ready groups keep running; a group
+///      at a ScanSplit's node shards the same way, in the split's shard
+///      count, and folds through the split's exchange;
 ///   3. per-shard private maps are merged, outputs published into the
 ///      store (frozen to sorted form when the plan says so), and consumed
 ///      views released — the store evicts each view after its last
@@ -43,13 +44,12 @@ namespace lmfao {
 class ExecutionContext {
  public:
   /// Supplies the node relation sorted by (the relation subsequence of) the
-  /// given attribute order — only the rows of `slice` when it is non-null
-  /// (a shard of the split node); the engine backs this with its
-  /// sorted-relation cache. The group holds the returned snapshot while it
-  /// scans. Must be thread-safe.
+  /// given attribute order; the engine backs this with its sorted-relation
+  /// cache. The group holds the returned snapshot while it scans. Must be
+  /// thread-safe.
   using SortedRelationProvider =
       std::function<StatusOr<std::shared_ptr<const Relation>>(
-          RelationId, const std::vector<AttrId>&, const ShardRange* slice)>;
+          RelationId, const std::vector<AttrId>&)>;
 
   /// Borrows all compile artifacts (and the param bindings, when given);
   /// they must outlive the context. `params` resolves parameterized
@@ -67,9 +67,9 @@ class ExecutionContext {
   /// native function when it has one, else through the interpreter.
   /// Per-group fallback — a module still compiling (or failed, or missing
   /// a group) degrades only that group.
-  /// `split` (optional, borrowed) scans the groups at its node once per
-  /// shard range and folds the shards through its exchange; such a group
-  /// never also domain-shards.
+  /// `split` (optional, borrowed) runs the groups at its node in the
+  /// split's shard count instead of the cost model's, and folds their
+  /// shards through its exchange instead of MergeAdd.
   ExecutionContext(const Workload& workload, const GroupedWorkload& grouped,
                    const std::vector<GroupPlan>& plans,
                    const SchedulerOptions& options,

@@ -69,7 +69,7 @@ std::vector<ShardRange> KeyAlignedRanges(const int64_t* keys, size_t rows,
   for (size_t s = 1; s <= pieces; ++s) {
     size_t cut = rows / pieces * s + std::min(s, rows % pieces);
     if (cut <= lo) continue;
-    if (keys != nullptr && cut < rows) {
+    if (cut < rows) {
       cut = static_cast<size_t>(
           std::upper_bound(keys + cut, keys + rows, keys[cut - 1]) - keys);
     }

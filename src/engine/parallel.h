@@ -67,9 +67,10 @@ struct GroupStart {
 int ChooseShardCount(int64_t rows, const SchedulerOptions& options,
                      int free_threads);
 
-/// \brief The engine's one scan-piece type: rows [lo, hi) of a scanned
-/// relation — a key-aligned block of a group's sorted node relation, or
-/// one shard's slice of a split relation (ScanSplit, dist/shard_spec.h).
+/// \brief The engine's one scan-piece type: rows [lo, hi) of a group's
+/// sorted node relation — a key-aligned block for a domain shard or a
+/// shard of a split relation (ScanSplit, dist/shard_spec.h), or the whole
+/// relation.
 struct ShardRange {
   size_t lo = 0;
   size_t hi = 0;
@@ -81,9 +82,8 @@ struct ShardRange {
 /// column) into at most `n` contiguous, non-empty row blocks: cut s moves
 /// forward from the end of balanced row range s (rows / n rows, the first
 /// rows % n ranges one more) to the end of its key run, so no key
-/// straddles two ranges and each is within one key run of rows / n.
-/// Null `keys` (a flat scan) cuts plain row ranges; an empty relation
-/// yields the one range [0, 0).
+/// straddles two ranges and each is within one key run of rows / n. An
+/// empty relation yields the one range [0, 0) (and `keys` is not read).
 std::vector<ShardRange> KeyAlignedRanges(const int64_t* keys, size_t rows,
                                          int n);
 

@@ -19,14 +19,14 @@ ViewMap::ViewMap(int key_arity, int width)
   LMFAO_CHECK_GT(width, 0);
   keys_.assign(kInitialCapacity * static_cast<size_t>(key_arity_), 0);
   hashes_.assign(kInitialCapacity, 0);
-  occupied_.assign(kInitialCapacity, 0);
-  payloads_.assign(kInitialCapacity * static_cast<size_t>(width_), 0.0);
+  entry_.assign(kInitialCapacity, kEmptySlot);
   capacity_mask_ = kInitialCapacity - 1;
 }
 
 size_t ViewMap::ProbeSlot(const int64_t* vals, uint64_t hash) const {
   size_t i = hash & capacity_mask_;
-  while (occupied_[i] && !(hashes_[i] == hash && SlotKeyEquals(i, vals))) {
+  while (entry_[i] != kEmptySlot &&
+         !(hashes_[i] == hash && SlotKeyEquals(i, vals))) {
     i = (i + 1) & capacity_mask_;
   }
   return i;
@@ -40,20 +40,21 @@ double* ViewMap::Upsert(const TupleKey& key) {
 double* ViewMap::UpsertHashed(const int64_t* vals, uint64_t hash) {
   if (size_ * 10 >= (capacity_mask_ + 1) * 7) Rehash((capacity_mask_ + 1) * 2);
   const size_t i = ProbeSlot(vals, hash);
-  if (!occupied_[i]) {
-    occupied_[i] = 1;
+  if (entry_[i] == kEmptySlot) {
+    LMFAO_CHECK_LT(size_, static_cast<size_t>(kEmptySlot));
+    entry_[i] = static_cast<uint32_t>(size_);
     hashes_[i] = hash;
     int64_t* dst = keys_.data() + i * static_cast<size_t>(key_arity_);
     for (int c = 0; c < key_arity_; ++c) dst[c] = vals[c];
     ++size_;
+    payloads_.resize(size_ * static_cast<size_t>(width_), 0.0);
   }
-  return payloads_.data() + i * static_cast<size_t>(width_);
+  return payloads_.data() + EntryOffset(i);
 }
 
 const double* ViewMap::Lookup(const TupleKey& key) const {
   const size_t i = ProbeSlot(key.data(), key.Hash());
-  return occupied_[i] ? payloads_.data() + i * static_cast<size_t>(width_)
-                      : nullptr;
+  return slot_occupied(i) ? slot_payload(i) : nullptr;
 }
 
 void ViewMap::Reserve(size_t n) {
@@ -61,12 +62,16 @@ void ViewMap::Reserve(size_t n) {
   size_t capacity = capacity_mask_ + 1;
   while (n * 10 >= capacity * 7) capacity *= 2;
   if (capacity > capacity_mask_ + 1) Rehash(capacity);
+  payloads_.reserve(n * static_cast<size_t>(width_));
 }
 
 void ViewMap::ShrinkToFit() {
   size_t capacity = kInitialCapacity;
   while (size_ * 10 >= capacity * 7) capacity *= 2;
   if (capacity < capacity_mask_ + 1) Rehash(capacity);
+  if (payloads_.capacity() - payloads_.size() > payloads_.size()) {
+    payloads_.shrink_to_fit();
+  }
 }
 
 void ViewMap::Rehash(size_t new_capacity) {
@@ -76,29 +81,25 @@ void ViewMap::Rehash(size_t new_capacity) {
   LMFAO_FAILPOINT_PARK("viewmap.rehash");
   std::vector<int64_t> old_keys = std::move(keys_);
   std::vector<uint64_t> old_hashes = std::move(hashes_);
-  std::vector<uint8_t> old_occupied = std::move(occupied_);
-  std::vector<double> old_payloads = std::move(payloads_);
+  std::vector<uint32_t> old_entry = std::move(entry_);
 
   keys_.assign(new_capacity * static_cast<size_t>(key_arity_), 0);
   hashes_.assign(new_capacity, 0);
-  occupied_.assign(new_capacity, 0);
-  payloads_.assign(new_capacity * static_cast<size_t>(width_), 0.0);
+  entry_.assign(new_capacity, kEmptySlot);
   capacity_mask_ = new_capacity - 1;
 
-  for (size_t i = 0; i < old_occupied.size(); ++i) {
-    if (!old_occupied[i]) continue;
+  for (size_t i = 0; i < old_entry.size(); ++i) {
+    if (old_entry[i] == kEmptySlot) continue;
     // Keys are distinct, so the cached hash alone finds a free slot — no
-    // re-hashing and no key comparisons during rehash.
+    // re-hashing and no key comparisons during rehash. The entry index
+    // travels with the key; the payload stays where it is.
     size_t j = old_hashes[i] & capacity_mask_;
-    while (occupied_[j]) j = (j + 1) & capacity_mask_;
-    occupied_[j] = 1;
+    while (entry_[j] != kEmptySlot) j = (j + 1) & capacity_mask_;
+    entry_[j] = old_entry[i];
     hashes_[j] = old_hashes[i];
     std::memcpy(keys_.data() + j * static_cast<size_t>(key_arity_),
                 old_keys.data() + i * static_cast<size_t>(key_arity_),
                 sizeof(int64_t) * static_cast<size_t>(key_arity_));
-    std::memcpy(payloads_.data() + j * static_cast<size_t>(width_),
-                old_payloads.data() + i * static_cast<size_t>(width_),
-                sizeof(double) * static_cast<size_t>(width_));
   }
 }
 

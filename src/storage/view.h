@@ -7,8 +7,9 @@
 /// hashmaps"; we provide both:
 ///   - ViewMap: open-addressing hash map with *packed* keys — an
 ///     arity-strided int64 buffer plus a cached per-slot hash, so probing
-///     compares 8·arity bytes instead of a fixed-capacity TupleKey (the
-///     default; supports out-of-order upserts),
+///     compares 8·arity bytes instead of a fixed-capacity TupleKey — and
+///     dense payloads indexed from the slots (the default; supports
+///     out-of-order upserts),
 ///   - SortView: the *frozen* sorted-array form with columnar (SoA) keys
 ///     (KeyColumns) and payloads in the layout the plan chose
 ///     (PayloadMatrix — slot-major columns when consumers marginalize or
@@ -50,12 +51,14 @@ enum class ViewForm {
 
 /// \brief Open-addressing hash map from packed keys to payloads of doubles.
 ///
-/// Keys are stored in a flat arity-strided int64 buffer (8·arity bytes per
-/// slot) with a cached per-slot hash; probing rejects on the hash first and
-/// only then compares the arity components. Payloads are stored contiguously
-/// (`width` doubles per entry) to keep aggregate accumulation
-/// cache-friendly. Linear probing with power-of-two capacities; grows at 70%
-/// load (rehash reuses the cached hashes, so keys are never re-hashed).
+/// The slot arrays hold, per slot, the packed key (8·arity bytes), its
+/// cached hash and a 4-byte entry index (kEmptySlot when free); probing
+/// rejects on the hash first and only then compares the arity components.
+/// Payloads are *dense*: `width` doubles per entry, appended in insertion
+/// order at the entry index, so payload memory scales with entries, not
+/// slots, and accumulation stays contiguous per entry. Linear probing with
+/// power-of-two slot counts; grows at 70% load, and a rehash moves only
+/// the slot arrays, reusing the cached hashes (keys are never re-hashed).
 class ViewMap {
  public:
   /// Creates a map for keys of `key_arity` components and payloads of
@@ -68,9 +71,9 @@ class ViewMap {
   bool empty() const { return size_ == 0; }
 
   /// Returns the payload slot for `key`, inserting a zero-initialized entry
-  /// if absent. The pointer is invalidated by the next Upsert that triggers
-  /// a rehash; Reserve() up front makes a known number of upserts
-  /// rehash-free (and so pointer-stable).
+  /// if absent. The pointer is invalidated by the next Upsert that inserts
+  /// a key (the dense payload array may grow); Reserve() up front makes a
+  /// known number of upserts rehash-free and pointer-stable.
   double* Upsert(const TupleKey& key);
 
   /// Same, from a raw component span with its precomputed HashKeySpan hash
@@ -81,15 +84,19 @@ class ViewMap {
   const double* Lookup(const TupleKey& key) const;
 
   /// Preallocates capacity so that the map can hold `n` entries without
-  /// rehashing. Used by the execution runtime to size output maps from
-  /// catalog cardinality estimates before a group scan starts, eliminating
-  /// mid-scan rehash churn in hot loops.
+  /// rehashing or moving a payload. Used by the execution runtime to size
+  /// output maps from catalog cardinality estimates before a group scan
+  /// starts, eliminating mid-scan rehash churn in hot loops. The payload
+  /// capacity is reserved, not written: an overshot estimate costs address
+  /// space and slot arrays, not resident payload pages.
   void Reserve(size_t n);
 
   /// Rehashes down to the smallest capacity holding the current entries,
-  /// returning the slack of an overshot Reserve. The ViewStore calls this
-  /// at publish time for views that stay in hash form: published maps take
-  /// no further inserts, so their capacity headroom is pure waste.
+  /// and returns the payload slack of an overshot Reserve when it is
+  /// material (more unused than used payload capacity; ordinary growth
+  /// never leaves that much). The ViewStore calls this at publish time for
+  /// views that stay in hash form: published maps take no further inserts,
+  /// so their capacity headroom is pure waste.
   void ShrinkToFit();
 
   /// Number of entries the map can hold before the next rehash.
@@ -99,14 +106,14 @@ class ViewMap {
   /// TupleKey materialization).
   /// @{
   size_t num_slots() const { return capacity_mask_ + 1; }
-  bool slot_occupied(size_t slot) const { return occupied_[slot] != 0; }
+  bool slot_occupied(size_t slot) const { return entry_[slot] != kEmptySlot; }
   /// The slot's packed key components (key_arity() values).
   const int64_t* slot_key(size_t slot) const {
     return keys_.data() + slot * static_cast<size_t>(key_arity_);
   }
   uint64_t slot_hash(size_t slot) const { return hashes_[slot]; }
   const double* slot_payload(size_t slot) const {
-    return payloads_.data() + slot * static_cast<size_t>(width_);
+    return payloads_.data() + EntryOffset(slot);
   }
   /// @}
 
@@ -118,11 +125,11 @@ class ViewMap {
   void ForEach(Fn&& fn) const {
     const size_t slots = capacity_mask_ + 1;
     for (size_t i = 0; i < slots; ++i) {
-      if (!occupied_[i]) continue;
+      if (!slot_occupied(i)) continue;
       TupleKey key(key_arity_);
       const int64_t* vals = slot_key(i);
       for (int c = 0; c < key_arity_; ++c) key.set(c, vals[c]);
-      fn(key, payloads_.data() + i * static_cast<size_t>(width_));
+      fn(key, slot_payload(i));
     }
   }
   /// @}
@@ -135,18 +142,25 @@ class ViewMap {
   /// Pre-sizes to the worst-case union, so the merge itself never rehashes.
   void MergeAdd(const ViewMap& other);
 
-  /// \name Memory accounting: key-side bytes (packed keys + cached hashes +
-  /// occupancy), payload bytes, and their sum.
+  /// \name Memory accounting: key-side bytes (the slot arrays: packed
+  /// keys, cached hashes, entry indexes), payload bytes (entries × width;
+  /// reserved but unwritten capacity is not counted), and their sum.
   /// @{
   size_t KeyBytes() const {
     return keys_.size() * sizeof(int64_t) + hashes_.size() * sizeof(uint64_t) +
-           occupied_.size();
+           entry_.size() * sizeof(uint32_t);
   }
   size_t PayloadBytes() const { return payloads_.size() * sizeof(double); }
   size_t MemoryUsage() const { return KeyBytes() + PayloadBytes(); }
   /// @}
 
  private:
+  /// Entry index of a free slot.
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  size_t EntryOffset(size_t slot) const {
+    return static_cast<size_t>(entry_[slot]) * static_cast<size_t>(width_);
+  }
   void Rehash(size_t new_capacity);
   size_t ProbeSlot(const int64_t* vals, uint64_t hash) const;
   bool SlotKeyEquals(size_t slot, const int64_t* vals) const {
@@ -165,7 +179,9 @@ class ViewMap {
   std::vector<int64_t> keys_;
   /// Cached HashKeySpan per slot (valid where occupied).
   std::vector<uint64_t> hashes_;
-  std::vector<uint8_t> occupied_;
+  /// Per slot, the index of its entry's payload, or kEmptySlot.
+  std::vector<uint32_t> entry_;
+  /// Dense payloads, size_ * width_, in insertion order.
   std::vector<double> payloads_;
 };
 

@@ -4,10 +4,11 @@
 /// bit-for-bit equal to the unsharded prepared Execute AND to the naive
 /// scan baseline (the exact generator emits integer data, so per-key sums
 /// are associative), across randomized databases and append schedules;
-/// plus the plan-splitting contract (balanced covering ranges, eligibility
-/// of the partitioned relation), ExecuteDelta composition on a sharded
-/// base, shard/exchange observability, and fault injection through the
-/// dist.* failpoint seams with zero leaked views.
+/// plus the plan-splitting contract (eligibility of the partitioned
+/// relation), the split pass itself (key blocks of the cached sort, shards
+/// that ran), ExecuteDelta composition on a sharded base, shard/exchange
+/// observability, and fault injection through the dist.* failpoint seams
+/// with zero leaked views.
 
 #include <algorithm>
 #include <cstdlib>
@@ -71,6 +72,17 @@ std::vector<int> ShardCounts() {
   return counts;
 }
 
+/// Groups at the partitioned node of a sharded execution. Each cuts its own
+/// sorted relation into the shards, so the shards' rows sum to the
+/// relation's epoch rows once per such group.
+size_t SplitGroups(const ExecutionStats& stats) {
+  return static_cast<size_t>(std::count_if(
+      stats.groups.begin(), stats.groups.end(),
+      [&stats](const GroupStats& gs) {
+        return gs.node == stats.dist_relation;
+      }));
+}
+
 class DistFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
@@ -113,8 +125,8 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
         EXPECT_TRUE(sharded->stats.dist_execution);
         EXPECT_GE(sharded->stats.dist_shards, 1);
         EXPECT_LE(sharded->stats.dist_shards, n);
-        // One pass: every group runs exactly once, and the shards' slices
-        // cover the partitioned relation.
+        // One pass: every group runs exactly once, and the shards' blocks
+        // cover the partitioned relation once per split group.
         const ExecutionStats& st = sharded->stats;
         EXPECT_EQ(st.groups_jit + st.groups_interp, st.num_groups);
         EXPECT_EQ(st.groups.size(), static_cast<size_t>(st.num_groups));
@@ -122,7 +134,8 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
         for (const DistShardStats& ss : st.dist_shard_stats) {
           shard_rows += ss.rows;
         }
-        EXPECT_EQ(shard_rows, sharded->epoch.at(st.dist_relation));
+        EXPECT_EQ(shard_rows,
+                  sharded->epoch.at(st.dist_relation) * SplitGroups(st));
         ExpectResultsMatch(sharded->results, full->results, 0.0,
                            label + " n=" + std::to_string(n) +
                                ": sharded vs unsharded execute");
@@ -220,7 +233,7 @@ class ShardPlanTest : public ::testing::Test {
   PreparedBatch prepared_;
 };
 
-TEST_F(ShardPlanTest, BalancedRangesCoverTheRelation) {
+TEST_F(ShardPlanTest, AutoPicksTheLargestEligibleRelation) {
   const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
   ShardSpec spec;
   spec.num_shards = 4;
@@ -232,38 +245,14 @@ TEST_F(ShardPlanTest, BalancedRangesCoverTheRelation) {
     EXPECT_LE(epoch.at(r), epoch.at(plan->relation))
         << data_->catalog.relation(r).name();
   }
-  ASSERT_EQ(plan->num_shards(), 4);
-  const size_t rows = epoch.at(plan->relation);
-  size_t covered = 0;
-  for (int s = 0; s < 4; ++s) {
-    const ShardRange& r = plan->ranges[static_cast<size_t>(s)];
-    EXPECT_EQ(r.lo, covered) << "shard " << s << " not contiguous";
-    EXPECT_GE(r.rows(), rows / 4);
-    EXPECT_LE(r.rows(), rows / 4 + 1);
-    covered = r.hi;
-  }
-  EXPECT_EQ(covered, rows);
+  EXPECT_EQ(plan->num_shards, 4);
   EXPECT_GT(plan->dirty_groups, 0);
-}
-
-TEST_F(ShardPlanTest, ShardCountClampsToRowCountAndNeverBelowOne) {
-  const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
-  ShardSpec spec;
-  spec.num_shards = 1 << 20;  // Far more shards than rows.
-  auto plan = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
-                              spec);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(static_cast<size_t>(plan->num_shards()),
-            epoch.at(plan->relation));
-  for (const ShardRange& r : plan->ranges) EXPECT_EQ(r.rows(), 1u);
 
   spec.num_shards = 0;  // Unset: a single shard.
   auto one = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
                              spec);
   ASSERT_TRUE(one.ok());
-  EXPECT_EQ(one->num_shards(), 1);
-  EXPECT_EQ(one->ranges[0].lo, 0u);
-  EXPECT_EQ(one->ranges[0].hi, epoch.at(one->relation));
+  EXPECT_EQ(one->num_shards, 1);
 }
 
 TEST_F(ShardPlanTest, PinnedRelationIsHonored) {
@@ -398,6 +387,198 @@ TEST(ShardPlanWideCatalogTest, RelationBeyond63ShardsAndRefreshes) {
                      "refresh of relation 64 vs scan baseline");
 }
 
+// --- The split pass -------------------------------------------------------
+
+// More shards than the partitioned relation has level-1 key blocks: only
+// the shards that ran are counted, and their rows still cover the relation.
+TEST(SplitPassTest, MoreShardsThanKeyBlocksCountsOnlyTheShardsThatRan) {
+  // F (30 rows, three keys of ten rows each) joins D on k.
+  Catalog catalog;
+  const AttrId k = catalog.AddAttribute("k", AttrType::kInt).value();
+  const AttrId v = catalog.AddAttribute("v", AttrType::kDouble).value();
+  const RelationId f = catalog.AddRelation("F", {"k", "v"}).value();
+  const RelationId d = catalog.AddRelation("D", {"k"}).value();
+  for (int i = 0; i < 30; ++i) {
+    catalog.mutable_relation(f).AppendRowUnchecked(
+        {Value::Int(i % 3), Value::Double(i)});
+  }
+  for (int i = 0; i < 3; ++i) {
+    catalog.mutable_relation(d).AppendRowUnchecked({Value::Int(i)});
+  }
+  catalog.RefreshDomainSizes();
+  JoinTree tree = JoinTree::FromEdges(catalog, {{f, d}}).value();
+  Query q;
+  q.name = "by_k";
+  q.group_by = {k};
+  q.aggregates = {Aggregate::Count(), Aggregate::Sum(v)};
+  QueryBatch batch;
+  batch.Add(std::move(q));
+  Engine engine(&catalog, &tree, EngineOptions{});
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  auto sharded = prepared->ExecuteSharded(8);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const ExecutionStats& st = sharded->stats;
+  EXPECT_EQ(st.dist_relation, f);
+  EXPECT_EQ(st.dist_shards, 3);
+  ASSERT_EQ(st.dist_shard_stats.size(), 3u);
+  const size_t split_groups = SplitGroups(st);
+  ASSERT_GT(split_groups, 0u);
+  double seconds = 0.0;
+  for (const DistShardStats& ss : st.dist_shard_stats) {
+    EXPECT_EQ(ss.rows, 10 * split_groups) << "shard " << ss.shard;
+    EXPECT_GT(ss.exchange_bytes, 0u) << "shard " << ss.shard;
+    seconds += ss.seconds;
+  }
+  EXPECT_DOUBLE_EQ(st.shard_mean_seconds, seconds / 3);
+  EXPECT_GE(st.shard_max_seconds, st.shard_mean_seconds);
+  for (const GroupStats& gs : st.groups) {
+    if (gs.node == f) {
+      EXPECT_EQ(gs.shards, 3) << "group " << gs.group_id;
+    }
+  }
+
+  // A count far beyond the row count runs the same three shards.
+  auto huge = prepared->ExecuteSharded(1 << 20);
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  EXPECT_EQ(huge->stats.dist_shards, 3);
+
+  auto full = prepared->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ExpectResultsMatch(sharded->results, full->results, 0.0,
+                     "eight shards over three key blocks");
+  ExpectResultsMatch(huge->results, full->results, 0.0,
+                     "2^20 shards over three key blocks");
+  auto joined = MaterializeJoin(catalog, tree, 0);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  auto baseline = EvaluateBatchSharedScan(*joined, batch);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ExpectResultsMatch(sharded->results, *baseline, 0.0,
+                     "eight shards over three key blocks vs scan baseline");
+}
+
+/// Appends `rows` rows to relation `r`: duplicates of its existing rows and
+/// fresh small integers, so the new keys interleave the sorted old ones.
+void AppendInterleavedRows(ExactDatabase* db, RelationId r, int rows,
+                           Rng* rng) {
+  const Relation& rel = db->catalog.relation(r);
+  std::vector<std::vector<Value>> batch_rows;
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Value> row;
+    for (int c = 0; c < rel.num_columns(); ++c) {
+      if (i % 2 == 0 && rel.num_rows() > 0) {
+        row.push_back(rel.ValueAt(static_cast<size_t>(i) % rel.num_rows(), c));
+        continue;
+      }
+      const int64_t v = rng->UniformInt(-3, 3);
+      row.push_back(rel.column(c).type() == AttrType::kInt
+                        ? Value::Int(v)
+                        : Value::Double(static_cast<double>(v)));
+    }
+    batch_rows.push_back(std::move(row));
+  }
+  ASSERT_TRUE(db->catalog.AppendRows(r, batch_rows).ok());
+}
+
+// After an Append, every group of a sharded execution — the split groups
+// included — reads the sorted-relation cache (which extends its previous
+// epoch by a merge), and the answer is exact.
+TEST(SplitPassTest, ShardedAfterAppendReadsTheExtendedCachedSort) {
+  FailpointGuard guard;
+  Failpoints::Clear();
+  Rng rng(2718);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  const QueryBatch batch = MakeExactBatch(db, &rng);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(prepared->ExecuteSharded(4).ok());  // Caches every sort.
+
+  ShardSpec spec;
+  spec.num_shards = 4;
+  auto plan = MakeShardedPlan(prepared->compiled(), db.catalog,
+                              db.catalog.SnapshotEpoch(), spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NO_FATAL_FAILURE(
+      AppendInterleavedRows(&db, plan->relation, 7, &rng));
+
+  // A zero-length delay counts the cache reads without changing them.
+  ASSERT_TRUE(Failpoints::Configure("engine.sorted_cache=delay:0").ok());
+  auto sharded = prepared->ExecuteSharded(4);
+  const uint64_t cache_reads = Failpoints::Hits("engine.sorted_cache");
+  Failpoints::Clear();
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const ExecutionStats& st = sharded->stats;
+  EXPECT_EQ(st.dist_relation, plan->relation);
+  EXPECT_EQ(cache_reads, static_cast<uint64_t>(st.num_groups));
+  size_t rows = 0;
+  for (const DistShardStats& ss : st.dist_shard_stats) rows += ss.rows;
+  EXPECT_EQ(rows, db.catalog.SnapshotEpoch().at(plan->relation) *
+                      SplitGroups(st));
+
+  auto full = prepared->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ExpectResultsMatch(sharded->results, full->results, 0.0,
+                     "sharded after append vs execute");
+  auto joined = MaterializeJoin(db.catalog, db.tree, 0);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  auto baseline = EvaluateBatchSharedScan(*joined, batch);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ExpectResultsMatch(sharded->results, *baseline, 0.0,
+                     "sharded after append vs scan baseline");
+}
+
+// A delta slice is not a shard: refreshing a sharded base after an append
+// to the partitioned relation serves that relation's appended rows (an
+// uncached slice in insertion order) to its groups, and the sorted cache
+// to every other group.
+TEST(SplitPassTest, RefreshOfAShardedBaseServesTheDeltaSlice) {
+  FailpointGuard guard;
+  Failpoints::Clear();
+  Rng rng(1618);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  const QueryBatch batch = MakeExactBatch(db, &rng);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto base = prepared->ExecuteSharded(4);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const RelationId partitioned = base->stats.dist_relation;
+  const size_t split_groups = SplitGroups(base->stats);
+  ASSERT_GT(split_groups, 0u);
+
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_NO_FATAL_FAILURE(
+        AppendInterleavedRows(&db, partitioned, 3 + round, &rng));
+    ASSERT_TRUE(Failpoints::Configure("engine.sorted_cache=delay:0").ok());
+    auto refreshed = prepared->ExecuteDelta(*base);
+    const uint64_t cache_reads = Failpoints::Hits("engine.sorted_cache");
+    Failpoints::Clear();
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    EXPECT_EQ(refreshed->stats.delta_passes, 1);
+    EXPECT_FALSE(refreshed->stats.dist_execution);
+    EXPECT_EQ(cache_reads,
+              static_cast<uint64_t>(base->stats.num_groups) - split_groups)
+        << "round " << round;
+
+    auto full = prepared->Execute();
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ExpectResultsMatch(refreshed->results, full->results, 0.0,
+                       "round " + std::to_string(round) +
+                           ": refresh of a sharded base vs execute");
+    auto joined = MaterializeJoin(db.catalog, db.tree, 0);
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    auto baseline = EvaluateBatchSharedScan(*joined, batch);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    ExpectResultsMatch(refreshed->results, *baseline, 0.0,
+                       "round " + std::to_string(round) +
+                           ": refresh of a sharded base vs scan baseline");
+    base = prepared->ExecuteSharded(4);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+  }
+}
+
 // --- PrepareSharded and observability ------------------------------------
 
 TEST(PrepareShardedTest, PinnedSpecDrivesExecuteSharded) {
@@ -464,7 +645,7 @@ TEST(DistStatsTest, ShardAndExchangeCountersAreCoherent) {
     EXPECT_GT(s.exchange_bytes, 0u);
     EXPECT_GE(s.seconds, 0.0);
   }
-  EXPECT_EQ(rows, sharded_rows);
+  EXPECT_EQ(rows, sharded_rows * SplitGroups(stats));
   EXPECT_EQ(bytes, stats.exchange_bytes);
   EXPECT_GT(stats.exchange_bytes, 0u);
   EXPECT_GE(stats.merge_seconds, 0.0);

@@ -227,15 +227,19 @@ TEST(KeyAlignedRangesTest, EdgeCases) {
   const std::vector<ShardRange> one = KeyAlignedRanges(one_key.data(), 7, 3);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].hi, 7u);
-  // A flat scan (no level-1 column) is a plain balanced row split; the
-  // first rows % n ranges take the extra rows.
-  const std::vector<ShardRange> flat = KeyAlignedRanges(nullptr, 10, 3);
+  // Distinct keys give the plain balanced row split; the first rows % n
+  // ranges take the extra rows.
+  std::vector<int64_t> distinct(10);
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    distinct[i] = static_cast<int64_t>(i);
+  }
+  const std::vector<ShardRange> flat = KeyAlignedRanges(distinct.data(), 10, 3);
   ASSERT_EQ(flat.size(), 3u);
   EXPECT_EQ(flat[0].hi, 4u);
   EXPECT_EQ(flat[1].hi, 7u);
   EXPECT_EQ(flat[2].hi, 10u);
   // More shards than rows: empty cuts are dropped.
-  EXPECT_EQ(KeyAlignedRanges(nullptr, 2, 4).size(), 2u);
+  EXPECT_EQ(KeyAlignedRanges(distinct.data(), 2, 4).size(), 2u);
 }
 
 /// Full-engine parity: every scheduler configuration (hybrid, task-only,

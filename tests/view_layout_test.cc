@@ -186,9 +186,11 @@ TEST(PackedLayoutAccountingTest, ByteAccountingPinned) {
   }
   const size_t slots = map.num_slots();
   EXPECT_EQ(slots, 16u);  // 5 entries fit the initial capacity.
+  // Per slot: the packed key, the cached hash and the 4-byte entry index;
+  // payloads are dense, per entry.
   EXPECT_EQ(map.KeyBytes(), slots * (3 * sizeof(int64_t) +
-                                     sizeof(uint64_t) + 1));
-  EXPECT_EQ(map.PayloadBytes(), slots * 2 * sizeof(double));
+                                     sizeof(uint64_t) + sizeof(uint32_t)));
+  EXPECT_EQ(map.PayloadBytes(), 5u * 2 * sizeof(double));
   EXPECT_EQ(map.MemoryUsage(), map.KeyBytes() + map.PayloadBytes());
 
   const SortView view = SortView::FromMap(map);

@@ -93,9 +93,11 @@ TEST(ViewStoreTest, KeyPayloadByteAccounting) {
   for (int64_t i = 0; i < 5; ++i) map0->Upsert(TupleKey({i, -i}))[0] = 1.0;
   const size_t slots = map0->num_slots();
   ASSERT_TRUE(store.Publish(0, std::move(map0)).ok());
+  // Slots carry the packed key, the cached hash and the 4-byte entry
+  // index; payloads are dense: 5 entries x 3 slots.
   const size_t hash_key_bytes =
-      slots * (2 * sizeof(int64_t) + sizeof(uint64_t) + 1);
-  const size_t hash_payload_bytes = slots * 3 * sizeof(double);
+      slots * (2 * sizeof(int64_t) + sizeof(uint64_t) + sizeof(uint32_t));
+  const size_t hash_payload_bytes = 5 * 3 * sizeof(double);
   EXPECT_EQ(store.current_key_bytes(), hash_key_bytes);
   EXPECT_EQ(store.current_payload_bytes(), hash_payload_bytes);
   EXPECT_EQ(store.current_bytes(), hash_key_bytes + hash_payload_bytes);

@@ -4,6 +4,8 @@
 #include "storage/view.h"
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -228,6 +230,149 @@ TEST(ViewMapPropertyTest, MatchesReferenceAccumulation) {
     const double* p = map.Lookup(TupleKey({key.first, key.second}));
     ASSERT_NE(p, nullptr);
     EXPECT_NEAR(p[0], value, 1e-9);
+  }
+}
+
+/// Reference model of a ViewMap: key components → payload.
+using RefView = std::map<std::vector<int64_t>, std::vector<double>>;
+
+TupleKey ToTupleKey(const std::vector<int64_t>& vals) {
+  TupleKey key(static_cast<int>(vals.size()));
+  for (size_t c = 0; c < vals.size(); ++c) {
+    key.set(static_cast<int>(c), vals[c]);
+  }
+  return key;
+}
+
+/// Checks `map` against `ref` through both read paths: Lookup per reference
+/// key, and slot_key/slot_payload per occupied slot.
+void ExpectMapMatches(const ViewMap& map, const RefView& ref,
+                      const std::string& where) {
+  ASSERT_EQ(map.size(), ref.size()) << where;
+  const size_t width = static_cast<size_t>(map.width());
+  for (const auto& [key, payload] : ref) {
+    const double* p = map.Lookup(ToTupleKey(key));
+    ASSERT_NE(p, nullptr) << where;
+    for (size_t j = 0; j < width; ++j) ASSERT_EQ(p[j], payload[j]) << where;
+  }
+  size_t occupied = 0;
+  for (size_t slot = 0; slot < map.num_slots(); ++slot) {
+    if (!map.slot_occupied(slot)) continue;
+    ++occupied;
+    const std::vector<int64_t> key(map.slot_key(slot),
+                                   map.slot_key(slot) + map.key_arity());
+    const auto it = ref.find(key);
+    ASSERT_NE(it, ref.end()) << where;
+    EXPECT_EQ(map.slot_hash(slot),
+              HashKeySpan(key.data(), map.key_arity()))
+        << where;
+    const double* p = map.slot_payload(slot);
+    EXPECT_EQ(p, map.Lookup(ToTupleKey(key))) << where;
+    for (size_t j = 0; j < width; ++j) ASSERT_EQ(p[j], it->second[j]) << where;
+  }
+  EXPECT_EQ(occupied, ref.size()) << where;
+  // Dense payloads: exactly entries x width doubles are accounted.
+  EXPECT_EQ(map.PayloadBytes(), ref.size() * width * sizeof(double)) << where;
+}
+
+/// Freezing must give the reference's key order and payloads exactly, in
+/// both payload layouts.
+void ExpectFrozenMatches(const ViewMap& map, const RefView& ref,
+                         const std::string& where) {
+  for (PayloadLayout layout :
+       {PayloadLayout::kColumnar, PayloadLayout::kRowMajor}) {
+    const SortView view = SortView::FromMap(map, layout);
+    ASSERT_EQ(view.size(), ref.size()) << where;
+    size_t i = 0;
+    for (const auto& [key, payload] : ref) {
+      EXPECT_EQ(view.key(i), ToTupleKey(key)) << where << " entry " << i;
+      for (int j = 0; j < map.width(); ++j) {
+        EXPECT_EQ(view.payload_at(i, j), payload[static_cast<size_t>(j)])
+            << where << " entry " << i;
+      }
+      ++i;
+    }
+  }
+}
+
+/// Differential: random Upsert / Reserve / ShrinkToFit / MergeAdd sequences
+/// on a ViewMap against a std::map reference, checked after every rehash
+/// (slot-count change) and at the end, plus the Reserve pointer-stability
+/// contract. Payload values are small integers, so sums compare exactly.
+TEST(ViewMapDifferentialTest, RandomSequencesMatchStdMap) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const int arity = static_cast<int>(rng.UniformInt(0, 3));
+    const int width = static_cast<int>(rng.UniformInt(1, 5));
+    const int64_t domain = rng.UniformInt(2, 40);
+    ViewMap map(arity, width);
+    RefView ref;
+    auto random_key = [&] {
+      std::vector<int64_t> key(static_cast<size_t>(arity));
+      for (int64_t& v : key) v = rng.UniformInt(-domain, domain);
+      return key;
+    };
+    auto upsert = [&](ViewMap* m, RefView* r) {
+      const std::vector<int64_t> key = random_key();
+      const int j = static_cast<int>(rng.UniformInt(0, width - 1));
+      const double v = static_cast<double>(rng.UniformInt(-9, 9));
+      m->Upsert(ToTupleKey(key))[j] += v;
+      std::vector<double>& payload = (*r)[key];
+      payload.resize(static_cast<size_t>(width), 0.0);
+      payload[static_cast<size_t>(j)] += v;
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const size_t slots_before = map.num_slots();
+      const int op = static_cast<int>(rng.UniformInt(0, 19));
+      if (op < 14) {
+        upsert(&map, &ref);
+      } else if (op < 16) {
+        map.Reserve(map.size() + rng.Uniform(300));
+      } else if (op < 18) {
+        map.ShrinkToFit();
+      } else {
+        // MergeAdd of a second random map.
+        ViewMap other(arity, width);
+        RefView other_ref;
+        const int n = static_cast<int>(rng.UniformInt(0, 60));
+        for (int i = 0; i < n; ++i) upsert(&other, &other_ref);
+        map.MergeAdd(other);
+        for (const auto& [key, payload] : other_ref) {
+          std::vector<double>& dst = ref[key];
+          dst.resize(static_cast<size_t>(width), 0.0);
+          for (size_t j = 0; j < payload.size(); ++j) dst[j] += payload[j];
+        }
+      }
+      if (map.num_slots() != slots_before) {
+        ASSERT_NO_FATAL_FAILURE(ExpectMapMatches(map, ref, where));
+      }
+    }
+    const std::string where = "seed " + std::to_string(seed);
+    ASSERT_NO_FATAL_FAILURE(ExpectMapMatches(map, ref, where));
+    ASSERT_NO_FATAL_FAILURE(ExpectFrozenMatches(map, ref, where));
+    map.ShrinkToFit();
+    ASSERT_NO_FATAL_FAILURE(ExpectMapMatches(map, ref, where + " shrunk"));
+    ASSERT_NO_FATAL_FAILURE(ExpectFrozenMatches(map, ref, where + " shrunk"));
+
+    // Reserve(size + n) keeps every payload pointer stable across n
+    // upserts, new keys included.
+    const size_t n = 200;
+    map.Reserve(map.size() + n);
+    const size_t slots = map.num_slots();
+    std::vector<std::pair<std::vector<int64_t>, const double*>> pinned;
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<int64_t> key = random_key();
+      if (arity > 0) key[0] = domain + 1 + static_cast<int64_t>(i);
+      const double* p = map.Upsert(ToTupleKey(key));
+      pinned.emplace_back(key, p);
+      for (const auto& [k, q] : pinned) {
+        ASSERT_EQ(map.Lookup(ToTupleKey(k)), q) << where << " upsert " << i;
+      }
+      if (arity == 0) break;  // Only one key exists.
+    }
+    EXPECT_EQ(map.num_slots(), slots) << where;
   }
 }
 
