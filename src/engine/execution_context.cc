@@ -267,16 +267,19 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // Baseline the budget charge at the store's live bytes as of this
   // group's start; the executor adds its in-flight output maps on top.
   const size_t charge_base = store_.current_bytes();
+  // The interpreter lowers the plan once per shard, and that executor
+  // scans all of the shard's pieces; the JIT path has none.
+  auto make_executor = [&]() -> std::unique_ptr<GroupExecutor> {
+    if (use_jit) return nullptr;
+    return std::make_unique<GroupExecutor>(plan, *rel, consumed_ptrs, params_,
+                                           cancel_, charge_base);
+  };
   // One scan piece, rows [range.lo, range.hi) of `rel`, on whichever
   // backend was chosen; the JIT gets column pointers offset by range.lo.
-  auto run_piece = [&](ShardRange range,
+  auto run_piece = [&](GroupExecutor* executor, ShardRange range,
                        const std::vector<ViewMap*>& ptrs) -> Status {
     Status st = [&]() -> Status {
-      if (!use_jit) {
-        GroupExecutor executor(plan, *rel, consumed_ptrs, params_, cancel_,
-                               charge_base);
-        return executor.Execute(ptrs, range);
-      }
+      if (executor != nullptr) return executor->Execute(ptrs, range);
       std::vector<const void*> jit_rel_cols;
       jit_rel_cols.reserve(jit_meta->used_cols.size());
       for (int col : jit_meta->used_cols) {
@@ -343,7 +346,9 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     out_maps.clear();
     out_ptrs.clear();
     make_output_maps(1, &out_maps, &out_ptrs);
-    if (!split && n == 1) return run_piece(ranges[0], out_ptrs);
+    if (!split && n == 1) {
+      return run_piece(make_executor().get(), ranges[0], out_ptrs);
+    }
     std::mutex turn_mu;
     std::condition_variable turn_cv;
     size_t turn = 0;
@@ -358,9 +363,10 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       size_t rows = 0;
       Status st = [&]() -> Status {
         make_output_maps(n, &maps, &ptrs);
+        const std::unique_ptr<GroupExecutor> executor = make_executor();
         for (size_t i = s; i < ranges.size(); i += n) {
           rows += ranges[i].rows();
-          LMFAO_RETURN_NOT_OK(run_piece(ranges[i], ptrs));
+          LMFAO_RETURN_NOT_OK(run_piece(executor.get(), ranges[i], ptrs));
         }
         return Status::OK();
       }();

@@ -228,10 +228,12 @@ GroupExecutor::GroupExecutor(const GroupPlan& plan,
   }
   leaf_scratch_.resize(leaf_kernels_.size());
 
-  // Flatten the register program: the interpreter's per-match loops run
-  // over these contiguous op arrays instead of chasing the plan's nested
-  // register/part vectors (a PlanPart drags a shared_ptr-carrying Function
-  // through cache; an ExecPart is a quarter the size and sequential).
+  if (views_.size() == plan_.incoming.size()) LowerLevelProgram(params);
+}
+
+void GroupExecutor::LowerLevelProgram(const ParamPack* params) {
+  const int levels = plan_.num_levels();
+  const size_t nlevels = static_cast<size_t>(levels) + 1;
   auto lower_part = [this, params](const PlanPart& p) {
     ExecPart e{};
     e.kind = static_cast<uint8_t>(p.kind);
@@ -246,185 +248,355 @@ GroupExecutor::GroupExecutor(const GroupPlan& plan,
     }
     exec_parts_.push_back(e);
   };
-  // Registers are renumbered to op order (level-major) so one level's
-  // values are contiguous; compute the renumbering first — beta suffixes
+
+  // The value file: 1.0, the leaf sums, the betas, the alphas, registers
+  // renumbered level-major. Compute the renumbering first: beta suffixes
   // reference betas of deeper levels, which are lowered later.
-  std::vector<int32_t> alpha_pos(plan_.alphas.size(), -1);
-  std::vector<int32_t> beta_pos(plan_.betas.size(), -1);
+  beta_base_ = 1 + static_cast<int32_t>(plan_.leaf_sums.size());
+  alpha_base_ = beta_base_ + static_cast<int32_t>(plan_.betas.size());
+  std::vector<int32_t> alpha_pos(plan_.alphas.size(), 0);
+  std::vector<int32_t> beta_pos(plan_.betas.size(), 0);
+  std::vector<int32_t> alpha_level_begin(nlevels + 1);
+  beta_level_begin_.assign(nlevels + 1, 0);
   {
-    int32_t na = 0;
-    int32_t nb = 0;
-    for (int l = 0; l <= levels; ++l) {
-      for (int a : plan_.alphas_at_level[static_cast<size_t>(l)]) {
+    int32_t na = alpha_base_;
+    int32_t nb = beta_base_;
+    for (size_t l = 0; l < nlevels; ++l) {
+      alpha_level_begin[l] = na;
+      beta_level_begin_[l] = nb;
+      for (int a : plan_.alphas_at_level[l]) {
         alpha_pos[static_cast<size_t>(a)] = na++;
       }
-      for (int b : plan_.betas_at_level[static_cast<size_t>(l)]) {
+      for (int b : plan_.betas_at_level[l]) {
         beta_pos[static_cast<size_t>(b)] = nb++;
       }
     }
+    alpha_level_begin[nlevels] = na;
+    beta_level_begin_[nlevels] = nb;
   }
-  auto lower_suffix = [&beta_pos](const GroupPlan::Suffix& s,
-                                  uint8_t* kind, int32_t* index) {
-    *kind = static_cast<uint8_t>(s.kind);
-    *index = s.kind == GroupPlan::SuffixKind::kBeta
-                 ? beta_pos[static_cast<size_t>(s.index)]
-                 : s.index;
-  };
-  // Fuse the dominant single-part shape (see RegOp docs).
-  auto fuse_shape = [this](RegOp* op) {
-    if (op->part_end - op->part_begin != 1) return;
-    const ExecPart& p = exec_parts_[op->part_begin];
-    if (static_cast<PlanPart::Kind>(p.kind) != PlanPart::Kind::kViewPayload) {
-      return;
+  auto suffix_index = [&beta_pos](const GroupPlan::Suffix& s) -> int32_t {
+    switch (s.kind) {
+      case GroupPlan::SuffixKind::kOne:
+        return 0;
+      case GroupPlan::SuffixKind::kLeaf:
+        return 1 + s.index;
+      case GroupPlan::SuffixKind::kBeta:
+        return beta_pos[static_cast<size_t>(s.index)];
     }
-    op->shape = RegShape::kPayload;
-    op->view = p.view_index;
-    op->slot = p.slot;
+    return 0;
   };
-  alpha_level_begin_.resize(static_cast<size_t>(levels) + 2);
-  beta_level_begin_.resize(static_cast<size_t>(levels) + 2);
-  write_level_begin_.resize(static_cast<size_t>(levels) + 2);
-  for (int l = 0; l <= levels; ++l) {
-    alpha_level_begin_[static_cast<size_t>(l)] =
-        static_cast<uint32_t>(alpha_ops_.size());
-    for (int a : plan_.alphas_at_level[static_cast<size_t>(l)]) {
+  auto alpha_index = [&alpha_pos](int a) {
+    return a >= 0 ? alpha_pos[static_cast<size_t>(a)] : 0;
+  };
+
+  // One register before fusion. A payload register multiplies by one
+  // payload offset (a single kViewPayload part, or no part at all: view
+  // -1 reads the value file's 1.0); any other register keeps its parts.
+  struct Reg {
+    int32_t dst;
+    int32_t src;
+    int16_t view;
+    int32_t off;
+    bool payload;
+    uint32_t part_begin;
+    uint32_t part_end;
+  };
+  auto lower_reg = [&](int32_t dst, int32_t src,
+                       const std::vector<PlanPart>& parts) {
+    Reg r{dst, src, -1, 0, true, 0, 0};
+    if (parts.size() == 1 && parts[0].kind == PlanPart::Kind::kViewPayload) {
+      r.view = static_cast<int16_t>(parts[0].view_index);
+      r.off = parts[0].slot *
+              static_cast<int32_t>(
+                  views_[static_cast<size_t>(r.view)]->payload_slot_stride);
+    } else if (!parts.empty()) {
+      r.payload = false;
+      r.part_begin = static_cast<uint32_t>(exec_parts_.size());
+      for (const PlanPart& p : parts) lower_part(p);
+      r.part_end = static_cast<uint32_t>(exec_parts_.size());
+    }
+    return r;
+  };
+  // Appends one gather span per view over `regs`, in op order within a
+  // view.
+  auto emit_gathers = [this](StepKind kind, std::vector<Reg>* regs) {
+    std::stable_sort(
+        regs->begin(), regs->end(),
+        [](const Reg& a, const Reg& b) { return a.view < b.view; });
+    for (size_t i = 0; i < regs->size();) {
+      Step s;
+      s.kind = kind;
+      s.view = (*regs)[i].view;
+      s.off = static_cast<int32_t>(gather_dst_.size());
+      for (; i < regs->size() && (*regs)[i].view == s.view; ++i) {
+        gather_dst_.push_back((*regs)[i].dst);
+        gather_off_.push_back((*regs)[i].off);
+        gather_src_.push_back((*regs)[i].src);
+      }
+      s.len = static_cast<int32_t>(gather_dst_.size()) - s.off;
+      steps_.push_back(s);
+    }
+  };
+  // Appends one level's registers: runs of payload registers over
+  // consecutive slots of one row-major view into consecutive registers
+  // (alphas: one shared prev; betas: one shared suffix, or consecutive
+  // suffixes), then the other payload registers as gathers, then the
+  // generic ones. The level's registers do not read each other, so the
+  // reordering leaves every register's value unchanged.
+  auto emit_regs = [&](const std::vector<Reg>& regs, bool alpha) {
+    auto fusable = [this](const Reg& r) {
+      return r.payload && r.view >= 0 &&
+             views_[static_cast<size_t>(r.view)]->payload_slot_stride == 1;
+    };
+    auto follows = [&fusable](const Reg& a, const Reg& b, int32_t step) {
+      return fusable(b) && b.view == a.view && b.off == a.off + 1 &&
+             b.dst == a.dst + 1 && b.src == a.src + step;
+    };
+    std::vector<Reg> gathers;
+    std::vector<const Reg*> generic;
+    for (size_t i = 0; i < regs.size();) {
+      const Reg& head = regs[i];
+      int32_t step = 0;
+      bool run = false;
+      if (fusable(head) && i + 1 < regs.size()) {
+        run = follows(head, regs[i + 1], 0) ||
+              (!alpha && follows(head, regs[i + 1], 1));
+        step = regs[i + 1].src - head.src;
+      }
+      if (!run) {
+        if (head.payload) {
+          gathers.push_back(head);
+        } else {
+          generic.push_back(&head);
+        }
+        ++i;
+        continue;
+      }
+      size_t j = i + 2;
+      while (j < regs.size() && follows(regs[j - 1], regs[j], step)) ++j;
+      Step s;
+      s.kind = alpha ? StepKind::kAlphaRun
+                     : (step == 0 ? StepKind::kBetaRun
+                                  : StepKind::kBetaPairRun);
+      s.view = head.view;
+      s.dst = head.dst;
+      s.src = head.src;
+      s.off = head.off;
+      s.len = static_cast<int32_t>(j - i);
+      steps_.push_back(s);
+      i = j;
+    }
+    emit_gathers(alpha ? StepKind::kAlphaGather : StepKind::kBetaGather,
+                 &gathers);
+    for (const Reg* r : generic) {
+      Step s;
+      s.kind = alpha ? StepKind::kAlpha : StepKind::kBeta;
+      s.dst = r->dst;
+      s.src = r->src;
+      s.off = static_cast<int32_t>(r->part_begin);
+      s.len = static_cast<int32_t>(r->part_end - r->part_begin);
+      steps_.push_back(s);
+    }
+  };
+
+  // Output keys and keyed writes: each key component's source (bound level
+  // or key-view cursor and column) and each write's entry payload columns
+  // are resolved here, not per entry.
+  output_key_begin_.push_back(0);
+  for (const GroupPlan::OutputInfo& o : plan_.outputs) {
+    for (const GroupPlan::KeySource& src : o.key_sources) {
+      KeyComp c;
+      c.level = src.level;
+      if (!src.from_level) {
+        const auto it = std::find(o.key_views.begin(), o.key_views.end(),
+                                  src.view_index);
+        if (it == o.key_views.end()) {
+          lowering_status_ = Status::InvalidArgument(
+              "executor: output key source is not a key view");
+          return;
+        }
+        c.cursor = static_cast<int32_t>(it - o.key_views.begin());
+        c.col = views_[static_cast<size_t>(src.view_index)]->col(src.comp);
+      }
+      key_comps_.push_back(c);
+    }
+    output_key_begin_.push_back(static_cast<uint32_t>(key_comps_.size()));
+  }
+  auto keyed_write = [this](int output, int slot, int32_t alpha,
+                            int32_t suffix,
+                            const std::vector<int>& entry_slots) {
+    const GroupPlan::OutputInfo& o =
+        plan_.outputs[static_cast<size_t>(output)];
+    KeyedWrite w{output, slot, alpha, suffix,
+                 static_cast<uint32_t>(keyed_pcols_.size())};
+    for (size_t i = 0; i < o.key_views.size(); ++i) {
+      keyed_pcols_.push_back(
+          views_[static_cast<size_t>(o.key_views[i])]->pcol(entry_slots[i]));
+    }
+    return w;
+  };
+
+  level_steps_.resize(nlevels);
+  for (size_t l = 0; l < nlevels; ++l) {
+    LevelSteps& ls = level_steps_[l];
+    ls.entry = static_cast<uint32_t>(steps_.size());
+    std::vector<Reg> regs;
+    for (int a : plan_.alphas_at_level[l]) {
       const GroupPlan::AlphaReg& reg = plan_.alphas[static_cast<size_t>(a)];
-      RegOp op{};
-      op.reg = alpha_pos[static_cast<size_t>(a)];
-      op.prev =
-          reg.prev >= 0 ? alpha_pos[static_cast<size_t>(reg.prev)] : -1;
-      op.part_begin = static_cast<uint32_t>(exec_parts_.size());
-      for (const PlanPart& p : reg.parts) lower_part(p);
-      op.part_end = static_cast<uint32_t>(exec_parts_.size());
-      fuse_shape(&op);
-      alpha_ops_.push_back(op);
+      const int32_t prev = alpha_index(reg.prev);
+      if (prev >= alpha_level_begin[l]) {
+        lowering_status_ = Status::InvalidArgument(
+            "executor: an alpha's prev must be a shallower-level alpha");
+        return;
+      }
+      regs.push_back(lower_reg(alpha_pos[static_cast<size_t>(a)], prev,
+                               reg.parts));
     }
-    beta_level_begin_[static_cast<size_t>(l)] =
-        static_cast<uint32_t>(beta_ops_.size());
-    for (int b : plan_.betas_at_level[static_cast<size_t>(l)]) {
+    emit_regs(regs, /*alpha=*/true);
+    ls.exit = static_cast<uint32_t>(steps_.size());
+    regs.clear();
+    for (int b : plan_.betas_at_level[l]) {
       const GroupPlan::BetaReg& reg = plan_.betas[static_cast<size_t>(b)];
-      RegOp op{};
-      op.reg = beta_pos[static_cast<size_t>(b)];
-      op.prev = -1;
-      lower_suffix(reg.next, &op.suffix_kind, &op.suffix_index);
-      op.part_begin = static_cast<uint32_t>(exec_parts_.size());
-      for (const PlanPart& p : reg.parts) lower_part(p);
-      op.part_end = static_cast<uint32_t>(exec_parts_.size());
-      fuse_shape(&op);
-      beta_ops_.push_back(op);
+      const int32_t suffix = suffix_index(reg.next);
+      if (suffix >= beta_base_ && suffix < beta_level_begin_[l + 1]) {
+        lowering_status_ = Status::InvalidArgument(
+            "executor: a beta's suffix must be a deeper-level beta");
+        return;
+      }
+      regs.push_back(lower_reg(beta_pos[static_cast<size_t>(b)], suffix,
+                               reg.parts));
     }
-    write_level_begin_[static_cast<size_t>(l)] =
-        static_cast<uint32_t>(write_ops_.size());
-    for (const GroupPlan::Write& w :
-         plan_.writes_at_level[static_cast<size_t>(l)]) {
-      WriteOp op{};
-      op.write = &w;
-      op.output = w.output;
-      op.slot = w.slot;
-      op.alpha = w.alpha >= 0 ? alpha_pos[static_cast<size_t>(w.alpha)] : -1;
-      lower_suffix(w.suffix, &op.suffix_kind, &op.suffix_index);
-      op.keyed =
-          !plan_.outputs[static_cast<size_t>(w.output)].key_views.empty();
-      write_ops_.push_back(op);
+    emit_regs(regs, /*alpha=*/false);
+
+    // Writes: keyed ones one step each; non-keyed ones grouped per output
+    // (one key probe per match), as runs of consecutive slots written from
+    // consecutive alphas with one suffix, then one gather of the rest.
+    const std::vector<GroupPlan::Write>& ws = plan_.writes_at_level[l];
+    std::vector<bool> done(ws.size(), false);
+    for (size_t i = 0; i < ws.size(); ++i) {
+      if (done[i]) continue;
+      const int output = ws[i].output;
+      if (!plan_.outputs[static_cast<size_t>(output)].key_views.empty()) {
+        Step s;
+        s.kind = StepKind::kKeyedWrite;
+        s.dst = static_cast<int32_t>(keyed_writes_.size());
+        keyed_writes_.push_back(keyed_write(output, ws[i].slot,
+                                            alpha_index(ws[i].alpha),
+                                            suffix_index(ws[i].suffix),
+                                            ws[i].entry_slots));
+        steps_.push_back(s);
+        continue;
+      }
+      Step upsert;
+      upsert.kind = StepKind::kUpsert;
+      upsert.dst = output;
+      steps_.push_back(upsert);
+      std::vector<const GroupPlan::Write*> group;
+      for (size_t j = i; j < ws.size(); ++j) {
+        if (ws[j].output != output) continue;
+        group.push_back(&ws[j]);
+        done[j] = true;
+      }
+      auto follows = [&](const GroupPlan::Write& a,
+                         const GroupPlan::Write& b) {
+        return a.alpha >= 0 && b.alpha >= 0 && b.slot == a.slot + 1 &&
+               alpha_index(b.alpha) == alpha_index(a.alpha) + 1 &&
+               suffix_index(b.suffix) == suffix_index(a.suffix);
+      };
+      // Leftover writes gather as registers of the value file's view -1:
+      // slot, alpha and suffix in the dst, off and src operands.
+      std::vector<Reg> rest;
+      for (size_t k = 0; k < group.size();) {
+        const GroupPlan::Write& w = *group[k];
+        size_t j = k + 1;
+        while (j < group.size() && follows(*group[j - 1], *group[j])) ++j;
+        if (j - k == 1) {
+          rest.push_back(Reg{w.slot, suffix_index(w.suffix), -1,
+                             alpha_index(w.alpha), true, 0, 0});
+        } else {
+          Step s;
+          s.kind = StepKind::kWriteRun;
+          s.dst = w.slot;
+          s.src = suffix_index(w.suffix);
+          s.off = alpha_index(w.alpha);
+          s.len = static_cast<int32_t>(j - k);
+          steps_.push_back(s);
+        }
+        k = j;
+      }
+      emit_gathers(StepKind::kWriteGather, &rest);
     }
+    ls.end = static_cast<uint32_t>(steps_.size());
   }
-  alpha_level_begin_[static_cast<size_t>(levels) + 1] =
-      static_cast<uint32_t>(alpha_ops_.size());
-  beta_level_begin_[static_cast<size_t>(levels) + 1] =
-      static_cast<uint32_t>(beta_ops_.size());
-  write_level_begin_[static_cast<size_t>(levels) + 1] =
-      static_cast<uint32_t>(write_ops_.size());
   for (const GroupPlan::LeafWrite& lw : plan_.leaf_writes) {
     const uint32_t begin = static_cast<uint32_t>(exec_parts_.size());
     for (const PlanPart& p : lw.parts) lower_part(p);
     leaf_write_parts_.emplace_back(begin,
                                    static_cast<uint32_t>(exec_parts_.size()));
+    leaf_keyed_writes_.push_back(
+        keyed_write(lw.output, lw.slot, 0, 0, lw.entry_slots));
   }
-  if (views_.size() == plan_.incoming.size()) FuseBetaRuns();
 }
 
-void GroupExecutor::FuseBetaRuns() {
-  // Covariance-style batches lower hundreds of betas per level that each
-  // read the next payload slot of the same bound view (one slot per
-  // aggregate column); detect those runs once so AccumulateBetas replaces
-  // the op-at-a-time scan with one contiguous elementwise loop per run.
-  // Fusable ops read a row-major single-entry view (slot stride 1): the
-  // run's payload block is then unit-stride off the cached match pointer,
-  // and the level-major register renumbering makes the destination
-  // beta_vals_ block contiguous as well.
-  auto fusable = [this](const RegOp& op) {
-    return op.shape == RegShape::kPayload && op.view >= 0 &&
-           views_[static_cast<size_t>(op.view)]->payload_slot_stride == 1;
-  };
-  auto contiguous = [&fusable](const RegOp& a, const RegOp& b) {
-    return fusable(b) && b.view == a.view && b.slot == a.slot + 1 &&
-           b.reg == a.reg + 1;
-  };
-  const uint8_t beta_kind =
-      static_cast<uint8_t>(GroupPlan::SuffixKind::kBeta);
-  const int levels = plan_.num_levels();
-  for (int l = 0; l <= levels; ++l) {
-    const uint32_t slice_end = beta_level_begin_[static_cast<size_t>(l) + 1];
-    uint32_t i = beta_level_begin_[static_cast<size_t>(l)];
-    while (i < slice_end) {
-      RegOp& head = beta_ops_[i];
-      if (!fusable(head) || i + 1 >= slice_end) {
-        ++i;
-        continue;
-      }
-      const RegOp& second = beta_ops_[i + 1];
-      RunKind kind;
-      if (contiguous(head, second) &&
-          second.suffix_kind == head.suffix_kind &&
-          second.suffix_index == head.suffix_index) {
-        kind = RunKind::kScalarSuffix;
-      } else if (contiguous(head, second) && head.suffix_kind == beta_kind &&
-                 second.suffix_kind == beta_kind &&
-                 second.suffix_index == head.suffix_index + 1) {
-        kind = RunKind::kPairSuffix;
-      } else {
-        ++i;
-        continue;
-      }
-      uint32_t j = i + 1;
-      while (j < slice_end) {
-        const RegOp& prev = beta_ops_[j - 1];
-        const RegOp& cur = beta_ops_[j];
-        if (!contiguous(prev, cur)) break;
-        if (kind == RunKind::kScalarSuffix
-                ? (cur.suffix_kind != head.suffix_kind ||
-                   cur.suffix_index != head.suffix_index)
-                : (cur.suffix_kind != beta_kind ||
-                   cur.suffix_index != prev.suffix_index + 1)) {
-          break;
+GroupExecutor::ProgramShape GroupExecutor::Shape() const {
+  ProgramShape shape;
+  for (const Step& s : steps_) {
+    switch (s.kind) {
+      case StepKind::kAlphaRun:
+        ++shape.alpha_runs;
+        break;
+      case StepKind::kBetaRun:
+        ++shape.beta_runs;
+        break;
+      case StepKind::kBetaPairRun:
+        ++shape.beta_pair_runs;
+        break;
+      case StepKind::kWriteRun:
+        ++shape.write_runs;
+        break;
+      case StepKind::kAlphaGather:
+        shape.alpha_gathers += s.len;
+        break;
+      case StepKind::kBetaGather:
+        for (int32_t i = s.off; i < s.off + s.len; ++i) {
+          const int32_t src = gather_src_[static_cast<size_t>(i)];
+          if (src == 0) {
+            ++shape.beta_gathers_one;
+          } else if (src < beta_base_) {
+            ++shape.beta_gathers_leaf;
+          } else {
+            ++shape.beta_gathers_beta;
+          }
         }
-        ++j;
+        break;
+      case StepKind::kWriteGather:
+        shape.write_gathers += s.len;
+        break;
+      case StepKind::kAlpha:
+      case StepKind::kBeta:
+        ++shape.generic;
+        break;
+      case StepKind::kKeyedWrite: {
+        const KeyedWrite& w = keyed_writes_[static_cast<size_t>(s.dst)];
+        ++shape.keyed_writes;
+        shape.max_key_views = std::max(
+            shape.max_key_views,
+            static_cast<int>(
+                plan_.outputs[static_cast<size_t>(w.output)].key_views.size()));
+        break;
       }
-      const int32_t len = static_cast<int32_t>(j - i);
-      bool ok = len > 1;
-      if (ok && kind == RunKind::kPairSuffix) {
-        // Pair runs read beta_vals_[suffix..] while writing
-        // beta_vals_[reg..]; the suffixes are deeper-level betas so the
-        // intervals never overlap in practice, but fusing an overlapping
-        // run would change results — require disjointness.
-        const int32_t r0 = head.reg;
-        const int32_t s0 = head.suffix_index;
-        ok = s0 + len <= r0 || r0 + len <= s0;
-      }
-      if (ok) {
-        head.run_len = len;
-        head.run_kind = kind;
-        for (uint32_t k = i + 1; k < j; ++k) beta_ops_[k].run_len = 0;
-      }
-      i = j;
+      case StepKind::kUpsert:
+        break;
     }
   }
+  return shape;
 }
 
 Status GroupExecutor::Validate() const {
   if (views_.size() != plan_.incoming.size()) {
     return Status::InvalidArgument("executor: view count mismatch");
   }
+  LMFAO_RETURN_NOT_OK(lowering_status_);
   for (size_t v = 0; v < views_.size(); ++v) {
     if (views_[v]->width != plan_.incoming[v].width) {
       return Status::InvalidArgument("executor: view width mismatch");
@@ -451,13 +623,9 @@ void GroupExecutor::Prepare(const std::vector<ViewMap*>& outputs,
     view_range_[v * level_stride_] = Range{0, views_[v]->size};
   }
   bound_.assign(static_cast<size_t>(levels) + 1, 0);
-  view_payload_cache_.assign(views_.size(), PayloadRef{});
-  for (size_t v = 0; v < views_.size(); ++v) {
-    view_payload_cache_[v].sstride = views_[v]->payload_slot_stride;
-  }
-  alpha_vals_.assign(plan_.alphas.size(), 0.0);
-  beta_vals_.assign(plan_.betas.size(), 0.0);
-  leaf_vals_.assign(plan_.leaf_sums.size(), 0.0);
+  bound_payload_.assign(views_.size(), nullptr);
+  vals_.assign(static_cast<size_t>(alpha_base_) + plan_.alphas.size(), 0.0);
+  vals_[0] = 1.0;
   range_sum_cache_.assign(static_cast<size_t>(plan_.num_range_sums),
                           RangeSumCache{});
   outputs_ = outputs;
@@ -488,23 +656,23 @@ Status GroupExecutor::Execute(const std::vector<ViewMap*>& outputs,
   }
   const int levels = plan_.num_levels();
   if (levels == 0) {
-    for (double& v : leaf_vals_) v = 0.0;
     LeafLoop(rel_range_[0]);
-    WriteOutputs(0);
-    return Status::OK();
+  } else {
+    IterateLevel(1);
+    LMFAO_RETURN_NOT_OK(abort_status_);
   }
-  for (uint32_t i = beta_level_begin_[1]; i < beta_level_begin_[2]; ++i) {
-    beta_vals_[static_cast<size_t>(beta_ops_[i].reg)] = 0.0;
-  }
-  IterateLevel(1);
-  LMFAO_RETURN_NOT_OK(abort_status_);
-  // Write outputs with empty write level; their beta values are sums over
-  // this range only, so every piece emits and the caller merges.
-  WriteOutputs(0);
+  // Level 0 holds only the writes of outputs with empty write level; their
+  // beta values are sums over this range only, so every piece emits and
+  // the caller merges.
+  RunSteps(level_steps_[0].exit, level_steps_[0].end, 0);
   return Status::OK();
 }
 
 void GroupExecutor::IterateLevel(int level) {
+  // The level's betas start every parent value at zero.
+  std::fill(vals_.begin() + beta_level_begin_[static_cast<size_t>(level)],
+            vals_.begin() + beta_level_begin_[static_cast<size_t>(level) + 1],
+            0.0);
   const int64_t* rel_col = level_rel_column_[static_cast<size_t>(level)];
   const Range rel = rel_range_[static_cast<size_t>(level - 1)];
   const auto& vps = level_views_[static_cast<size_t>(level)];
@@ -611,28 +779,22 @@ void GroupExecutor::ProcessMatch(int level, int64_t value) {
     const Range& r = view_range_[static_cast<size_t>(v) * level_stride_ +
                                  static_cast<size_t>(level)];
     const ConsumedView* cv = views_[static_cast<size_t>(v)];
-    view_payload_cache_[static_cast<size_t>(v)].ptr =
+    bound_payload_[static_cast<size_t>(v)] =
         cv->payload_base + r.lo * cv->payload_entry_stride;
   }
-  EvalAlphas(level);
-  const int levels = plan_.num_levels();
-  if (level == levels) {
-    for (double& v : leaf_vals_) v = 0.0;
+  const LevelSteps& ls = level_steps_[static_cast<size_t>(level)];
+  RunSteps(ls.entry, ls.exit, level);
+  if (level == plan_.num_levels()) {
     LeafLoop(rel_range_[static_cast<size_t>(level)]);
   } else {
-    const size_t next = static_cast<size_t>(level) + 1;
-    for (uint32_t i = beta_level_begin_[next]; i < beta_level_begin_[next + 1];
-         ++i) {
-      beta_vals_[static_cast<size_t>(beta_ops_[i].reg)] = 0.0;
-    }
     IterateLevel(level + 1);
     if (!abort_status_.ok()) return;
   }
-  AccumulateBetas(level);
-  WriteOutputs(level);
+  RunSteps(ls.exit, ls.end, level);
 }
 
 void GroupExecutor::LeafLoop(const Range& range) {
+  std::fill(vals_.begin() + 1, vals_.begin() + beta_base_, 0.0);
   if (range.empty()) return;
   const size_t rows = range.hi - range.lo;
   if (!leaf_kernels_.empty() && leaf_scratch_rows_ < rows) {
@@ -649,7 +811,7 @@ void GroupExecutor::LeafLoop(const Range& range) {
   }
   // Leaf sums: unit-stride products over the scratch columns.
   for (size_t s = 0; s < leaf_sum_kernels_.size(); ++s) {
-    leaf_vals_[s] += ScratchProductSum(leaf_sum_kernels_[s], rows);
+    vals_[1 + s] += ScratchProductSum(leaf_sum_kernels_[s], rows);
   }
   // Non-factorized leaf writes, hoisted from per-row to whole-range form.
   for (size_t w = 0; w < plan_.leaf_writes.size(); ++w) {
@@ -702,7 +864,7 @@ double GroupExecutor::EvalExecPart(const ExecPart& part) {
   switch (static_cast<PlanPart::Kind>(part.kind)) {
     case PlanPart::Kind::kFactor: {
       // Scalar factor of the bound level value: the function kind and
-      // parameters were flattened into the op, so no Function object (or
+      // parameters were flattened into the part, so no Function object (or
       // its shared_ptr) is touched here. Semantics match Function::Eval.
       const double x =
           static_cast<double>(bound_[static_cast<size_t>(part.level)]);
@@ -733,9 +895,9 @@ double GroupExecutor::EvalExecPart(const ExecPart& part) {
       return 0.0;
     }
     case PlanPart::Kind::kViewPayload: {
-      const PayloadRef& pr =
-          view_payload_cache_[static_cast<size_t>(part.view_index)];
-      return pr.ptr[static_cast<size_t>(part.slot) * pr.sstride];
+      const size_t v = static_cast<size_t>(part.view_index);
+      return bound_payload_[v][static_cast<size_t>(part.slot) *
+                               views_[v]->payload_slot_stride];
     }
     case PlanPart::Kind::kViewRangeSum: {
       const Range r = ViewRangeAt(part.view_index, part.level);
@@ -757,128 +919,134 @@ double GroupExecutor::EvalExecPart(const ExecPart& part) {
   return 1.0;
 }
 
-double GroupExecutor::SuffixValue(uint8_t kind, int32_t index) const {
-  switch (static_cast<GroupPlan::SuffixKind>(kind)) {
-    case GroupPlan::SuffixKind::kOne:
-      return 1.0;
-    case GroupPlan::SuffixKind::kLeaf:
-      return leaf_vals_[static_cast<size_t>(index)];
-    case GroupPlan::SuffixKind::kBeta:
-      return beta_vals_[static_cast<size_t>(index)];
-  }
-  return 1.0;
-}
-
-void GroupExecutor::EvalAlphas(int level) {
-  const uint32_t end = alpha_level_begin_[static_cast<size_t>(level) + 1];
-  for (uint32_t i = alpha_level_begin_[static_cast<size_t>(level)]; i < end;
-       ++i) {
-    const RegOp& op = alpha_ops_[i];
-    double v = op.prev >= 0 ? alpha_vals_[static_cast<size_t>(op.prev)] : 1.0;
-    if (op.shape == RegShape::kPayload) {
-      const PayloadRef& pr = view_payload_cache_[static_cast<size_t>(op.view)];
-      v *= pr.ptr[static_cast<size_t>(op.slot) * pr.sstride];
-    } else {
-      for (uint32_t p = op.part_begin; p < op.part_end; ++p) {
-        v *= EvalExecPart(exec_parts_[p]);
+void GroupExecutor::RunSteps(uint32_t begin, uint32_t end, int level) {
+  double* const v = vals_.data();
+  const int32_t* const gd = gather_dst_.data();
+  const int32_t* const go = gather_off_.data();
+  const int32_t* const gs = gather_src_.data();
+  double* o = nullptr;  // Payload of the last upserted output.
+  for (uint32_t i = begin; i < end; ++i) {
+    const Step& s = steps_[i];
+    const double* p =
+        s.view >= 0 ? bound_payload_[static_cast<size_t>(s.view)] : v;
+    const int32_t gend = s.off + s.len;
+    switch (s.kind) {
+      case StepKind::kAlphaRun: {
+        const double a = v[s.src];
+        const double* q = p + s.off;
+        double* d = v + s.dst;
+        for (int32_t k = 0; k < s.len; ++k) d[k] = q[k] * a;
+        break;
+      }
+      case StepKind::kAlphaGather:
+        for (int32_t k = s.off; k < gend; ++k) v[gd[k]] = p[go[k]] * v[gs[k]];
+        break;
+      case StepKind::kBetaRun: {
+        const double x = v[s.src];
+        const double* q = p + s.off;
+        double* d = v + s.dst;
+        for (int32_t k = 0; k < s.len; ++k) d[k] += q[k] * x;
+        break;
+      }
+      case StepKind::kBetaPairRun: {
+        const double* x = v + s.src;
+        const double* q = p + s.off;
+        double* d = v + s.dst;
+        for (int32_t k = 0; k < s.len; ++k) d[k] += q[k] * x[k];
+        break;
+      }
+      case StepKind::kBetaGather:
+        for (int32_t k = s.off; k < gend; ++k) v[gd[k]] += p[go[k]] * v[gs[k]];
+        break;
+      case StepKind::kAlpha:
+      case StepKind::kBeta: {
+        double x = v[s.src];
+        for (int32_t k = s.off; k < gend; ++k) {
+          x *= EvalExecPart(exec_parts_[static_cast<size_t>(k)]);
+        }
+        if (s.kind == StepKind::kAlpha) {
+          v[s.dst] = x;
+        } else {
+          v[s.dst] += x;
+        }
+        break;
+      }
+      case StepKind::kUpsert: {
+        const uint32_t kb = output_key_begin_[static_cast<size_t>(s.dst)];
+        const int key_n = static_cast<int>(
+            output_key_begin_[static_cast<size_t>(s.dst) + 1] - kb);
+        int64_t key[TupleKey::kMaxArity];
+        for (int c = 0; c < key_n; ++c) {
+          key[c] = bound_[static_cast<size_t>(key_comps_[kb + c].level)];
+        }
+        o = outputs_[static_cast<size_t>(s.dst)]->UpsertHashed(
+            key, HashKeySpan(key, key_n));
+        break;
+      }
+      case StepKind::kWriteRun: {
+        const double x = v[s.src];
+        const double* a = v + s.off;
+        double* d = o + s.dst;
+        for (int32_t k = 0; k < s.len; ++k) d[k] += a[k] * x;
+        break;
+      }
+      case StepKind::kWriteGather:
+        for (int32_t k = s.off; k < gend; ++k) o[gd[k]] += v[go[k]] * v[gs[k]];
+        break;
+      case StepKind::kKeyedWrite: {
+        const KeyedWrite& w = keyed_writes_[static_cast<size_t>(s.dst)];
+        EmitKeyedWrite(w, v[w.alpha] * v[w.suffix], level);
+        break;
       }
     }
-    alpha_vals_[static_cast<size_t>(op.reg)] = v;
   }
 }
 
-void GroupExecutor::AccumulateBetas(int level) {
-  const uint32_t end = beta_level_begin_[static_cast<size_t>(level) + 1];
-  for (uint32_t i = beta_level_begin_[static_cast<size_t>(level)]; i < end;
-       ++i) {
-    const RegOp& op = beta_ops_[i];
-    if (op.run_len != 1) {
-      if (op.run_len == 0) continue;  // Member of a fused run.
-      // Fused kPayload run: one contiguous elementwise loop over the
-      // bound entry's payload block (slot stride 1, see FuseBetaRuns).
-      // Each element does the same multiply-add the per-op path does, so
-      // results are bit-identical.
-      const PayloadRef& pr = view_payload_cache_[static_cast<size_t>(op.view)];
-      const double* src = pr.ptr + static_cast<size_t>(op.slot);
-      double* dst = beta_vals_.data() + static_cast<size_t>(op.reg);
-      const size_t n = static_cast<size_t>(op.run_len);
-      if (op.run_kind == RunKind::kScalarSuffix) {
-        const double s = SuffixValue(op.suffix_kind, op.suffix_index);
-        for (size_t k = 0; k < n; ++k) dst[k] += src[k] * s;
-      } else {
-        const double* suf =
-            beta_vals_.data() + static_cast<size_t>(op.suffix_index);
-        for (size_t k = 0; k < n; ++k) dst[k] += src[k] * suf[k];
-      }
-      continue;
-    }
-    double v = SuffixValue(op.suffix_kind, op.suffix_index);
-    if (op.shape == RegShape::kPayload) {
-      const PayloadRef& pr = view_payload_cache_[static_cast<size_t>(op.view)];
-      v *= pr.ptr[static_cast<size_t>(op.slot) * pr.sstride];
-    } else {
-      for (uint32_t p = op.part_begin; p < op.part_end; ++p) {
-        v *= EvalExecPart(exec_parts_[p]);
-      }
-    }
-    beta_vals_[static_cast<size_t>(op.reg)] += v;
-  }
-}
-
-void GroupExecutor::EmitKeyedWrite(const GroupPlan::OutputInfo& o, int output,
-                                   int slot,
-                                   const std::vector<int>& entry_slots,
-                                   double base, int level) {
+void GroupExecutor::EmitKeyedWrite(const KeyedWrite& w, double base,
+                                   int level) {
   // Raw packed key buffer: only the output's actual arity is touched, and
   // UpsertHashed skips the inline-tuple handle entirely.
-  const int key_n = static_cast<int>(o.key_sources.size());
+  const size_t output = static_cast<size_t>(w.output);
+  const KeyComp* comps = key_comps_.data() + output_key_begin_[output];
+  const int key_n =
+      static_cast<int>(output_key_begin_[output + 1] -
+                       output_key_begin_[output]);
   int64_t key[TupleKey::kMaxArity];
   // Fill level-sourced components once.
   for (int i = 0; i < key_n; ++i) {
-    const GroupPlan::KeySource& src = o.key_sources[static_cast<size_t>(i)];
-    if (src.from_level) {
-      key[i] = bound_[static_cast<size_t>(src.level)];
+    if (comps[i].col == nullptr) {
+      key[i] = bound_[static_cast<size_t>(comps[i].level)];
     }
   }
-  if (o.key_views.empty()) {
-    outputs_[static_cast<size_t>(output)]
-        ->UpsertHashed(key, HashKeySpan(key, key_n))[slot] += base;
+  const std::vector<int>& key_views = plan_.outputs[output].key_views;
+  if (key_views.empty()) {
+    outputs_[output]->UpsertHashed(key, HashKeySpan(key, key_n))[w.slot] +=
+        base;
     return;
   }
-  // Iterate the cross product of the key views' entry ranges. The entry
-  // payload columns are resolved once, outside the odometer.
-  const size_t nv = o.key_views.size();
+  // Iterate the cross product of the key views' entry ranges.
+  const size_t nv = key_views.size();
   if (entry_cursor_.size() < nv) {
     entry_cursor_.resize(nv);
     write_ranges_.resize(nv);
   }
-  const double* entry_pcols[TupleKey::kMaxArity];
   for (size_t i = 0; i < nv; ++i) {
-    write_ranges_[i] = ViewRangeAt(o.key_views[i], level);
+    write_ranges_[i] = ViewRangeAt(key_views[i], level);
     if (write_ranges_[i].empty()) return;
     entry_cursor_[i] = write_ranges_[i].lo;
-    entry_pcols[i] = views_[static_cast<size_t>(o.key_views[i])]->pcol(
-        entry_slots[i]);
   }
+  const double* const* pcols = keyed_pcols_.data() + w.pcols;
   for (;;) {
     double value = base;
-    for (size_t i = 0; i < nv; ++i) {
-      value *= entry_pcols[i][entry_cursor_[i]];
-    }
+    for (size_t i = 0; i < nv; ++i) value *= pcols[i][entry_cursor_[i]];
     for (int i = 0; i < key_n; ++i) {
-      const GroupPlan::KeySource& src = o.key_sources[static_cast<size_t>(i)];
-      if (src.from_level) continue;
-      // Locate the cursor of this source's view.
-      for (size_t kv = 0; kv < nv; ++kv) {
-        if (o.key_views[kv] == src.view_index) {
-          key[i] = views_[static_cast<size_t>(src.view_index)]
-                       ->col(src.comp)[entry_cursor_[kv]];
-          break;
-        }
+      if (comps[i].col != nullptr) {
+        key[i] = comps[i].col[entry_cursor_[static_cast<size_t>(
+            comps[i].cursor)]];
       }
     }
-    outputs_[static_cast<size_t>(output)]
-        ->UpsertHashed(key, HashKeySpan(key, key_n))[slot] += value;
+    outputs_[output]->UpsertHashed(key, HashKeySpan(key, key_n))[w.slot] +=
+        value;
     // Advance the odometer.
     size_t i = 0;
     for (; i < nv; ++i) {
@@ -889,49 +1057,7 @@ void GroupExecutor::EmitKeyedWrite(const GroupPlan::OutputInfo& o, int output,
   }
 }
 
-void GroupExecutor::WriteOutputs(int level) {
-  // Writes for the same output are consecutive (the plan lowers slots in
-  // order); outputs without key views share one key probe per match. The
-  // non-keyed fast path reads only the flat WriteOp.
-  int last_output = -1;
-  double* payload = nullptr;
-  const uint32_t end = write_level_begin_[static_cast<size_t>(level) + 1];
-  for (uint32_t i = write_level_begin_[static_cast<size_t>(level)]; i < end;
-       ++i) {
-    const WriteOp& op = write_ops_[i];
-    if (op.keyed) {
-      double base =
-          op.alpha >= 0 ? alpha_vals_[static_cast<size_t>(op.alpha)] : 1.0;
-      base *= SuffixValue(op.suffix_kind, op.suffix_index);
-      EmitKeyedWrite(plan_.outputs[static_cast<size_t>(op.output)], op.output,
-                     op.slot, op.write->entry_slots, base, level);
-      continue;
-    }
-    if (op.output != last_output) {
-      const GroupPlan::OutputInfo& o =
-          plan_.outputs[static_cast<size_t>(op.output)];
-      const int key_n = static_cast<int>(o.key_sources.size());
-      int64_t key[TupleKey::kMaxArity];
-      for (int i2 = 0; i2 < key_n; ++i2) {
-        key[i2] =
-            bound_[static_cast<size_t>(o.key_sources[static_cast<size_t>(i2)]
-                                           .level)];
-      }
-      payload = outputs_[static_cast<size_t>(op.output)]->UpsertHashed(
-          key, HashKeySpan(key, key_n));
-      last_output = op.output;
-    }
-    double v =
-        op.alpha >= 0 ? alpha_vals_[static_cast<size_t>(op.alpha)] : 1.0;
-    v *= SuffixValue(op.suffix_kind, op.suffix_index);
-    payload[op.slot] += v;
-  }
-}
-
 void GroupExecutor::EmitLeafWriteBatch(size_t leaf_write_index, size_t rows) {
-  const GroupPlan::LeafWrite& lw = plan_.leaf_writes[leaf_write_index];
-  const GroupPlan::OutputInfo& o =
-      plan_.outputs[static_cast<size_t>(lw.output)];
   // The view parts are loop-invariant over the leaf range and the per-row
   // factor product distributes over the row sum, so one whole-range write
   // replaces the old per-row emission (same keys: the key components come
@@ -942,7 +1068,7 @@ void GroupExecutor::EmitLeafWriteBatch(size_t leaf_write_index, size_t rows) {
     base *= EvalExecPart(exec_parts_[p]);
   }
   base *= ScratchProductSum(leaf_write_kernels_[leaf_write_index], rows);
-  EmitKeyedWrite(o, lw.output, lw.slot, lw.entry_slots, base,
+  EmitKeyedWrite(leaf_keyed_writes_[leaf_write_index], base,
                  plan_.num_levels());
 }
 

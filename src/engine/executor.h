@@ -7,12 +7,14 @@
 /// evaluated exactly where the plan placed them; multi-entry views (those
 /// carrying group-by attributes that are not relation attributes) expose
 /// contiguous entry ranges that writes iterate and marginalizing parts sum
-/// over. The interpreter's inner loops are column-at-a-time: leaf factors
-/// are lowered once per leaf run into scratch columns by kind-specialized
-/// kernels (leaf_kernels.h), leaf sums are unit-stride products over those
-/// columns, and range sums are unit-stride scans of contiguous payload
-/// columns memoized per bind. This interpreter and the C++ code generator
-/// (codegen.h) lower the same plan, so they produce identical results.
+/// over. The interpreter's inner loops are column-at-a-time: each level's
+/// registers and writes are lowered once into a flat level program of
+/// fused runs and gathers, leaf factors are lowered once per leaf run into
+/// scratch columns by kind-specialized kernels (leaf_kernels.h), leaf sums
+/// are unit-stride products over those columns, and range sums are
+/// unit-stride scans of contiguous payload columns memoized per bind. This
+/// interpreter and the C++ code generator (codegen.h) lower the same plan,
+/// so they produce identical results.
 
 #ifndef LMFAO_ENGINE_EXECUTOR_H_
 #define LMFAO_ENGINE_EXECUTOR_H_
@@ -118,9 +120,9 @@ ConsumedView BuildConsumedView(const SortView& produced,
 class GroupExecutor {
  public:
   /// `params` supplies the bound values of parameterized functions; they
-  /// are resolved ONCE here, at lowering time (leaf kernels, flattened
-  /// exec parts), so the interpreter's inner loops are identical for
-  /// literal and parameterized batches. May be null when the plan uses no
+  /// are resolved ONCE here, at lowering time (leaf kernels, the level
+  /// program's exec parts), so the interpreter's inner loops are identical
+  /// for literal and parameterized batches. May be null when the plan uses no
   /// parameterized functions; all referenced slots must be bound
   /// (validated by PreparedBatch::Execute before any executor is built).
   ///
@@ -142,8 +144,28 @@ class GroupExecutor {
 
   /// Runs the whole group over rows [rows.lo, rows.hi) — one scan piece.
   /// The batch is linear in the relation's rows, so the results of any
-  /// row partition's pieces MergeAdd to the full result.
+  /// row partition's pieces MergeAdd to the full result. One executor may
+  /// run any number of pieces, one at a time.
   Status Execute(const std::vector<ViewMap*>& outputs, ShardRange rows);
+
+  /// Step counts of the lowered level program, by kind (tests check
+  /// which kernels a plan lowers to). Gathers count their registers or
+  /// writes; beta gathers are split by the source of their suffix.
+  struct ProgramShape {
+    int alpha_runs = 0;
+    int beta_runs = 0;
+    int beta_pair_runs = 0;
+    int write_runs = 0;
+    int alpha_gathers = 0;
+    int beta_gathers_one = 0;
+    int beta_gathers_leaf = 0;
+    int beta_gathers_beta = 0;
+    int write_gathers = 0;
+    int generic = 0;
+    int keyed_writes = 0;
+    int max_key_views = 0;  ///< Most key views one keyed write iterates.
+  };
+  ProgramShape Shape() const;
 
  private:
   struct Range {
@@ -156,16 +178,43 @@ class GroupExecutor {
   /// buffers); far above any realistic group.
   static constexpr size_t kMaxLevelViews = 64;
 
-  /// \name Flattened register program.
+  /// \name The level program.
   ///
   /// The plan's registers are nested heap structures (vectors of registers
   /// of vectors of PlanParts, each part dragging a shared_ptr-carrying
-  /// Function through cache); the inner interpreter loop instead runs over
-  /// compact contiguous op arrays lowered once at construction: one
-  /// ExecPart per multiplicative part (16 bytes + the factor parameter),
-  /// one RegOp per (register, level), one WriteOp per write. Evaluating a
-  /// level's registers is then a linear scan of one array slice.
+  /// Function through cache). The constructor lowers them once into one
+  /// flat array of Steps, level by level, and the per-match loops run over
+  /// a slice of that array. A step is one fused loop, not one register:
+  ///
+  /// - a *run* is one elementwise loop over consecutive registers that
+  ///   read consecutive payload slots of one bound row-major view (alpha
+  ///   runs share their `prev`; beta runs share one suffix or read
+  ///   consecutive ones), or consecutive slots of one output written from
+  ///   consecutive alphas with one suffix;
+  /// - a *gather* is one loop over a level's leftover single-payload
+  ///   registers of one view (or an output's leftover writes), its
+  ///   operands kept as structure-of-arrays in gather_dst_ / gather_off_ /
+  ///   gather_src_;
+  /// - a *generic* step evaluates one register's parts (range sums,
+  ///   factors, several payloads) through EvalExecPart;
+  /// - an *upsert* step probes one non-keyed output once per match, and a
+  ///   *keyed write* iterates its output's key-view entries.
+  ///
+  /// Every value a step reads or writes sits in one value file, vals_:
+  /// index 0 holds 1.0, then the leaf sums, then the betas, then the
+  /// alphas. Betas and alphas are renumbered level-major, so one level's
+  /// registers are one contiguous block. Suffixes, prevs and write alphas
+  /// are lowered to vals_ indices (kOne and a missing alpha both to index
+  /// 0), so no step dispatches on a suffix kind. Each register keeps its
+  /// exact sequence of multiply-adds, so the results are bit-identical to
+  /// evaluating the registers one at a time.
+  ///
+  /// Steps of one level may run in any order because a level never reads
+  /// its own registers: an alpha's prev is a shallower alpha and a beta's
+  /// suffix is a deeper beta or a leaf sum (BuildGroupPlan's shape;
+  /// Validate rejects plans that break it).
   /// @{
+  /// One multiplicative part of a generic register (32 bytes).
   struct ExecPart {
     uint8_t kind;       ///< PlanPart::Kind.
     uint8_t fn_kind;    ///< FunctionKind of a factor part.
@@ -176,49 +225,54 @@ class GroupExecutor {
     double threshold;              ///< Indicator threshold.
     const FunctionDict* dict = nullptr;  ///< Dictionary payload (borrowed).
   };
-  /// Alpha/beta registers are renumbered to op order (level-major), so
-  /// alpha_vals_ / beta_vals_ are indexed by op position: one level's
-  /// registers occupy one contiguous value range (zeroing is a fill,
-  /// accumulation walks sequentially). All references (prev, beta
-  /// suffixes, write alphas) carry the renumbered index.
-  ///
-  /// The dominant register shape by dynamic count — a single kViewPayload
-  /// part (one slot of a bound single-entry view, scaled by the suffix) —
-  /// is fused into the op at lowering time (`shape == kPayload`): the
-  /// accumulation loop then does two loads and a multiply-add with no
-  /// part dispatch at all. Everything else takes the generic part loop.
-  enum class RegShape : uint8_t { kGeneric, kPayload };
-  /// Fused runs of consecutive kPayload betas (detected once at lowering,
-  /// see FuseBetaRuns): `run_len > 1` marks a run head — the next
-  /// `run_len` ops read consecutive slots (unit payload stride) of the
-  /// same view, so the whole run is one elementwise loop over a contiguous
-  /// payload block; members carry `run_len == 0` and are skipped by the
-  /// accumulation scan. `run_len == 1` is an ordinary op.
-  enum class RunKind : uint8_t {
-    kScalarSuffix,  ///< All ops share one suffix: beta[r..] += p[..] * s.
-    kPairSuffix,    ///< Suffixes are consecutive betas: += p[i] * suf[i].
+  /// `v` is vals_, `p` the payload source of the step's `view` (the bound
+  /// entry of a single-entry view, or vals_ itself for view -1, whose
+  /// offset 0 is the 1.0), `o` the current output's payload.
+  enum class StepKind : uint8_t {
+    kAlphaRun,     ///< v[dst + k] = p[off + k] * v[src], k < len.
+    kAlphaGather,  ///< v[gd[i]] = p[go[i]] * v[gs[i]], i in [off, off+len).
+    kBetaRun,      ///< v[dst + k] += p[off + k] * v[src].
+    kBetaPairRun,  ///< v[dst + k] += p[off + k] * v[src + k].
+    kBetaGather,   ///< v[gd[i]] += p[go[i]] * v[gs[i]].
+    kAlpha,        ///< v[dst] = v[src] * parts [off, off + len).
+    kBeta,         ///< v[dst] += v[src] * parts [off, off + len).
+    kUpsert,       ///< o = output dst at the level-bound key.
+    kWriteRun,     ///< o[dst + k] += v[off + k] * v[src].
+    kWriteGather,  ///< o[gd[i]] += v[go[i]] * v[gs[i]].
+    kKeyedWrite,   ///< keyed_writes_[dst] over its key-view entries.
   };
-  struct RegOp {
-    int32_t reg;            ///< alpha_vals_ / beta_vals_ index (op order).
-    int32_t prev;           ///< Alphas: chained register, -1 for none.
-    uint8_t suffix_kind;    ///< Betas: GroupPlan::SuffixKind.
-    RegShape shape = RegShape::kGeneric;
-    int16_t view = -1;      ///< kPayload: view index of the fused part.
-    int32_t slot = -1;      ///< kPayload: payload slot of the fused part.
-    int32_t suffix_index;
-    uint32_t part_begin;    ///< [part_begin, part_end) into exec_parts_.
-    uint32_t part_end;
-    int32_t run_len = 1;    ///< >1: fused run head; 0: run member (skip).
-    RunKind run_kind = RunKind::kScalarSuffix;
+  struct Step {
+    StepKind kind;
+    int16_t view = -1;
+    int32_t dst = 0;
+    int32_t src = 0;
+    int32_t off = 0;
+    int32_t len = 0;
   };
-  struct WriteOp {
-    const GroupPlan::Write* write;  ///< Keyed path (entry_slots).
+  /// One level's steps: [entry, exit) run when a value binds (alphas),
+  /// [exit, end) when it is left (betas, then writes).
+  struct LevelSteps {
+    uint32_t entry = 0;
+    uint32_t exit = 0;
+    uint32_t end = 0;
+  };
+  /// Where one output key component comes from: the bound value of
+  /// `level`, or (col != nullptr) column `col` of the key view whose
+  /// odometer cursor is `cursor`. Resolved once at lowering.
+  struct KeyComp {
+    int32_t level = 0;
+    int32_t cursor = 0;
+    const int64_t* col = nullptr;
+  };
+  /// A write through its output's key views (also the ablation's leaf
+  /// writes); `pcols` indexes keyed_pcols_, one entry payload column per
+  /// key view.
+  struct KeyedWrite {
     int32_t output;
     int32_t slot;
-    int32_t alpha;
-    uint8_t suffix_kind;
-    int32_t suffix_index;
-    bool keyed;  ///< True when the output iterates key-view entry ranges.
+    int32_t alpha;  ///< vals_ index.
+    int32_t suffix; ///< vals_ index.
+    uint32_t pcols;
   };
   /// @}
 
@@ -232,19 +286,15 @@ class GroupExecutor {
   /// unit-stride products over those columns, and emits the hoisted
   /// non-factorized leaf writes.
   void LeafLoop(const Range& range);
-  void EvalAlphas(int level);
-  void AccumulateBetas(int level);
-  void WriteOutputs(int level);
+  /// Runs steps_[begin, end) at `level`.
+  void RunSteps(uint32_t begin, uint32_t end, int level);
   double EvalExecPart(const ExecPart& part);
-  double SuffixValue(uint8_t kind, int32_t index) const;
   /// Entry range of a view at (or below) its bound level.
   Range ViewRangeAt(int view_index, int level) const;
-  /// Shared tail of keyed WriteOutputs / the batched leaf writes: upserts
-  /// `base` (times the key views' entry payload products) into the output,
-  /// iterating the cross product of the key views' entry ranges at `level`.
-  void EmitKeyedWrite(const GroupPlan::OutputInfo& o, int output, int slot,
-                      const std::vector<int>& entry_slots, double base,
-                      int level);
+  /// Upserts `base` (times the key views' entry payload products) into
+  /// `w`'s output, iterating the cross product of the key views' entry
+  /// ranges at `level`.
+  void EmitKeyedWrite(const KeyedWrite& w, double base, int level);
   /// Whole-range write of one non-factorized ablation aggregate: the
   /// per-row factor product is pre-summed over the leaf range (scratch
   /// columns), so the write runs once per range instead of once per row.
@@ -252,10 +302,8 @@ class GroupExecutor {
   /// Sum over the current leaf run of the product of the given scratch
   /// columns (empty = the run length, i.e. the tuple count).
   double ScratchProductSum(const std::vector<int>& kernel_ids, size_t rows);
-  /// Detects fused kPayload runs in each level's beta slice (lowering-time
-  /// pass over beta_ops_; see RunKind). The fused loops are bit-identical
-  /// to the op-at-a-time scan.
-  void FuseBetaRuns();
+  /// Lowers the plan's registers and writes into steps_ (constructor).
+  void LowerLevelProgram(const ParamPack* params);
 
   const GroupPlan& plan_;
   const Relation& relation_;
@@ -291,20 +339,13 @@ class GroupExecutor {
   // view_range_[v * level_stride_ + l]: view v's range at level l.
   std::vector<Range> view_range_;
   std::vector<int64_t> bound_;                  // per level 1..L
-  std::vector<double> alpha_vals_;
-  std::vector<double> beta_vals_;
-  std::vector<double> leaf_vals_;
+  // The value file (see the level program docs).
+  std::vector<double> vals_;
   std::vector<ViewMap*> outputs_;
-  // Cached payload pointer to the bound entry of each single-entry view
-  // (set when it binds): slot s of view v is ptr[s * sstride] — one load
-  // off the cached pointer for row-major views (stride 1), a strided read
-  // for a borrowed columnar frozen view. Pointer and stride share one
-  // 16-byte entry so a kViewPayload eval touches a single cache line.
-  struct PayloadRef {
-    const double* ptr = nullptr;
-    size_t sstride = 0;
-  };
-  std::vector<PayloadRef> view_payload_cache_;
+  // Payload of the bound entry of each single-entry view (set when it
+  // binds); slot s sits at offset s * payload_slot_stride, which the
+  // lowering folds into each step's offsets.
+  std::vector<const double*> bound_payload_;
   // Scratch for key-view entry iteration (no per-write allocation).
   std::vector<size_t> entry_cursor_;
   std::vector<Range> write_ranges_;
@@ -320,17 +361,31 @@ class GroupExecutor {
   };
   std::vector<RangeSumCache> range_sum_cache_;
 
-  // Flattened register program (see the struct docs above).
+  // The level program (see the struct docs above).
   std::vector<ExecPart> exec_parts_;
-  std::vector<RegOp> alpha_ops_;
-  std::vector<RegOp> beta_ops_;
-  std::vector<WriteOp> write_ops_;
-  // Per level 0..L: [begin, end) slices of the op arrays.
-  std::vector<uint32_t> alpha_level_begin_;
-  std::vector<uint32_t> beta_level_begin_;
-  std::vector<uint32_t> write_level_begin_;
-  // Per leaf write: its parts as an exec_parts_ slice.
+  std::vector<Step> steps_;
+  std::vector<LevelSteps> level_steps_;  // per level 0..L
+  // Gather spans' structure-of-arrays operands (StepKind docs).
+  std::vector<int32_t> gather_dst_;
+  std::vector<int32_t> gather_off_;
+  std::vector<int32_t> gather_src_;
+  // vals_ layout: leaf sums at [1, beta_base_), betas from beta_base_,
+  // alphas from alpha_base_; level l's betas at
+  // [beta_level_begin_[l], beta_level_begin_[l + 1]).
+  int32_t beta_base_ = 0;
+  int32_t alpha_base_ = 0;
+  std::vector<int32_t> beta_level_begin_;
+  // Per output: its key components at
+  // key_comps_[output_key_begin_[o], output_key_begin_[o + 1]).
+  std::vector<KeyComp> key_comps_;
+  std::vector<uint32_t> output_key_begin_;
+  std::vector<KeyedWrite> keyed_writes_;
+  std::vector<const double*> keyed_pcols_;
+  // Per leaf write: its parts as an exec_parts_ slice, and its keyed write.
   std::vector<std::pair<uint32_t, uint32_t>> leaf_write_parts_;
+  std::vector<KeyedWrite> leaf_keyed_writes_;
+  // Why the plan cannot run (Validate), found while lowering.
+  Status lowering_status_;
 
   // Batched leaf evaluation: one kind-specialized kernel per distinct
   // (column, function) leaf factor, its scratch column, and per
