@@ -1,5 +1,6 @@
 #include "engine/codegen.h"
 
+#include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
@@ -95,7 +96,7 @@ const char* IndicatorOpStr(FunctionKind kind) {
 }
 
 /// Binary-search helpers every emitted loop nest uses. Emitted once per
-/// translation unit (standalone program or runtime batch).
+/// translation unit.
 const char kSearchHelpers[] =
     "static inline size_t seek(const int64_t* a, size_t lo, size_t hi, "
     "int64_t v) {\n"
@@ -132,53 +133,45 @@ const char kSumRangeHelper[] =
     "  return (s0 + s1) + (s2 + s3);\n"
     "}\n";
 
+/// A double as a C++ literal. Finite values print with %.17g, which round-
+/// trips; non-finite ones, which %.17g prints as the non-C++ `inf`/`nan`,
+/// become compiler builtins.
+std::string DoubleLiteral(double v) {
+  if (std::isnan(v)) return "__builtin_nan(\"\")";
+  if (std::isinf(v)) return v > 0 ? "__builtin_inf()" : "(-__builtin_inf())";
+  return StringPrintf("%.17g", v);
+}
+
 /// Emits one dictionary function definition as a dense switch table.
 void EmitDictDefinition(std::ostringstream& out, const std::string& symbol,
-                        const FunctionDict& d, bool internal_linkage) {
-  out << (internal_linkage ? "static " : "") << "double " << symbol
-      << "(double x) {\n";
+                        const FunctionDict& d) {
+  out << "static double " << symbol << "(double x) {\n";
   out << "  switch (static_cast<int64_t>(x)) {\n";
   for (const auto& [k, v] : d.table) {
-    out << "    case " << k << "ll: return " << StringPrintf("%.17g", v)
-        << ";\n";
+    out << "    case " << k << "ll: return " << DoubleLiteral(v) << ";\n";
   }
-  out << "    default: return " << StringPrintf("%.17g", d.default_value)
+  out << "    default: return " << DoubleLiteral(d.default_value)
       << ";\n  }\n}\n\n";
 }
 
-/// Emitter for one group's function.
+/// Emitter for one group's function, `extern "C" lmfao_jit_group_<id>`.
 ///
-/// Two modes share the entire loop-nest / register / write lowering — the
-/// core emits against local aliases (rel_<attr>, v<N>_size / _k<C> /
-/// _payload / _estride / _sstride, par<K>, up<O>) that only the per-mode
-/// prologue binds differently:
+/// The loop-nest / register / write lowering emits against local aliases
+/// (rel_<attr>, v<N>_size / _k<C> / _payload / _estride / _sstride, par<K>,
+/// up<O>) that the prologue binds to the LmfaoJitInput ABI struct (jit.h):
+/// payload strides come from the view descriptors so row-major and
+/// borrowed-columnar layouts both work; writes go through the host upsert
+/// callback; parameterized thresholds read the dense params array.
 ///
-///   - kStandalone: the offline validator form. Aliases read the embedded
-///     `Input` struct; payload strides are compile-time constants; writes go
-///     to std::unordered_map outputs; function parameters are rejected
-///     (standalone programs bake constants in).
-///   - kRuntime: the JIT form (`extern "C" lmfao_jit_group_<id>`). Aliases
-///     read the LmfaoJitInput ABI struct (jit.h); payload strides come from
-///     the view descriptors so row-major and borrowed-columnar layouts both
-///     work; writes go through the host upsert callback; parameterized
-///     thresholds read the dense params array.
-///
-/// Both modes scan rows [0, rel_rows): the host passes a domain-shard block
-/// or split slice as a shorter relation (columns offset to its first row),
-/// so the emitted code knows nothing of shards.
-///
-/// Because the body text is produced by one code path, the offline
-/// validator and the runtime JIT cannot drift.
+/// The function scans rows [0, rel_rows): the host passes a domain-shard
+/// block or split slice as a shorter relation (columns offset to its first
+/// row), so the emitted code knows nothing of shards.
 class GroupEmitter {
  public:
-  enum class Mode { kStandalone, kRuntime };
-
-  GroupEmitter(Mode mode, const GroupPlan& plan, const Workload& workload,
+  GroupEmitter(const GroupPlan& plan, const Workload& workload,
                const Catalog& catalog,
-               const std::map<const FunctionDict*, std::string>* dict_syms =
-                   nullptr)
-      : mode_(mode),
-        plan_(plan),
+               const std::map<const FunctionDict*, std::string>& dict_syms)
+      : plan_(plan),
         workload_(workload),
         catalog_(catalog),
         rel_(catalog.relation(plan.node)),
@@ -194,7 +187,6 @@ class GroupEmitter {
   std::string EmitFunction() {
     std::ostringstream out;
     EmitHeaderComment(out);
-    if (mode_ == Mode::kStandalone) EmitStructs(out);
     EmitBody(out);
     return out.str();
   }
@@ -202,8 +194,7 @@ class GroupEmitter {
   const std::vector<int>& used_cols() const { return used_cols_; }
   const std::vector<ParamId>& param_order() const { return param_order_; }
   std::string Symbol() const {
-    return (mode_ == Mode::kRuntime ? "lmfao_jit_group_" : "lmfao_group_") +
-           std::to_string(plan_.group_id);
+    return "lmfao_jit_group_" + std::to_string(plan_.group_id);
   }
 
  private:
@@ -228,95 +219,15 @@ class GroupEmitter {
   }
 
   std::string DictSymbol(const FunctionDict* d) const {
-    if (mode_ == Mode::kRuntime) {
-      LMFAO_CHECK(dict_syms_ != nullptr);
-      const auto it = dict_syms_->find(d);
-      LMFAO_CHECK(it != dict_syms_->end());
-      return it->second;
-    }
-    return "dict_" + d->name;
+    const auto it = dict_syms_.find(d);
+    LMFAO_CHECK(it != dict_syms_.end());
+    return it->second;
   }
 
   std::string ParamVar(ParamId id) const {
     const auto it = param_dense_.find(id);
     LMFAO_CHECK(it != param_dense_.end());
     return "par" + std::to_string(it->second);
-  }
-
-  void EmitStructs(std::ostringstream& out) {
-    std::set<int> arities;
-    for (const auto& o : plan_.outputs) {
-      if (!o.key_sources.empty()) {
-        arities.insert(static_cast<int>(o.key_sources.size()));
-      }
-    }
-    for (int n : arities) {
-      out << "using Key" << n << " = std::array<int64_t, " << n << ">;\n";
-    }
-    if (!arities.empty()) {
-      out << "struct KeyHash {\n"
-          << "  template <size_t N>\n"
-          << "  size_t operator()(const std::array<int64_t, N>& k) const {\n"
-          << "    size_t h = 1469598103934665603ull;\n"
-          << "    for (int64_t v : k) {\n"
-          << "      h ^= static_cast<size_t>(v);\n"
-          << "      h *= 1099511628211ull;\n"
-          << "    }\n"
-          << "    return h;\n"
-          << "  }\n"
-          << "};\n";
-    }
-    for (const FunctionDict* d : UsedDicts(plan_)) {
-      out << "double dict_" << d->name << "(double x);\n";
-    }
-    out << "\nstruct Input {\n";
-    out << "  size_t rel_rows;\n";
-    for (int col : used_cols_) {
-      const AttrInfo& info = catalog_.attr(rel_.schema().attr(col));
-      out << "  const "
-          << (info.type == AttrType::kInt ? "int64_t" : "double") << "* rel_"
-          << info.name << ";\n";
-    }
-    for (size_t v = 0; v < plan_.incoming.size(); ++v) {
-      const auto& in = plan_.incoming[v];
-      out << "  // incoming view V" << in.view << " (width " << in.width
-          << (in.IsMultiEntry() ? ", multi-entry" : "") << ")\n";
-      out << "  size_t v" << v << "_size;\n";
-      const ViewInfo& vinfo = workload_.view(in.view);
-      for (int c = 0; c < ViewArity(in); ++c) {
-        const int canonical =
-            c < static_cast<int>(in.key_perm.size())
-                ? in.key_perm[static_cast<size_t>(c)]
-                : in.extra_perm[static_cast<size_t>(c) - in.key_perm.size()];
-        out << "  const int64_t* v" << v << "_k" << c << ";  // "
-            << catalog_.attr(vinfo.key[static_cast<size_t>(canonical)]).name
-            << "\n";
-      }
-      if (in.IsMultiEntry()) {
-        out << "  // columnar payload: slot s is v" << v << "_payload[s * v"
-            << v << "_size + i] (range sums scan unit-stride)\n";
-      } else {
-        out << "  // row-major payload: slot s is v" << v << "_payload[i * "
-            << in.width << " + s] (single-entry reads share cache lines)\n";
-      }
-      out << "  const double* v" << v << "_payload;\n";
-    }
-    out << "};\n\nstruct Output {\n";
-    for (size_t o = 0; o < plan_.outputs.size(); ++o) {
-      const auto& info = plan_.outputs[o];
-      if (info.key_sources.empty()) {
-        out << "  std::array<double, " << info.width << "> o" << o
-            << "{};  // " << OutputName(static_cast<int>(o)) << "\n";
-      } else {
-        out << "  std::unordered_map<Key" << info.key_sources.size()
-            << ", std::array<double, " << info.width << ">, KeyHash> o" << o
-            << ";  // " << OutputName(static_cast<int>(o)) << "\n";
-      }
-    }
-    out << "};\n\n";
-    out << kSearchHelpers;
-    out << kSumRangeHelper;
-    out << "\n";
   }
 
   std::string OutputName(int o) const {
@@ -351,10 +262,7 @@ class GroupEmitter {
     }
   }
 
-  /// The C++ expression of one unary factor applied to `arg`. Shared
-  /// across modes; parameterized thresholds are only legal in runtime
-  /// mode (standalone programs bake constants in, like Function::
-  /// CodegenExpr).
+  /// The C++ expression of one unary factor applied to `arg`.
   std::string FactorExpr(const Function& fn, const std::string& arg) const {
     switch (fn.kind()) {
       case FunctionKind::kIdentity:
@@ -364,15 +272,9 @@ class GroupEmitter {
       case FunctionKind::kDictionary:
         return DictSymbol(fn.dict().get()) + "(" + arg + ")";
       default: {
-        std::string threshold;
-        if (fn.IsParameterized()) {
-          LMFAO_CHECK(mode_ == Mode::kRuntime)
-              << "parameterized function reached standalone codegen; "
-                 "Resolve() it first";
-          threshold = ParamVar(fn.param());
-        } else {
-          threshold = StringPrintf("%.17g", fn.threshold());
-        }
+        const std::string threshold = fn.IsParameterized()
+                                          ? ParamVar(fn.param())
+                                          : DoubleLiteral(fn.threshold());
         return "((" + arg + " " + IndicatorOpStr(fn.kind()) + " " +
                threshold + ") ? 1.0 : 0.0)";
       }
@@ -421,110 +323,50 @@ class GroupEmitter {
     for (int i = 0; i < depth; ++i) out << "  ";
   }
 
-  /// The per-mode prologue: binds every alias the shared body reads.
+  /// The prologue: binds every alias the body reads.
   void EmitAliases(std::ostringstream& out) {
-    if (mode_ == Mode::kStandalone) {
-      out << "  const size_t rel_rows = in.rel_rows; (void)rel_rows;\n";
-      for (int col : used_cols_) {
-        const AttrInfo& info = catalog_.attr(rel_.schema().attr(col));
-        out << "  const "
-            << (info.type == AttrType::kInt ? "int64_t" : "double")
-            << "* rel_" << info.name << " = in.rel_" << info.name
-            << "; (void)rel_" << info.name << ";\n";
+    out << "  const size_t rel_rows = static_cast<size_t>(in->rel_rows); "
+           "(void)rel_rows;\n";
+    for (size_t i = 0; i < used_cols_.size(); ++i) {
+      const AttrInfo& info = catalog_.attr(rel_.schema().attr(used_cols_[i]));
+      const char* type = info.type == AttrType::kInt ? "int64_t" : "double";
+      out << "  const " << type << "* rel_" << info.name
+          << " = static_cast<const " << type << "*>(in->rel_cols[" << i
+          << "]); (void)rel_" << info.name << ";\n";
+    }
+    for (size_t v = 0; v < plan_.incoming.size(); ++v) {
+      const auto& in = plan_.incoming[v];
+      out << "  const size_t v" << v << "_size = "
+          << "static_cast<size_t>(in->views[" << v << "].size); (void)v" << v
+          << "_size;\n";
+      for (int c = 0; c < ViewArity(in); ++c) {
+        out << "  const int64_t* v" << v << "_k" << c << " = in->views[" << v
+            << "].keys[" << c << "]; (void)v" << v << "_k" << c << ";\n";
       }
-      for (size_t v = 0; v < plan_.incoming.size(); ++v) {
-        const auto& in = plan_.incoming[v];
-        out << "  const size_t v" << v << "_size = in.v" << v
-            << "_size; (void)v" << v << "_size;\n";
-        for (int c = 0; c < ViewArity(in); ++c) {
-          out << "  const int64_t* v" << v << "_k" << c << " = in.v" << v
-              << "_k" << c << "; (void)v" << v << "_k" << c << ";\n";
-        }
-        out << "  const double* v" << v << "_payload = in.v" << v
-            << "_payload; (void)v" << v << "_payload;\n";
-        // Compile-time strides: columnar for multi-entry embedded data,
-        // row-major otherwise (mirrors GenerateStandaloneProgram's dump).
-        if (in.IsMultiEntry()) {
-          out << "  const size_t v" << v << "_estride = 1; (void)v" << v
-              << "_estride;\n";
-          out << "  const size_t v" << v << "_sstride = v" << v
-              << "_size; (void)v" << v << "_sstride;\n";
-        } else {
-          out << "  const size_t v" << v << "_estride = " << in.width
-              << "; (void)v" << v << "_estride;\n";
-          out << "  const size_t v" << v << "_sstride = 1; (void)v" << v
-              << "_sstride;\n";
-        }
-      }
-      for (size_t o = 0; o < plan_.outputs.size(); ++o) {
-        const auto& info = plan_.outputs[o];
-        if (info.key_sources.empty()) {
-          out << "  auto up" << o
-              << " = [&](const int64_t*) -> double* { return out.o" << o
-              << ".data(); }; (void)up" << o << ";\n";
-        } else {
-          out << "  auto up" << o
-              << " = [&](const int64_t* k) -> double* { return out.o" << o
-              << "[Key" << info.key_sources.size() << "{";
-          for (size_t i = 0; i < info.key_sources.size(); ++i) {
-            if (i > 0) out << ", ";
-            out << "k[" << i << "]";
-          }
-          out << "}].data(); }; (void)up" << o << ";\n";
-        }
-      }
-    } else {
-      out << "  const size_t rel_rows = static_cast<size_t>(in->rel_rows); "
-             "(void)rel_rows;\n";
-      for (size_t i = 0; i < used_cols_.size(); ++i) {
-        const AttrInfo& info =
-            catalog_.attr(rel_.schema().attr(used_cols_[i]));
-        const char* type =
-            info.type == AttrType::kInt ? "int64_t" : "double";
-        out << "  const " << type << "* rel_" << info.name
-            << " = static_cast<const " << type << "*>(in->rel_cols[" << i
-            << "]); (void)rel_" << info.name << ";\n";
-      }
-      for (size_t v = 0; v < plan_.incoming.size(); ++v) {
-        const auto& in = plan_.incoming[v];
-        out << "  const size_t v" << v << "_size = "
-            << "static_cast<size_t>(in->views[" << v << "].size); (void)v"
-            << v << "_size;\n";
-        for (int c = 0; c < ViewArity(in); ++c) {
-          out << "  const int64_t* v" << v << "_k" << c << " = in->views["
-              << v << "].keys[" << c << "]; (void)v" << v << "_k" << c
-              << ";\n";
-        }
-        out << "  const double* v" << v << "_payload = in->views[" << v
-            << "].payload; (void)v" << v << "_payload;\n";
-        out << "  const size_t v" << v << "_estride = "
-            << "static_cast<size_t>(in->views[" << v
-            << "].entry_stride); (void)v" << v << "_estride;\n";
-        out << "  const size_t v" << v << "_sstride = "
-            << "static_cast<size_t>(in->views[" << v
-            << "].slot_stride); (void)v" << v << "_sstride;\n";
-      }
-      for (size_t i = 0; i < param_order_.size(); ++i) {
-        out << "  const double par" << i << " = in->params[" << i
-            << "]; (void)par" << i << ";\n";
-      }
-      for (size_t o = 0; o < plan_.outputs.size(); ++o) {
-        out << "  auto up" << o
-            << " = [&](const int64_t* k) -> double* { return "
-               "out->upsert(out->ctx, "
-            << o << ", k); }; (void)up" << o << ";\n";
-      }
+      out << "  const double* v" << v << "_payload = in->views[" << v
+          << "].payload; (void)v" << v << "_payload;\n";
+      out << "  const size_t v" << v << "_estride = "
+          << "static_cast<size_t>(in->views[" << v
+          << "].entry_stride); (void)v" << v << "_estride;\n";
+      out << "  const size_t v" << v << "_sstride = "
+          << "static_cast<size_t>(in->views[" << v
+          << "].slot_stride); (void)v" << v << "_sstride;\n";
+    }
+    for (size_t i = 0; i < param_order_.size(); ++i) {
+      out << "  const double par" << i << " = in->params[" << i
+          << "]; (void)par" << i << ";\n";
+    }
+    for (size_t o = 0; o < plan_.outputs.size(); ++o) {
+      out << "  auto up" << o
+          << " = [&](const int64_t* k) -> double* { return "
+             "out->upsert(out->ctx, "
+          << o << ", k); }; (void)up" << o << ";\n";
     }
   }
 
   void EmitBody(std::ostringstream& out) {
-    if (mode_ == Mode::kStandalone) {
-      out << "void lmfao_group_" << plan_.group_id
-          << "(const Input& in, Output& out) {\n";
-    } else {
-      out << "extern \"C\" void " << Symbol()
-          << "(const LmfaoJitInput* in, LmfaoJitOutput* out) {\n";
-    }
+    out << "extern \"C\" void " << Symbol()
+        << "(const LmfaoJitInput* in, LmfaoJitOutput* out) {\n";
     EmitAliases(out);
     for (size_t a = 0; a < plan_.alphas.size(); ++a) {
       out << "  double alpha" << a << " = 0.0; (void)alpha" << a << ";\n";
@@ -885,30 +727,17 @@ class GroupEmitter {
     }
   }
 
-  const Mode mode_;
   const GroupPlan& plan_;
   const Workload& workload_;
   const Catalog& catalog_;
   const Relation& rel_;
-  const std::map<const FunctionDict*, std::string>* dict_syms_;
+  const std::map<const FunctionDict*, std::string>& dict_syms_;
   std::vector<int> used_cols_;
   std::vector<ParamId> param_order_;
   std::map<ParamId, int> param_dense_;
 };
 
-std::string EmitPreamble() {
-  return "#include <array>\n#include <cstddef>\n#include <cstdint>\n"
-         "#include <unordered_map>\n\n";
-}
-
 }  // namespace
-
-std::string GenerateGroupCode(const GroupPlan& plan, const Workload& workload,
-                              const Catalog& catalog) {
-  GroupEmitter emitter(GroupEmitter::Mode::kStandalone, plan, workload,
-                       catalog);
-  return EmitPreamble() + emitter.EmitFunction();
-}
 
 StatusOr<RuntimeBatchCode> GenerateRuntimeBatchCode(
     const std::vector<GroupPlan>& plans, const Workload& workload,
@@ -951,14 +780,13 @@ StatusOr<RuntimeBatchCode> GenerateRuntimeBatchCode(
       if (dict_syms.count(d) != 0) continue;
       std::string symbol =
           "dict_" + std::to_string(dict_syms.size()) + "_" + d->name;
-      EmitDictDefinition(out, symbol, *d, /*internal_linkage=*/true);
+      EmitDictDefinition(out, symbol, *d);
       dict_syms.emplace(d, std::move(symbol));
     }
   }
   RuntimeBatchCode code;
   for (const GroupPlan& plan : plans) {
-    GroupEmitter emitter(GroupEmitter::Mode::kRuntime, plan, workload,
-                         catalog, &dict_syms);
+    GroupEmitter emitter(plan, workload, catalog, dict_syms);
     out << emitter.EmitFunction() << "\n";
     RuntimeGroupMeta meta;
     meta.group_id = plan.group_id;
@@ -969,124 +797,6 @@ StatusOr<RuntimeBatchCode> GenerateRuntimeBatchCode(
   }
   code.source = out.str();
   return code;
-}
-
-StatusOr<std::string> GenerateStandaloneProgram(
-    const GroupPlan& plan, const Workload& workload, const Catalog& catalog,
-    const Relation& sorted_relation,
-    const std::vector<const ConsumedView*>& views) {
-  if (views.size() != plan.incoming.size()) {
-    return Status::InvalidArgument("codegen: view count mismatch");
-  }
-  std::ostringstream out;
-  out << "#include <cstdio>\n";
-  out << EmitPreamble();
-
-  for (const FunctionDict* d : UsedDicts(plan)) {
-    EmitDictDefinition(out, "dict_" + d->name, *d,
-                       /*internal_linkage=*/false);
-  }
-
-  const std::set<int> cols = UsedColumns(plan);
-  for (int col : cols) {
-    const AttrInfo& info = catalog.attr(sorted_relation.schema().attr(col));
-    const Column& c = sorted_relation.column(col);
-    if (info.type == AttrType::kInt) {
-      out << "static const int64_t data_rel_" << info.name << "[] = {";
-      for (size_t i = 0; i < sorted_relation.num_rows(); ++i) {
-        if (i > 0) out << ",";
-        out << c.ints()[i] << "ll";
-      }
-      out << "};\n";
-    } else {
-      out << "static const double data_rel_" << info.name << "[] = {";
-      for (size_t i = 0; i < sorted_relation.num_rows(); ++i) {
-        if (i > 0) out << ",";
-        out << StringPrintf("%.17g", c.doubles()[i]);
-      }
-      out << "};\n";
-    }
-  }
-  for (size_t v = 0; v < views.size(); ++v) {
-    const ConsumedView* cv = views[v];
-    const auto& in = plan.incoming[v];
-    const int arity =
-        static_cast<int>(in.key_perm.size() + in.extra_perm.size());
-    for (int c = 0; c < arity; ++c) {
-      out << "static const int64_t data_v" << v << "_k" << c << "[] = {";
-      const int64_t* col = cv->col(c);
-      for (size_t i = 0; i < cv->size; ++i) {
-        if (i > 0) out << ",";
-        out << col[i] << "ll";
-      }
-      if (cv->size == 0) out << "0ll";
-      out << "};\n";
-    }
-    // Payload dump in the layout the emitted code indexes with: slot-major
-    // for multi-entry views, entry-major otherwise (converted from the
-    // consumed view's own strides if a borrowed frozen view differs).
-    out << "static const double data_v" << v << "_payload[] = {";
-    const size_t w = static_cast<size_t>(cv->width);
-    const size_t payload_count = cv->size * w;
-    const bool columnar = in.IsMultiEntry();
-    for (size_t i = 0; i < payload_count; ++i) {
-      const size_t entry = columnar ? i % cv->size : i / w;
-      const int slot = static_cast<int>(columnar ? i / cv->size : i % w);
-      if (i > 0) out << ",";
-      out << StringPrintf("%.17g", cv->payload_at(entry, slot));
-    }
-    if (payload_count == 0) out << "0.0";
-    out << "};\n";
-  }
-  out << "\n";
-
-  GroupEmitter emitter(GroupEmitter::Mode::kStandalone, plan, workload,
-                       catalog);
-  out << emitter.EmitFunction();
-
-  out << "\nint main() {\n";
-  out << "  Input in{};\n";
-  out << "  in.rel_rows = " << sorted_relation.num_rows() << ";\n";
-  for (int col : cols) {
-    const AttrInfo& info = catalog.attr(sorted_relation.schema().attr(col));
-    out << "  in.rel_" << info.name << " = data_rel_" << info.name << ";\n";
-  }
-  for (size_t v = 0; v < views.size(); ++v) {
-    const auto& in = plan.incoming[v];
-    const int arity =
-        static_cast<int>(in.key_perm.size() + in.extra_perm.size());
-    out << "  in.v" << v << "_size = " << views[v]->size << ";\n";
-    for (int c = 0; c < arity; ++c) {
-      out << "  in.v" << v << "_k" << c << " = data_v" << v << "_k" << c
-          << ";\n";
-    }
-    out << "  in.v" << v << "_payload = data_v" << v << "_payload;\n";
-  }
-  out << "  Output out;\n";
-  out << "  lmfao_group_" << plan.group_id << "(in, out);\n";
-  for (size_t o = 0; o < plan.outputs.size(); ++o) {
-    const auto& info = plan.outputs[o];
-    if (info.key_sources.empty()) {
-      out << "  std::printf(\"output " << o << " entries=1\");\n";
-      out << "  for (int s = 0; s < " << info.width
-          << "; ++s) std::printf(\" %.17g\", out.o" << o << "[s]);\n";
-      out << "  std::printf(\"\\n\");\n";
-    } else {
-      out << "  {\n";
-      out << "    std::array<double, " << info.width << "> total{};\n";
-      out << "    for (const auto& kv : out.o" << o << ")\n";
-      out << "      for (int s = 0; s < " << info.width
-          << "; ++s) total[s] += kv.second[s];\n";
-      out << "    std::printf(\"output " << o << " entries=%zu\", out.o" << o
-          << ".size());\n";
-      out << "    for (int s = 0; s < " << info.width
-          << "; ++s) std::printf(\" %.17g\", total[s]);\n";
-      out << "  }\n";
-      out << "  std::printf(\"\\n\");\n";
-    }
-  }
-  out << "  return 0;\n}\n";
-  return out.str();
 }
 
 }  // namespace lmfao

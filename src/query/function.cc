@@ -7,7 +7,6 @@
 
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace lmfao {
 
@@ -155,22 +154,6 @@ std::string Function::ToString() const {
       out << ")";
       return out.str();
     }
-  }
-}
-
-std::string Function::CodegenExpr(const std::string& arg) const {
-  LMFAO_CHECK(param_ == kNoParam)
-      << "codegen requires resolved functions; Resolve() the batch first";
-  switch (kind_) {
-    case FunctionKind::kIdentity:
-      return arg;
-    case FunctionKind::kSquare:
-      return "(" + arg + " * " + arg + ")";
-    case FunctionKind::kDictionary:
-      return "dict_" + dict_->name + "(" + arg + ")";
-    default:
-      return StringPrintf("((%s %s %.17g) ? 1.0 : 0.0)", arg.c_str(),
-                          IndicatorOp(kind_), threshold_);
   }
 }
 

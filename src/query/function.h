@@ -164,11 +164,6 @@ class Function {
   /// Renders e.g. "id", "sq", "g[·]", "(x<=3.5)", "(x<=?p2)".
   std::string ToString() const;
 
-  /// The C++ expression the code generator emits for argument `arg`.
-  /// Parameterized functions must be Resolve()d before codegen (checked):
-  /// generated standalone programs bake constants in.
-  std::string CodegenExpr(const std::string& arg) const;
-
   /// True for indicator kinds.
   bool IsIndicator() const;
 

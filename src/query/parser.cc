@@ -1,6 +1,7 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -304,7 +305,21 @@ class Parser {
       return Status::InvalidArgument("expected number at " + Here() +
                                      ", got " + TokenDesc(Peek()));
     }
-    return std::strtod(tokens_[pos_++].text.c_str(), nullptr);
+    // The lexer takes any run of digits, '.', exponents and signs; the
+    // literal is well formed only if strtod consumes all of it.
+    const std::string& text = Peek().text;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size()) {
+      return Status::InvalidArgument("malformed number '" + text + "' at " +
+                                     Here());
+    }
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("number '" + text +
+                                     "' is out of range at " + Here());
+    }
+    ++pos_;
+    return value;
   }
 
   static StatusOr<FunctionKind> ComparisonOp(const std::string& op) {

@@ -1,23 +1,20 @@
 /// \file codegen_test.cc
-/// \brief Code Generation layer tests: structural checks on the emitted
-/// C++, and an integration test that compiles AND runs a standalone
-/// generated program, comparing its printed results with the interpreter.
+/// \brief Code Generation layer tests: structural checks on the runtime
+/// translation unit GenerateRuntimeBatchCode emits. That the unit compiles
+/// and computes what the interpreter computes is pinned by jit_test (which
+/// loads and runs it) and by the codegen_dump_compiles ctest (which
+/// compiles it where the JIT is off).
 
 #include "engine/codegen.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <limits>
+#include <regex>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "data/favorita.h"
 #include "engine/engine.h"
-#include "engine/executor.h"
-#include "storage/sort.h"
-#include "util/csv.h"
-#include "util/string_util.h"
 
 namespace lmfao {
 namespace {
@@ -37,167 +34,110 @@ class CodegenTest : public ::testing::Test {
     compiled_ = std::make_unique<CompiledBatch>(std::move(compiled).value());
   }
 
+  std::string Generate(const std::vector<GroupPlan>& plans) {
+    auto code =
+        GenerateRuntimeBatchCode(plans, compiled_->workload, data_->catalog);
+    EXPECT_TRUE(code.ok()) << code.status().ToString();
+    return code.ok() ? code->source : "";
+  }
+
   std::unique_ptr<FavoritaData> data_;
   std::unique_ptr<CompiledBatch> compiled_;
 };
 
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
 TEST_F(CodegenTest, EmitsLoopNestAndRegisters) {
   // The Fig. 3 group: Q1, Q2, V_{S->I} over Sales.
-  for (size_t g = 0; g < compiled_->plans.size(); ++g) {
-    const GroupPlan& plan = compiled_->plans[g];
+  for (const GroupPlan& plan : compiled_->plans) {
     if (plan.node != data_->sales || plan.outputs.size() < 3) continue;
-    const std::string code =
-        GenerateGroupCode(plan, compiled_->workload, data_->catalog);
+    const std::string code = Generate({plan});
     EXPECT_NE(code.find("// level 1: item"), std::string::npos);
     EXPECT_NE(code.find("// level 2: date"), std::string::npos);
     EXPECT_NE(code.find("// level 3: store"), std::string::npos);
-    EXPECT_NE(code.find("alpha0"), std::string::npos);
-    EXPECT_NE(code.find("beta0"), std::string::npos);
-    EXPECT_NE(code.find("struct Input"), std::string::npos);
-    EXPECT_NE(code.find("struct Output"), std::string::npos);
-    EXPECT_NE(code.find("lmfao_group_"), std::string::npos);
+    EXPECT_NE(code.find("double alpha0"), std::string::npos);
+    EXPECT_NE(code.find("double beta0"), std::string::npos);
+    EXPECT_NE(code.find("struct LmfaoJitInput"), std::string::npos);
+    EXPECT_NE(code.find("extern \"C\" void lmfao_jit_group_" +
+                        std::to_string(plan.group_id) +
+                        "(const LmfaoJitInput* in, LmfaoJitOutput* out)"),
+              std::string::npos);
     return;
   }
   FAIL() << "Fig. 3 group not found";
 }
 
-TEST_F(CodegenTest, EmitsDictionaryDeclarations) {
-  // Q2 uses g(item)*h(date): the group rooted at Sales references them.
-  bool found = false;
+TEST_F(CodegenTest, OneFunctionPerGroupWithMatchingMeta) {
+  auto code = GenerateRuntimeBatchCode(compiled_->plans, compiled_->workload,
+                                       data_->catalog);
+  ASSERT_TRUE(code.ok()) << code.status().ToString();
+  ASSERT_EQ(code->groups.size(), compiled_->plans.size());
+  EXPECT_EQ(CountOf(code->source, "extern \"C\" void lmfao_jit_group_"),
+            compiled_->plans.size());
   for (size_t g = 0; g < compiled_->plans.size(); ++g) {
-    const std::string code = GenerateGroupCode(
-        compiled_->plans[g], compiled_->workload, data_->catalog);
-    if (code.find("double dict_g(double x);") != std::string::npos) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-/// Compiles and runs every group's standalone program, checking the printed
-/// per-output entry counts and slot totals against the interpreter.
-TEST_F(CodegenTest, StandaloneProgramsMatchInterpreter) {
-  const char* cxx = std::getenv("CXX");
-  const std::string compiler = cxx != nullptr ? cxx : "c++";
-  // Execute groups in topological order with the interpreter, keeping the
-  // produced maps so each group's consumed views are available.
-  std::vector<std::unique_ptr<ViewMap>> produced(
-      compiled_->workload.views.size());
-  for (int gid : compiled_->grouped.TopologicalOrder()) {
-    const ViewGroup& group =
-        compiled_->grouped.groups[static_cast<size_t>(gid)];
-    const GroupPlan& plan = compiled_->plans[static_cast<size_t>(gid)];
-    // Sorted relation copy.
-    Relation rel = data_->catalog.relation(group.node);
-    std::vector<AttrId> sub;
-    for (AttrId a : plan.attr_order) {
-      if (rel.schema().Contains(a)) sub.push_back(a);
-    }
-    if (!sub.empty()) ASSERT_TRUE(SortRelation(&rel, sub).ok());
-    // Consumed views.
-    std::vector<ConsumedView> consumed;
-    for (const auto& in : plan.incoming) {
-      consumed.push_back(
-          BuildConsumedView(*produced[static_cast<size_t>(in.view)], in));
-    }
-    std::vector<const ConsumedView*> consumed_ptrs;
-    for (const auto& cv : consumed) consumed_ptrs.push_back(&cv);
-    // Interpreter run.
-    std::vector<std::unique_ptr<ViewMap>> out_maps;
-    std::vector<ViewMap*> out_ptrs;
-    for (const auto& out : plan.outputs) {
-      const ViewInfo& info = compiled_->workload.view(out.view);
-      out_maps.push_back(std::make_unique<ViewMap>(
-          static_cast<int>(info.key.size()), out.width));
-      out_ptrs.push_back(out_maps.back().get());
-    }
-    GroupExecutor executor(plan, rel, consumed_ptrs);
-    ASSERT_TRUE(executor.Execute(out_ptrs).ok());
-
-    // Generated standalone program.
-    auto program = GenerateStandaloneProgram(plan, compiled_->workload,
-                                             data_->catalog, rel,
-                                             consumed_ptrs);
-    ASSERT_TRUE(program.ok()) << program.status().ToString();
-    const std::string dir = testing::TempDir();
-    const std::string src =
-        dir + "/lmfao_gen_" + std::to_string(gid) + ".cc";
-    const std::string bin = dir + "/lmfao_gen_" + std::to_string(gid);
-    ASSERT_TRUE(WriteFile(src, *program).ok());
-    const std::string compile_cmd =
-        compiler + " -std=c++20 -O1 -o " + bin + " " + src + " 2>&1";
-    FILE* pipe = popen(compile_cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string compile_output;
-    char buf[512];
-    while (fgets(buf, sizeof(buf), pipe) != nullptr) compile_output += buf;
-    ASSERT_EQ(pclose(pipe), 0) << "generated code failed to compile:\n"
-                               << compile_output << "\n"
-                               << *program;
-    // Run and capture.
-    pipe = popen((bin + " 2>&1").c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string run_output;
-    while (fgets(buf, sizeof(buf), pipe) != nullptr) run_output += buf;
-    ASSERT_EQ(pclose(pipe), 0);
-
-    // Expected lines from the interpreter results.
-    std::istringstream lines(run_output);
-    std::string line;
-    for (size_t o = 0; o < plan.outputs.size(); ++o) {
-      ASSERT_TRUE(std::getline(lines, line)) << run_output;
-      std::istringstream fields(line);
-      std::string word;
-      fields >> word;  // "output"
-      int index = -1;
-      fields >> index;
-      ASSERT_EQ(index, static_cast<int>(o));
-      fields >> word;  // entries=N
-      const size_t entries = std::stoul(word.substr(word.find('=') + 1));
-      EXPECT_EQ(entries, std::max<size_t>(out_maps[o]->size(),
-                                          plan.outputs[o].key_sources.empty()
-                                              ? 1
-                                              : out_maps[o]->size()))
-          << "group " << gid << " output " << o;
-      for (int s = 0; s < plan.outputs[o].width; ++s) {
-        double got = 0.0;
-        fields >> got;
-        double expected = 0.0;
-        out_maps[o]->ForEach([&](const TupleKey&, const double* payload) {
-          expected += payload[s];
-        });
-        EXPECT_NEAR(got, expected,
-                    1e-6 * std::max(1.0, std::fabs(expected)))
-            << "group " << gid << " output " << o << " slot " << s;
-      }
-    }
-    // Publish interpreter outputs for downstream groups.
-    for (size_t o = 0; o < plan.outputs.size(); ++o) {
-      produced[static_cast<size_t>(plan.outputs[o].view)] =
-          std::move(out_maps[o]);
-    }
-    std::remove(src.c_str());
-    std::remove(bin.c_str());
+    const RuntimeGroupMeta& meta = code->groups[g];
+    EXPECT_EQ(meta.group_id, compiled_->plans[g].group_id);
+    EXPECT_EQ(meta.symbol, "lmfao_jit_group_" + std::to_string(meta.group_id));
+    EXPECT_NE(code->source.find("void " + meta.symbol + "("),
+              std::string::npos);
   }
 }
 
-TEST_F(CodegenTest, StandaloneHandlesMultiEntryViews) {
-  // A batch with a travelling group-by attribute produces multi-entry views;
-  // the generated code must still compile.
+TEST_F(CodegenTest, InternsDictionaryDefinitions) {
+  // Q2 uses g(item)*h(date): each distinct dictionary becomes one static
+  // switch table named dict_<n>_<name>, defined once per unit however many
+  // groups call it.
+  const std::string code = Generate(compiled_->plans);
+  for (const char* name : {"g", "h"}) {
+    const std::regex def(std::string("static double (dict_[0-9]+_") + name +
+                         ")\\(double x\\) \\{");
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(code, m, def)) << name;
+    const std::string symbol = m[1];
+    EXPECT_EQ(CountOf(code, "static double " + symbol + "("), 1u) << symbol;
+    EXPECT_GT(CountOf(code, symbol + "("), 1u) << symbol << " never called";
+  }
+}
+
+/// Non-finite thresholds print as compiler builtins: `%.17g` would print
+/// `inf` or `nan`, which are not C++, and one such literal would fail the
+/// whole batch's module.
+TEST_F(CodegenTest, NonFiniteThresholdsAreCxxLiterals) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   QueryBatch batch;
   Query q;
-  q.name = "travel";
-  q.group_by = {data_->stype, data_->item_class};
-  q.aggregates.push_back(Aggregate::Count());
-  q.root_hint = data_->items;
+  q.name = "inf";
+  q.group_by = {data_->store};
+  q.aggregates.push_back(Aggregate(
+      {Factor{data_->price, Function::Indicator(FunctionKind::kIndicatorLe,
+                                                inf)},
+       Factor{data_->units, Function::Indicator(FunctionKind::kIndicatorGt,
+                                                -inf)},
+       Factor{data_->txns, Function::Indicator(FunctionKind::kIndicatorNe,
+                                               nan)}}));
   batch.Add(std::move(q));
   Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
   auto compiled = engine.Compile(batch);
-  ASSERT_TRUE(compiled.ok());
-  for (const GroupPlan& plan : compiled->plans) {
-    const std::string code =
-        GenerateGroupCode(plan, compiled->workload, data_->catalog);
-    EXPECT_NE(code.find("lmfao_group_"), std::string::npos);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto code = GenerateRuntimeBatchCode(compiled->plans, compiled->workload,
+                                       data_->catalog);
+  ASSERT_TRUE(code.ok()) << code.status().ToString();
+  EXPECT_NE(code->source.find("<= __builtin_inf())"), std::string::npos)
+      << code->source;
+  EXPECT_NE(code->source.find("> (-__builtin_inf()))"), std::string::npos)
+      << code->source;
+  EXPECT_NE(code->source.find("!= __builtin_nan(\"\"))"), std::string::npos)
+      << code->source;
+  for (const char* bad : {" inf)", " -inf)", " nan)", " -nan)"}) {
+    EXPECT_EQ(code->source.find(bad), std::string::npos) << bad;
   }
 }
 

@@ -84,15 +84,6 @@ TEST(FunctionTest, ToString) {
             "(x<=3)");
 }
 
-TEST(FunctionTest, CodegenExpr) {
-  EXPECT_EQ(Function::Identity().CodegenExpr("x"), "x");
-  EXPECT_EQ(Function::Square().CodegenExpr("x"), "(x * x)");
-  const std::string ind =
-      Function::Indicator(FunctionKind::kIndicatorGt, 2.0).CodegenExpr("v");
-  EXPECT_NE(ind.find("v > 2"), std::string::npos);
-  EXPECT_NE(ind.find("? 1.0 : 0.0"), std::string::npos);
-}
-
 TEST(FunctionTest, ParameterizedIdentityIsTheSlot) {
   const Function p3 =
       Function::IndicatorParam(FunctionKind::kIndicatorLe, 3);

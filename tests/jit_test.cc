@@ -12,6 +12,7 @@
 #include <dirent.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -388,9 +389,76 @@ TEST(JitWorkloadTest, FavoritaExampleBatchMatchesInterpreter) {
   auto interp_result = interp_engine.Evaluate(batch);
   ASSERT_TRUE(jit_result.ok()) << jit_result.status().ToString();
   ASSERT_TRUE(interp_result.ok()) << interp_result.status().ToString();
-  EXPECT_GT(jit_result->stats.groups_jit, 0);
+  // Every group runs natively: the whole batch's unit compiles, and no
+  // group needs an interpreter fallback.
+  EXPECT_EQ(jit_result->stats.num_groups, 7);
+  EXPECT_EQ(jit_result->stats.groups_jit, jit_result->stats.num_groups);
+  EXPECT_EQ(jit_result->stats.degraded_groups, 0);
   ExpectResultsMatch(jit_result->results, interp_result->results, 1e-9,
                      "favorita example: jit vs interp");
+}
+
+/// A group-by attribute that travels up from Stores through Sales to the
+/// Items root: the groups consume multi-entry views (several entries per
+/// join key), whose writes open an odometer over the view's entry range.
+TEST(JitWorkloadTest, MultiEntryViewsMatchInterpreter) {
+  LMFAO_REQUIRE_JIT();
+  auto data = MakeFavorita(FavoritaOptions{.num_sales = 2000});
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  FavoritaData& db = **data;
+  QueryBatch batch;
+  Query q;
+  q.name = "travel";
+  q.group_by = {db.stype, db.item_class};
+  q.aggregates.push_back(Aggregate::Count());
+  q.root_hint = db.items;
+  batch.Add(std::move(q));
+
+  Engine jit_engine(&db.catalog, &db.tree, JitOptionsSync());
+  Engine interp_engine(&db.catalog, &db.tree, InterpOptions());
+  auto jit_result = jit_engine.Evaluate(batch);
+  auto interp_result = interp_engine.Evaluate(batch);
+  ASSERT_TRUE(jit_result.ok()) << jit_result.status().ToString();
+  ASSERT_TRUE(interp_result.ok()) << interp_result.status().ToString();
+  EXPECT_EQ(jit_result->stats.num_groups, 6);
+  EXPECT_EQ(jit_result->stats.groups_jit, jit_result->stats.num_groups);
+  EXPECT_EQ(jit_result->stats.degraded_groups, 0);
+  ExpectResultsMatch(jit_result->results, interp_result->results, 0.0,
+                     "multi-entry views: jit vs interp");
+}
+
+/// Non-finite thresholds (which the Function API accepts) emit as
+/// compiler builtins, so they neither fail the module nor push the batch
+/// back to the interpreter. Indicators make every sum a count: exact data.
+TEST(JitWorkloadTest, NonFiniteThresholdsCompile) {
+  LMFAO_REQUIRE_JIT();
+  auto data = MakeFavorita(FavoritaOptions{.num_sales = 2000});
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  FavoritaData& db = **data;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  QueryBatch batch;
+  Query q;
+  q.name = "inf";
+  q.group_by = {db.store};
+  q.aggregates.push_back(Aggregate(
+      {Factor{db.price, Function::Indicator(FunctionKind::kIndicatorLe, inf)},
+       Factor{db.units,
+              Function::Indicator(FunctionKind::kIndicatorGt, -inf)},
+       Factor{db.txns,
+              Function::Indicator(FunctionKind::kIndicatorNe, nan)}}));
+  batch.Add(std::move(q));
+
+  Engine jit_engine(&db.catalog, &db.tree, JitOptionsSync());
+  Engine interp_engine(&db.catalog, &db.tree, InterpOptions());
+  auto jit_result = jit_engine.Evaluate(batch);
+  auto interp_result = interp_engine.Evaluate(batch);
+  ASSERT_TRUE(jit_result.ok()) << jit_result.status().ToString();
+  ASSERT_TRUE(interp_result.ok()) << interp_result.status().ToString();
+  EXPECT_EQ(jit_engine.plan_cache_stats().jit_failures, 0u);
+  EXPECT_EQ(jit_result->stats.groups_jit, jit_result->stats.num_groups);
+  ExpectResultsMatch(jit_result->results, interp_result->results, 0.0,
+                     "non-finite thresholds: jit vs interp");
 }
 
 // --- Observability ------------------------------------------------------

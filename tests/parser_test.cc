@@ -166,6 +166,36 @@ TEST_F(ParserTest, MalformedQueriesReturnInvalidArgument) {
   }
 }
 
+/// A numeric literal must be consumed whole by strtod and be finite: a
+/// malformed or overflowing one is an error at its position, never a
+/// silently truncated threshold.
+TEST_F(ParserTest, MalformedNumericLiteralsRejected) {
+  const std::string prefix = "SELECT SUM(1) FROM D WHERE price <= ";
+  for (const char* literal : {"1.2.3", ".", "1e", "1e999"}) {
+    auto q = ParseQuery(prefix + literal, data_->catalog);
+    EXPECT_FALSE(q.ok()) << literal << " parsed";
+    if (q.ok()) continue;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << literal;
+    // The literal starts at offset 36: line 1, column 37.
+    EXPECT_NE(q.status().message().find("'" + std::string(literal) +
+                                        "'"),
+              std::string::npos)
+        << q.status().ToString();
+    EXPECT_NE(q.status().message().find("line 1, column 37"),
+              std::string::npos)
+        << q.status().ToString();
+  }
+  // Well-formed literals still parse to their value.
+  for (const auto& [literal, value] :
+       std::vector<std::pair<const char*, double>>{
+           {"1.5e2", 150.0}, {".5", 0.5}, {"-2", -2.0}, {"1E-1", 0.1}}) {
+    auto q = ParseQuery(prefix + literal, data_->catalog);
+    ASSERT_TRUE(q.ok()) << literal << ": " << q.status().ToString();
+    ASSERT_EQ(q->aggregates[0].factors().size(), 1u);
+    EXPECT_EQ(q->aggregates[0].factors()[0].fn.threshold(), value) << literal;
+  }
+}
+
 /// Parse errors point at the offending token with 1-based line/column
 /// positions — a raw byte offset is useless once statements span lines.
 TEST_F(ParserTest, ErrorsCarryLineAndColumn) {
