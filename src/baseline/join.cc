@@ -10,8 +10,8 @@ namespace lmfao {
 StatusOr<Relation> HashJoin(const Relation& left, const Relation& right,
                             const Catalog& catalog) {
   const std::vector<AttrId> shared =
-      SetIntersect(SortedUnique(left.schema().attrs()),
-                   SortedUnique(right.schema().attrs()));
+      SetIntersection(SortedUnique(left.schema().attrs()),
+                      SortedUnique(right.schema().attrs()));
   if (shared.empty()) {
     return Status::InvalidArgument("hash join requires shared attributes (" +
                                    left.name() + " vs " + right.name() + ")");

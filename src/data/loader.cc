@@ -1,6 +1,7 @@
 #include "data/loader.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -18,12 +19,17 @@ StatusOr<int64_t> ParseInt(const std::string& field) {
   return static_cast<int64_t>(v);
 }
 
+/// A finite double: NaN or an infinity would poison every sum over the
+/// column.
 StatusOr<double> ParseDouble(const std::string& field) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(field.c_str(), &end);
   if (errno != 0 || end == field.c_str() || !StripWhitespace(end).empty()) {
     return Status::InvalidArgument("not a number: '" + field + "'");
+  }
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument("not a finite number: '" + field + "'");
   }
   return v;
 }

@@ -8,25 +8,20 @@ namespace lmfao {
 
 namespace {
 
-/// Folds one decoded frame into `map`: upsert by packed key, add payloads.
-/// The decoded payload matrix is read through layout-aware strides, so both
-/// wire layouts fold identically.
+/// Folds one decoded frame into `map`: upsert by packed key, add the
+/// entry's row of payloads.
 void FoldFrame(const DecodedView& frame, ViewMap* map) {
   const int arity = frame.arity;
   const int width = frame.width;
   const int64_t* cols[TupleKey::kMaxArity];
   for (int c = 0; c < arity; ++c) cols[c] = frame.keys.col(c);
   const double* payload = frame.payloads.data();
-  const size_t entry_stride = frame.payloads.entry_stride();
-  const size_t slot_stride = frame.payloads.slot_stride();
   int64_t kb[TupleKey::kMaxArity];
   for (size_t i = 0; i < frame.rows; ++i) {
     for (int c = 0; c < arity; ++c) kb[c] = cols[c][i];
     double* dst = map->UpsertHashed(kb, HashKeySpan(kb, arity));
-    const double* src = payload + i * entry_stride;
-    for (int s = 0; s < width; ++s) {
-      dst[s] += src[static_cast<size_t>(s) * slot_stride];
-    }
+    const double* src = payload + i * static_cast<size_t>(width);
+    for (int s = 0; s < width; ++s) dst[s] += src[s];
   }
 }
 

@@ -28,33 +28,17 @@ StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
   };
 
   ShardedPlan sharded;
-  if (spec.relation != kInvalidRelation) {
-    if (spec.relation < 0 || spec.relation >= catalog.num_relations()) {
-      return Status::InvalidArgument(
-          "MakeShardedPlan: pinned shard relation " +
-          std::to_string(spec.relation) + " is not in the catalog");
+  for (RelationId r = 0; r < catalog.num_relations(); ++r) {
+    if (dirty_groups(r) == 0) continue;
+    if (sharded.relation == kInvalidRelation ||
+        epoch.at(r) > epoch.at(sharded.relation)) {
+      sharded.relation = r;
     }
-    if (dirty_groups(spec.relation) == 0) {
-      return Status::InvalidArgument(
-          "MakeShardedPlan: relation " +
-          catalog.relation(spec.relation).name() +
-          " is outside every group's input closure; partitioning it would "
-          "duplicate the result per shard");
-    }
-    sharded.relation = spec.relation;
-  } else {
-    for (RelationId r = 0; r < catalog.num_relations(); ++r) {
-      if (dirty_groups(r) == 0) continue;
-      if (sharded.relation == kInvalidRelation ||
-          epoch.at(r) > epoch.at(sharded.relation)) {
-        sharded.relation = r;
-      }
-    }
-    if (sharded.relation == kInvalidRelation) {
-      return Status::InvalidArgument(
-          "MakeShardedPlan: no group plan reads any relation; nothing to "
-          "partition");
-    }
+  }
+  if (sharded.relation == kInvalidRelation) {
+    return Status::InvalidArgument(
+        "MakeShardedPlan: no group plan reads any relation; nothing to "
+        "partition");
   }
 
   sharded.num_shards = std::max(1, spec.num_shards);

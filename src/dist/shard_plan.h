@@ -37,12 +37,11 @@ struct ShardedPlan {
 };
 
 /// Splits `compiled` across `spec.num_shards` shards of one relation at
-/// the given epoch. The partitioned relation is `spec.relation` when
-/// pinned (must be in some group's input closure — partitioning an
-/// untouched relation would duplicate the result per shard), otherwise
-/// the eligible relation with the most committed rows (ties to the lowest
-/// id, so the choice is deterministic). The shard count is never below
-/// one.
+/// the given epoch. The partitioned relation is the one with the most
+/// committed rows among those in some group's input closure (partitioning
+/// an untouched relation would duplicate the result per shard); ties go to
+/// the lowest id, so the choice is deterministic. The shard count is never
+/// below one.
 StatusOr<ShardedPlan> MakeShardedPlan(const CompiledBatch& compiled,
                                       const Catalog& catalog,
                                       const EpochSnapshot& epoch,

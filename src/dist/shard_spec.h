@@ -1,11 +1,10 @@
 /// \file shard_spec.h
 /// \brief How a batch execution is split across shards of one relation.
 ///
-/// Depends on no engine header: the spec travels on the PreparedBatch
-/// handle (engine.h holds one by value), and the scan split below is the
-/// whole contract between the execution runtime and the rest of src/dist/
-/// — plan splitting, view exchange and coordinator merge stay on the dist
-/// side of the exchange callback.
+/// Depends on no engine header: engine.h includes it for the scan split
+/// below, which is the whole contract between the execution runtime and
+/// the rest of src/dist/ — plan splitting, view exchange and coordinator
+/// merge stay on the dist side of the exchange callback.
 
 #ifndef LMFAO_DIST_SHARD_SPEC_H_
 #define LMFAO_DIST_SHARD_SPEC_H_
@@ -25,18 +24,14 @@ namespace lmfao {
 /// ScanSplit). Every aggregate is a sum of products of per-relation
 /// factors, so the batch is multilinear in each relation and the per-shard
 /// partial results sum to exactly the unsharded result (the identity the
-/// delta passes rely on). Which relation to partition is normally chosen
-/// by the planner (largest epoch watermark among the relations in the
-/// plans' input closure — partitioning a relation the join never touches
-/// would *duplicate* the result per shard, so those are never eligible);
-/// `relation` pins the choice instead.
+/// delta passes rely on). The planner chooses which relation to partition:
+/// the largest epoch watermark among the relations in the plans' input
+/// closure — partitioning a relation the join never touches would
+/// *duplicate* the result per shard, so those are never eligible.
 struct ShardSpec {
   /// Requested shard count; <= 1 executes as a single shard. Fewer run
   /// when the relation has fewer key blocks (an empty one runs one).
   int num_shards = 0;
-  /// Pins the partitioned relation; kInvalidRelation lets MakeShardedPlan
-  /// pick the largest eligible one.
-  RelationId relation = kInvalidRelation;
 };
 
 /// \brief The scan split of one execution pass.

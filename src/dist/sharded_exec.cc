@@ -1,6 +1,6 @@
 /// \file sharded_exec.cc
 /// \brief Sharded distributed execution: the PreparedBatch::ExecuteSharded
-/// and Engine::PrepareSharded entry points declared in engine/engine.h.
+/// entry point declared in engine/engine.h.
 ///
 /// One execution pass per call, with three stages mirroring a
 /// coordinator/worker deployment while keeping every stage an in-process
@@ -35,20 +35,14 @@
 namespace lmfao {
 
 StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
-    int num_shards, const ParamPack& params) const {
-  return ExecuteSharded(num_shards, params, options_.limits);
-}
-
-StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
     int num_shards, const ParamPack& params, const ExecLimits& limits) const {
   LMFAO_RETURN_NOT_OK(CheckExecutable(params));
   Timer total_timer;
   const EpochSnapshot epoch = engine_->catalog_->SnapshotEpoch();
-  ShardSpec spec = shard_spec_;
-  if (num_shards > 0) spec.num_shards = num_shards;
-  LMFAO_ASSIGN_OR_RETURN(
-      ShardedPlan plan,
-      MakeShardedPlan(artifact_->compiled, *engine_->catalog_, epoch, spec));
+  LMFAO_ASSIGN_OR_RETURN(ShardedPlan plan,
+                         MakeShardedPlan(artifact_->compiled,
+                                         *engine_->catalog_, epoch,
+                                         ShardSpec{num_shards}));
 
   // Grows to the shards that ran: a relation with fewer key blocks than
   // requested shards runs fewer.
@@ -130,19 +124,6 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
   // RunPass gave the result ExecuteAt's identity at this epoch, so a
   // sharded base refreshes through ExecuteDelta like any other.
   return result;
-}
-
-StatusOr<PreparedBatch> Engine::PrepareSharded(const QueryBatch& batch,
-                                               const ShardSpec& spec) {
-  LMFAO_ASSIGN_OR_RETURN(PreparedBatch prepared, Prepare(batch));
-  // Validate the spec against the compiled plans now (in particular a
-  // pinned relation outside the plans' input closure), so a bad spec fails
-  // the Prepare instead of every later Execute.
-  LMFAO_RETURN_NOT_OK(MakeShardedPlan(prepared.artifact_->compiled, *catalog_,
-                                      catalog_->SnapshotEpoch(), spec)
-                          .status());
-  prepared.shard_spec_ = spec;
-  return prepared;
 }
 
 }  // namespace lmfao

@@ -57,8 +57,7 @@ size_t FrameLength(int arity, int width, size_t rows) {
 
 /// Appends the length prefix and header of a frame with `rows` entries and
 /// returns the frame's start offset, for FinishFrame.
-size_t StartFrame(int arity, int width, PayloadLayout layout, size_t rows,
-                  std::string* out) {
+size_t StartFrame(int arity, int width, size_t rows, std::string* out) {
   const size_t frame_length = FrameLength(arity, width, rows);
   const size_t frame_start = out->size();
   out->reserve(frame_start + 8 + frame_length);
@@ -66,7 +65,7 @@ size_t StartFrame(int arity, int width, PayloadLayout layout, size_t rows,
   AppendPod<uint32_t>(out, kViewWireMagic);
   AppendPod<uint16_t>(out, kViewWireVersion);
   AppendPod<uint8_t>(out, static_cast<uint8_t>(arity));
-  AppendPod<uint8_t>(out, layout == PayloadLayout::kColumnar ? 1 : 0);
+  AppendPod<uint8_t>(out, 0);  // layout: row-major
   AppendPod<uint32_t>(out, static_cast<uint32_t>(width));
   AppendPod<uint32_t>(out, 0);  // reserved
   AppendPod<uint64_t>(out, static_cast<uint64_t>(rows));
@@ -82,31 +81,11 @@ void FinishFrame(size_t frame_start, std::string* out) {
 
 }  // namespace
 
-size_t EncodedViewSize(const SortView& view) {
-  return 8 + FrameLength(view.key_arity(), view.width(), view.size());
-}
-
-void AppendEncodedView(const SortView& view, std::string* out) {
-  const int arity = view.key_arity();
-  const int width = view.width();
-  const size_t rows = view.size();
-  const size_t frame_start =
-      StartFrame(arity, width, view.payload_matrix().layout(), rows, out);
-  for (int c = 0; c < arity; ++c) {
-    out->append(reinterpret_cast<const char*>(view.col(c)),
-                rows * sizeof(int64_t));
-  }
-  out->append(reinterpret_cast<const char*>(view.payload_matrix().data()),
-              static_cast<size_t>(width) * rows * sizeof(double));
-  FinishFrame(frame_start, out);
-}
-
 void AppendEncodedSlots(const ViewMap& map, const std::vector<size_t>& slots,
                         std::string* out) {
   const int arity = map.key_arity();
   const int width = map.width();
-  const size_t frame_start =
-      StartFrame(arity, width, PayloadLayout::kRowMajor, slots.size(), out);
+  const size_t frame_start = StartFrame(arity, width, slots.size(), out);
   for (int c = 0; c < arity; ++c) {
     for (size_t slot : slots) AppendPod<int64_t>(out, map.slot_key(slot)[c]);
   }
@@ -155,7 +134,7 @@ StatusOr<DecodedView> DecodeView(const char* data, size_t size,
                                    std::to_string(TupleKey::kMaxArity));
   }
   const uint8_t layout_byte = ReadPod<uint8_t>(p + 7);
-  if (layout_byte > 1) {
+  if (layout_byte != 0) {
     return Status::InvalidArgument("ViewWire: unknown payload layout " +
                                    std::to_string(layout_byte));
   }
@@ -204,8 +183,6 @@ StatusOr<DecodedView> DecodeView(const char* data, size_t size,
   DecodedView view;
   view.arity = static_cast<int>(arity);
   view.width = static_cast<int>(width);
-  view.layout = layout_byte == 1 ? PayloadLayout::kColumnar
-                                 : PayloadLayout::kRowMajor;
   view.rows = static_cast<size_t>(rows);
   view.keys = KeyColumns(view.arity, view.rows);
   const char* body = p + kHeaderBytes;
@@ -213,7 +190,8 @@ StatusOr<DecodedView> DecodeView(const char* data, size_t size,
     std::memcpy(view.keys.col(c), body + static_cast<size_t>(c) * rows * 8,
                 static_cast<size_t>(rows) * sizeof(int64_t));
   }
-  view.payloads = PayloadMatrix(view.width, view.rows, view.layout);
+  view.payloads =
+      PayloadMatrix(view.width, view.rows, PayloadLayout::kRowMajor);
   if (view.width > 0 && view.rows > 0) {
     std::memcpy(view.payloads.data(),
                 body + static_cast<size_t>(arity) * rows * 8,

@@ -16,12 +16,12 @@
 ///   u32 magic          kViewWireMagic
 ///   u16 version        kViewWireVersion
 ///   u8  arity          key components (0 .. TupleKey::kMaxArity)
-///   u8  layout         0 = row-major payload, 1 = columnar
+///   u8  layout         0 = row-major payload (the only layout)
 ///   u32 width          payload slots per entry
 ///   u32 reserved       0 in version 1
 ///   u64 rows           entry count
 ///   i64 keys[arity][rows]      component-contiguous (KeyColumns order)
-///   f64 payload[width * rows]  in `layout` order (PayloadMatrix order)
+///   f64 payload[rows][width]   row-major (PayloadMatrix order)
 ///   u64 checksum       HashCombine chain over every preceding frame byte
 ///
 /// Decode is defensive end to end: truncated buffers, flipped bytes, bad
@@ -47,19 +47,15 @@ namespace lmfao {
 inline constexpr uint32_t kViewWireMagic = 0x4c465756u;  // "VWFL"
 inline constexpr uint16_t kViewWireVersion = 1;
 
-/// \brief One decoded frame: the frozen view's shape plus its key columns
-/// and payload matrix, reconstructed bit-for-bit.
+/// \brief One decoded frame: the view chunk's shape plus its key columns
+/// and row-major payload matrix, reconstructed bit-for-bit.
 struct DecodedView {
   int arity = 0;
   int width = 0;
-  PayloadLayout layout = PayloadLayout::kRowMajor;
   size_t rows = 0;
   KeyColumns keys;
   PayloadMatrix payloads;
 };
-
-/// Appends one encoded frame for `view` to `*out`.
-void AppendEncodedView(const SortView& view, std::string* out);
 
 /// Appends one row-major frame holding the entries at the given occupied
 /// `slots` of `map`, in that order: a chunk of a live hash map, encoded
@@ -67,10 +63,6 @@ void AppendEncodedView(const SortView& view, std::string* out);
 /// bounded size.
 void AppendEncodedSlots(const ViewMap& map, const std::vector<size_t>& slots,
                         std::string* out);
-
-/// Total frame bytes AppendEncodedView will emit for `view` (length
-/// prefix included), for pre-sizing transport buffers.
-size_t EncodedViewSize(const SortView& view);
 
 /// Decodes the frame starting at `*offset` in `data[0, size)` and advances
 /// `*offset` past it. Any malformed input returns InvalidArgument and

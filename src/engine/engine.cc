@@ -27,7 +27,6 @@ uint64_t OptionsFingerprint(const EngineOptions& o) {
   h = HashCombine(h, static_cast<uint64_t>(o.view_generation.merge_views));
   h = HashCombine(h, static_cast<uint64_t>(o.grouping.multi_output));
   h = HashCombine(h, static_cast<uint64_t>(o.plan.factorize));
-  h = HashCombine(h, static_cast<uint64_t>(o.plan.freeze_views));
   // The artifact carries its JIT module, so jit-on and jit-off Prepares
   // must not share cache entries (the jit *mode flavor* is execution-only
   // and deliberately excluded).
@@ -199,7 +198,7 @@ StatusOr<std::shared_ptr<CompiledArtifact>> Engine::CompileArtifact(
     artifact->compiled.plans.push_back(std::move(plan));
   }
   AssignViewForms(artifact->compiled.workload, artifact->compiled.grouped,
-                  options_.plan, &artifact->compiled.plans);
+                  &artifact->compiled.plans);
   artifact->plan_seconds = phase_timer.ElapsedSeconds();
   return artifact;
 }
@@ -364,10 +363,6 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
   return result;
 }
 
-StatusOr<BatchResult> PreparedBatch::Execute(const ParamPack& params) const {
-  return Execute(params, options_.limits);
-}
-
 StatusOr<BatchResult> PreparedBatch::Execute(const ParamPack& params,
                                              const ExecLimits& limits) const {
   if (engine_ == nullptr || artifact_ == nullptr) {
@@ -375,11 +370,6 @@ StatusOr<BatchResult> PreparedBatch::Execute(const ParamPack& params,
         "PreparedBatch::Execute on an empty handle");
   }
   return ExecuteAt(engine_->catalog_->SnapshotEpoch(), params, limits);
-}
-
-StatusOr<BatchResult> PreparedBatch::ExecuteAt(const EpochSnapshot& epoch,
-                                               const ParamPack& params) const {
-  return ExecuteAt(epoch, params, options_.limits);
 }
 
 StatusOr<BatchResult> PreparedBatch::ExecuteAt(const EpochSnapshot& epoch,
@@ -397,12 +387,6 @@ StatusOr<BatchResult> PreparedBatch::ExecuteAt(const EpochSnapshot& epoch,
   spec.rows = &epoch;
   const CancelToken cancel(limits.deadline_seconds, limits.max_view_bytes);
   return RunPass(spec, params, cancel);
-}
-
-StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
-                                                  const ParamPack& params)
-    const {
-  return ExecuteDelta(base, params, options_.limits);
 }
 
 StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
@@ -508,11 +492,6 @@ void ExecutionStats::Accumulate(const ExecutionStats& pass) {
   peak_view_payload_bytes =
       std::max(peak_view_payload_bytes, pass.peak_view_payload_bytes);
   num_frozen_views = std::max(num_frozen_views, pass.num_frozen_views);
-}
-
-StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,
-                                       const ParamPack& params) {
-  return Evaluate(batch, params, options_.limits);
 }
 
 StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,

@@ -81,10 +81,6 @@ struct ExecLimits {
   /// maps); 0 = unlimited. A trip on a domain-sharded group retries once
   /// unsharded (lower peak memory) before failing the pass.
   size_t max_view_bytes = 0;
-
-  bool enabled() const {
-    return deadline_seconds > 0.0 || max_view_bytes != 0;
-  }
 };
 
 /// \brief All engine options, including the ablation toggles benchmarked by
@@ -111,10 +107,6 @@ struct EngineOptions {
   /// sync, LMFAO_JIT_CC=<compiler>); kOff when unset. The mode (on/off) is
   /// part of the plan-cache key — artifacts carry their module.
   JitOptions jit = JitOptions::FromEnv();
-  /// Default resource limits for every Execute of batches prepared under
-  /// these options; the per-call Execute(params, limits) overloads
-  /// override them. Execution-only, not part of the cache key.
-  ExecLimits limits;
 };
 
 /// \brief Per-group execution statistics.
@@ -358,25 +350,21 @@ class PreparedBatch {
   /// concurrently (Catalog::Append) are not observed, and the snapshot is
   /// recorded in BatchResult::epoch for later ExecuteDelta refreshes.
   ///
-  /// Resource governance: the options snapshot's `limits` (when enabled)
-  /// bound the pass's wall-clock and view memory; the two-argument
-  /// overload overrides them per call. A tripped limit returns
+  /// Resource governance: `limits` (unlimited by default) bound the
+  /// pass's wall-clock and view memory. A tripped limit returns
   /// DeadlineExceeded / ResourceExhausted (message includes per-group
   /// progress), the pass unwinds with zero leaked views, and the handle
   /// stays valid — a subsequent Execute with laxer limits succeeds.
-  StatusOr<BatchResult> Execute(const ParamPack& params = {}) const;
-  StatusOr<BatchResult> Execute(const ParamPack& params,
-                                const ExecLimits& limits) const;
+  StatusOr<BatchResult> Execute(const ParamPack& params = {},
+                                const ExecLimits& limits = {}) const;
 
   /// Like Execute, but pins the execution to an explicit epoch (obtained
   /// from Catalog::SnapshotEpoch), reading exactly the rows committed at
   /// that epoch regardless of appends since. The epoch must not exceed the
   /// current watermarks.
   StatusOr<BatchResult> ExecuteAt(const EpochSnapshot& epoch,
-                                  const ParamPack& params = {}) const;
-  StatusOr<BatchResult> ExecuteAt(const EpochSnapshot& epoch,
-                                  const ParamPack& params,
-                                  const ExecLimits& limits) const;
+                                  const ParamPack& params = {},
+                                  const ExecLimits& limits = {}) const;
 
   /// Incrementally refreshes `base` (a result of Execute / ExecuteAt /
   /// ExecuteDelta of this same batch shape under the same `params`) to the
@@ -404,15 +392,13 @@ class PreparedBatch {
   /// re-refreshable: the delta passes fold into a private copy of the base
   /// results, which is only returned on full success.
   StatusOr<BatchResult> ExecuteDelta(const BatchResult& base,
-                                     const ParamPack& params = {}) const;
-  StatusOr<BatchResult> ExecuteDelta(const BatchResult& base,
-                                     const ParamPack& params,
-                                     const ExecLimits& limits) const;
+                                     const ParamPack& params = {},
+                                     const ExecLimits& limits = {}) const;
 
   /// Sharded distributed execution (src/dist/): partitions one base
-  /// relation into `num_shards` shards (num_shards <= 0 uses the handle's
-  /// ShardSpec — see Engine::PrepareSharded) and runs the unchanged
-  /// compiled plans as ONE pass. Only the groups at the partitioned
+  /// relation — the largest one the plans read — into `num_shards` shards
+  /// (num_shards <= 1 runs one shard) and runs the unchanged compiled
+  /// plans as ONE pass. Only the groups at the partitioned
   /// relation's node run per shard, each shard scanning level-1 key blocks
   /// of the cached sorted relation into private maps, which cross the
   /// ViewWire exchange and are folded, in shard order, into the group's
@@ -426,14 +412,8 @@ class PreparedBatch {
   /// serves the partitioned relation's appended rows like any other's.
   /// Defined in src/dist/sharded_exec.cc.
   StatusOr<BatchResult> ExecuteSharded(int num_shards,
-                                       const ParamPack& params = {}) const;
-  StatusOr<BatchResult> ExecuteSharded(int num_shards,
-                                       const ParamPack& params,
-                                       const ExecLimits& limits) const;
-
-  /// The sharding spec frozen into this handle (PrepareSharded); default
-  /// (num_shards = 0) means ExecuteSharded picks everything per call.
-  const ShardSpec& shard_spec() const { return shard_spec_; }
+                                       const ParamPack& params = {},
+                                       const ExecLimits& limits = {}) const;
 
   bool valid() const { return artifact_ != nullptr; }
   /// The artifact accessors below require valid() (checked): an empty or
@@ -495,9 +475,6 @@ class PreparedBatch {
   uint64_t generation_ = 0;
   bool from_cache_ = false;
   double compile_seconds_ = 0.0;
-  /// Sharding defaults for ExecuteSharded (set by Engine::PrepareSharded;
-  /// inert otherwise).
-  ShardSpec shard_spec_;
 };
 
 /// \brief The optimization and execution engine.
@@ -539,25 +516,12 @@ class Engine {
   /// artifact from the plan cache) and returns the execute-many handle.
   StatusOr<PreparedBatch> Prepare(const QueryBatch& batch);
 
-  /// Prepare plus a frozen sharding spec: the handle's ExecuteSharded
-  /// defaults to `spec` (per-call shard counts still override it). A
-  /// pinned `spec.relation` is validated against the compiled plans here,
-  /// so an ineligible relation fails at prepare time, not mid-execution.
-  /// Defined in src/dist/sharded_exec.cc.
-  StatusOr<PreparedBatch> PrepareSharded(const QueryBatch& batch,
-                                         const ShardSpec& spec);
-
-  /// One-shot convenience: Prepare + Execute. `params` binds parameterized
-  /// functions, as in PreparedBatch::Execute. The three-argument overload
-  /// bounds the execution pass with `limits` (overriding the options
-  /// snapshot), as in PreparedBatch::Execute(params, limits) — the serving
-  /// layer uses it to give ad-hoc queries the same deadline budget as
-  /// prepared ones.
+  /// One-shot convenience: Prepare + Execute. `params` and `limits` are
+  /// as in PreparedBatch::Execute — the serving layer passes limits to
+  /// give ad-hoc queries the same deadline budget as prepared ones.
   StatusOr<BatchResult> Evaluate(const QueryBatch& batch,
-                                 const ParamPack& params = {});
-  StatusOr<BatchResult> Evaluate(const QueryBatch& batch,
-                                 const ParamPack& params,
-                                 const ExecLimits& limits);
+                                 const ParamPack& params = {},
+                                 const ExecLimits& limits = {});
 
   /// Drops cached sorted relations and compiled artifacts, and bumps the
   /// generation counter: every PreparedBatch handed out so far becomes

@@ -28,14 +28,7 @@ ConsumedView ArgsortAndGather(int width, std::vector<uint32_t> entries,
   const PayloadLayout layout = incoming.IsMultiEntry()
                                    ? PayloadLayout::kColumnar
                                    : PayloadLayout::kRowMajor;
-  // The plan layer precomputes consumed_perm; fall back to concatenating
-  // the permutations for hand-built IncomingViews (tests, tooling).
-  std::vector<int> perm = incoming.consumed_perm;
-  if (perm.empty()) {
-    perm = incoming.key_perm;
-    perm.insert(perm.end(), incoming.extra_perm.begin(),
-                incoming.extra_perm.end());
-  }
+  const std::vector<int>& perm = incoming.consumed_perm;
   out.arity = static_cast<int>(perm.size());
   std::sort(entries.begin(), entries.end(),
             [&component, &perm](uint32_t a, uint32_t b) {
@@ -77,6 +70,45 @@ double DotRange(const double* a, const double* b, size_t n) {
   }
   for (; i < n; ++i) s0 += a[i] * b[i];
   return (s0 + s1) + (s2 + s3);
+}
+
+/// The ids BuildGroupPlan lowers, which the executor indexes without
+/// further checks: every leaf factor list's ids into the leaf factor
+/// table, and every incoming view's consumed permutation of its canonical
+/// key (whose components are exactly the key_perm and extra_perm
+/// positions).
+Status CheckLoweredIds(const GroupPlan& plan) {
+  const int table_size = static_cast<int>(plan.leaf_factor_table.size());
+  auto ids_valid = [table_size](size_t num_factors,
+                                const std::vector<int>& ids) {
+    return ids.size() == num_factors &&
+           std::all_of(ids.begin(), ids.end(), [table_size](int id) {
+             return id >= 0 && id < table_size;
+           });
+  };
+  for (const GroupPlan::LeafSum& sum : plan.leaf_sums) {
+    if (!ids_valid(sum.factors.size(), sum.factor_ids)) {
+      return Status::InvalidArgument(
+          "executor: leaf sum factor_ids missing or out of range");
+    }
+  }
+  for (const GroupPlan::LeafWrite& w : plan.leaf_writes) {
+    if (!ids_valid(w.leaf_factors.size(), w.factor_ids)) {
+      return Status::InvalidArgument(
+          "executor: leaf write factor_ids missing or out of range");
+    }
+  }
+  for (const GroupPlan::IncomingView& in : plan.incoming) {
+    const int arity =
+        static_cast<int>(in.key_perm.size() + in.extra_perm.size());
+    if (static_cast<int>(in.consumed_perm.size()) != arity ||
+        std::any_of(in.consumed_perm.begin(), in.consumed_perm.end(),
+                    [arity](int pos) { return pos < 0 || pos >= arity; })) {
+      return Status::InvalidArgument(
+          "executor: consumed_perm missing or out of range");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -188,36 +220,11 @@ GroupExecutor::GroupExecutor(const GroupPlan& plan,
     }
   }
 
-  // Batched leaf lowering: intern every distinct (column, function) leaf
-  // factor once and resolve it to a typed kind-specialized kernel. The
-  // plan's interned table and ids are reused when BuildGroupPlan lowered
-  // them; hand-built plans (empty id lists) are interned here instead —
-  // either way every id below indexes `table`.
-  std::vector<std::pair<int, Function>> table = plan_.leaf_factor_table;
-  auto resolve_ids =
-      [&](const std::vector<std::pair<int, Function>>& factors,
-          const std::vector<int>& plan_ids) {
-        if (plan_ids.size() == factors.size()) {
-          bool ok = true;
-          for (int id : plan_ids) {
-            ok = ok && id >= 0 &&
-                 id < static_cast<int>(plan_.leaf_factor_table.size());
-          }
-          if (ok) return plan_ids;
-        }
-        std::vector<int> ids;
-        ids.reserve(factors.size());
-        for (const auto& [col, fn] : factors) {
-          ids.push_back(InternLeafFactor(&table, col, fn));
-        }
-        return ids;
-      };
-  for (const auto& sum : plan_.leaf_sums) {
-    leaf_sum_kernels_.push_back(resolve_ids(sum.factors, sum.factor_ids));
-  }
-  for (const auto& w : plan_.leaf_writes) {
-    leaf_write_kernels_.push_back(resolve_ids(w.leaf_factors, w.factor_ids));
-  }
+  // Batched leaf lowering: one typed kind-specialized kernel per entry of
+  // the plan's interned leaf factor table, which every leaf sum's and leaf
+  // write's factor_ids index (CheckLoweredIds rejects ids outside it).
+  const std::vector<std::pair<int, Function>>& table =
+      plan_.leaf_factor_table;
   leaf_kernels_.reserve(table.size());
   for (const auto& [col, fn] : table) {
     const Column& c = relation_.column(col);
@@ -228,6 +235,7 @@ GroupExecutor::GroupExecutor(const GroupPlan& plan,
   }
   leaf_scratch_.resize(leaf_kernels_.size());
 
+  lowering_status_ = CheckLoweredIds(plan_);
   if (views_.size() == plan_.incoming.size()) LowerLevelProgram(params);
 }
 
@@ -810,8 +818,8 @@ void GroupExecutor::LeafLoop(const Range& range) {
                           leaf_scratch_[k].data());
   }
   // Leaf sums: unit-stride products over the scratch columns.
-  for (size_t s = 0; s < leaf_sum_kernels_.size(); ++s) {
-    vals_[1 + s] += ScratchProductSum(leaf_sum_kernels_[s], rows);
+  for (size_t s = 0; s < plan_.leaf_sums.size(); ++s) {
+    vals_[1 + s] += ScratchProductSum(plan_.leaf_sums[s].factor_ids, rows);
   }
   // Non-factorized leaf writes, hoisted from per-row to whole-range form.
   for (size_t w = 0; w < plan_.leaf_writes.size(); ++w) {
@@ -1067,7 +1075,8 @@ void GroupExecutor::EmitLeafWriteBatch(size_t leaf_write_index, size_t rows) {
   for (uint32_t p = part_begin; p < part_end; ++p) {
     base *= EvalExecPart(exec_parts_[p]);
   }
-  base *= ScratchProductSum(leaf_write_kernels_[leaf_write_index], rows);
+  base *= ScratchProductSum(plan_.leaf_writes[leaf_write_index].factor_ids,
+                            rows);
   EmitKeyedWrite(leaf_keyed_writes_[leaf_write_index], base,
                  plan_.num_levels());
 }

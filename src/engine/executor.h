@@ -388,14 +388,12 @@ class GroupExecutor {
   Status lowering_status_;
 
   // Batched leaf evaluation: one kind-specialized kernel per distinct
-  // (column, function) leaf factor, its scratch column, and per
-  // leaf-sum / leaf-write id lists into the kernel table.
+  // (column, function) leaf factor and its scratch column, indexed by the
+  // plan's LeafSum / LeafWrite factor_ids.
   std::vector<LeafKernel> leaf_kernels_;
   std::vector<std::vector<double>> leaf_scratch_;
   size_t leaf_scratch_rows_ = 0;
   std::vector<double> leaf_prod_scratch_;
-  std::vector<std::vector<int>> leaf_sum_kernels_;
-  std::vector<std::vector<int>> leaf_write_kernels_;
 };
 
 }  // namespace lmfao

@@ -416,13 +416,17 @@ class PlanBuilder {
   }
 
   /// Interns each (column, function) factor in the plan's distinct leaf
-  /// factor table.
+  /// factor table (exact Function equality; leaf factor tables stay tiny,
+  /// so a linear scan beats maintaining a collision-proof hash key).
   std::vector<int> RequireLeafFactors(
       const std::vector<std::pair<int, Function>>& factors) {
+    std::vector<std::pair<int, Function>>& table = plan_.leaf_factor_table;
     std::vector<int> ids;
     ids.reserve(factors.size());
-    for (const auto& [col, fn] : factors) {
-      ids.push_back(InternLeafFactor(&plan_.leaf_factor_table, col, fn));
+    for (const auto& factor : factors) {
+      const auto it = std::find(table.begin(), table.end(), factor);
+      ids.push_back(static_cast<int>(it - table.begin()));
+      if (it == table.end()) table.push_back(factor);
     }
     return ids;
   }
@@ -454,16 +458,6 @@ class PlanBuilder {
 
 }  // namespace
 
-int InternLeafFactor(std::vector<std::pair<int, Function>>* table, int col,
-                     const Function& fn) {
-  for (size_t i = 0; i < table->size(); ++i) {
-    const auto& [tcol, tfn] = (*table)[i];
-    if (tcol == col && tfn == fn) return static_cast<int>(i);
-  }
-  table->emplace_back(col, fn);
-  return static_cast<int>(table->size() - 1);
-}
-
 StatusOr<GroupPlan> BuildGroupPlan(const Workload& workload,
                                    const ViewGroup& group,
                                    const Catalog& catalog,
@@ -474,7 +468,6 @@ StatusOr<GroupPlan> BuildGroupPlan(const Workload& workload,
 }
 
 void AssignViewForms(const Workload& workload, const GroupedWorkload& grouped,
-                     const PlanOptions& options,
                      std::vector<GroupPlan>* plans) {
   // Producer lookup: view id -> (plan, output index).
   std::vector<std::pair<int, int>> producer(workload.views.size(), {-1, -1});
@@ -503,7 +496,6 @@ void AssignViewForms(const Workload& workload, const GroupedWorkload& grouped,
     (*plans)[static_cast<size_t>(g)].source_relation_mask = mask;
   }
 
-  if (!options.freeze_views) return;
   for (GroupPlan& plan : *plans) {
     for (GroupPlan::OutputInfo& out : plan.outputs) {
       out.payload_layout = PayloadLayout::kRowMajor;

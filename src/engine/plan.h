@@ -47,10 +47,6 @@ struct PlanOptions {
   /// Factorized aggregate computation with shared alpha/beta registers.
   /// When false, every output aggregate is computed per tuple at the leaf.
   bool factorize = true;
-  /// Freeze produced views into sorted-array form (SortView) when some
-  /// consumer reads them in canonical order (see AssignViewForms). When
-  /// false, every view stays in hash form.
-  bool freeze_views = true;
 };
 
 /// \brief One multiplicative part of an aggregate, available at a level.
@@ -121,7 +117,8 @@ struct GroupPlan {
     std::vector<int> extra_perm;
     /// key_perm followed by extra_perm: consumed component c is canonical
     /// component consumed_perm[c]. Precomputed so the consumed-view build
-    /// (an argsort + per-column gather) reads one flat table.
+    /// (an argsort + per-column gather) reads one flat table; required
+    /// (GroupExecutor rejects a plan without it).
     std::vector<int> consumed_perm;
     /// Level at which the last relation component binds; the view's entry
     /// range is final from this level on (single entry iff extra_perm is
@@ -157,8 +154,8 @@ struct GroupPlan {
     /// (relation column index, function) pairs.
     std::vector<std::pair<int, Function>> factors;
     /// Indices into leaf_factor_table, parallel to `factors`. Lowered by
-    /// BuildGroupPlan; empty on hand-built plans (the executor then
-    /// deduplicates locally).
+    /// BuildGroupPlan; GroupExecutor rejects a plan whose ids are missing
+    /// or out of range.
     std::vector<int> factor_ids;
   };
   std::vector<LeafSum> leaf_sums;
@@ -270,15 +267,6 @@ struct GroupPlan {
   std::string ToString(const Workload& workload, const Catalog& catalog) const;
 };
 
-/// \brief Interns the `(column, function)` leaf factor in `table` and
-/// returns its index (exact Function equality; leaf factor tables stay
-/// tiny, so a linear scan beats maintaining a collision-proof hash key).
-///
-/// Shared by BuildGroupPlan's lowering and the executor's fallback
-/// interning for hand-built plans, so the two can't diverge.
-int InternLeafFactor(std::vector<std::pair<int, Function>>* table, int col,
-                     const Function& fn);
-
 /// \brief Compiles one view group into a register program.
 StatusOr<GroupPlan> BuildGroupPlan(const Workload& workload,
                                    const ViewGroup& group,
@@ -297,7 +285,6 @@ StatusOr<GroupPlan> BuildGroupPlan(const Workload& workload,
 /// all query outputs, stay in hash form. `plans` must be parallel to
 /// `grouped.groups`.
 void AssignViewForms(const Workload& workload, const GroupedWorkload& grouped,
-                     const PlanOptions& options,
                      std::vector<GroupPlan>* plans);
 
 }  // namespace lmfao

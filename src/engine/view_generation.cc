@@ -128,7 +128,7 @@ class ViewGenerator {
     // in the child's subtree.
     const std::vector<AttrId>& subtree = tree_.SubtreeAttrs(node, edge);
     std::vector<AttrId> key =
-        SetUnion(tree_.separator(edge), SetIntersect(group_by, subtree));
+        SetUnion(tree_.separator(edge), SetIntersection(group_by, subtree));
     if (static_cast<int>(key.size()) > TupleKey::kMaxArity) {
       return Status::InvalidArgument(
           "view key arity exceeds TupleKey::kMaxArity; raise kMaxArity");

@@ -17,7 +17,7 @@ Hypergraph::Hypergraph(const Catalog& catalog) {
 }
 
 std::vector<AttrId> Hypergraph::SharedAttrs(RelationId a, RelationId b) const {
-  return SetIntersect(attrs(a), attrs(b));
+  return SetIntersection(attrs(a), attrs(b));
 }
 
 bool Hypergraph::IsConnected() const {

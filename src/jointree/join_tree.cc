@@ -109,8 +109,9 @@ void JoinTree::BuildIndexes(const Catalog& catalog) {
   }
   for (EdgeId e = 0; e < static_cast<EdgeId>(edges_.size()); ++e) {
     const auto& [a, b] = edges_[static_cast<size_t>(e)];
-    separators_.push_back(SetIntersect(node_attrs_[static_cast<size_t>(a)],
-                                       node_attrs_[static_cast<size_t>(b)]));
+    separators_.push_back(
+        SetIntersection(node_attrs_[static_cast<size_t>(a)],
+                        node_attrs_[static_cast<size_t>(b)]));
     incident_[static_cast<size_t>(a)].push_back(e);
     incident_[static_cast<size_t>(b)].push_back(e);
   }

@@ -28,16 +28,8 @@ StatusOr<std::vector<QueryResult>> LmfaoCartProvider::EvaluateBatch(
   // batches sharing this shape (same path attr/op sequence) reuse one
   // compiled artifact and only pay execution here.
   LMFAO_ASSIGN_OR_RETURN(PreparedBatch prepared, engine_->Prepare(batch));
-  StatusOr<BatchResult> result = prepared.Execute(params, limits_);
-  if (!result.ok() && result.status().IsRetryable() && limits_.enabled()) {
-    // One node's batch blew the view-byte budget (or hit a transient
-    // fault): degrade this node by re-running it without limits rather
-    // than failing the training run.
-    ++limit_retries_;
-    result = prepared.Execute(params, ExecLimits{});
-  }
-  LMFAO_RETURN_NOT_OK(result.status());
-  return std::move(result->results);
+  LMFAO_ASSIGN_OR_RETURN(BatchResult result, prepared.Execute(params));
+  return std::move(result.results);
 }
 
 StatusOr<std::vector<QueryResult>> ScanCartProvider::EvaluateBatch(

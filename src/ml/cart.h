@@ -29,9 +29,6 @@ struct CartCondition {
   FunctionKind op = FunctionKind::kIndicatorLe;
   double threshold = 0.0;
 
-  Factor ToFactor() const {
-    return Factor{attr, Function::Indicator(op, threshold)};
-  }
   /// Parameterized form: the threshold lives in slot `param` of the node
   /// batch's ParamPack, so the condition's *structure* (attr, op, slot) is
   /// stable across nodes whose paths differ only in threshold values.
@@ -105,21 +102,8 @@ class LmfaoCartProvider : public CartAggregateProvider {
   StatusOr<std::vector<QueryResult>> EvaluateBatch(
       const QueryBatch& batch, const ParamPack& params) override;
 
-  /// Resource limits applied to every node-batch execution. A node batch
-  /// that trips the view-byte budget is retried once with limits lifted —
-  /// one oversized node should degrade that node's evaluation, not kill
-  /// the whole training run. Deadline trips are not retried (time spent
-  /// is gone either way).
-  void set_limits(const ExecLimits& limits) { limits_ = limits; }
-
-  /// Number of node batches that tripped the budget and were recovered by
-  /// the unlimited retry.
-  int limit_retries() const { return limit_retries_; }
-
  private:
   Engine* engine_;
-  ExecLimits limits_;
-  int limit_retries_ = 0;
 };
 
 /// \brief Scan-based provider over the materialized join (baseline).

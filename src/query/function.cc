@@ -1,14 +1,42 @@
 #include "query/function.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/hash.h"
 #include "util/logging.h"
 
 namespace lmfao {
+
+namespace {
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Hash of a dictionary's content: its default value and its entries in
+/// key order, so equal tables hash equally wherever they were allocated.
+uint64_t DictContentHash(const FunctionDict& dict) {
+  std::vector<std::pair<int64_t, double>> entries(dict.table.begin(),
+                                                  dict.table.end());
+  std::sort(entries.begin(), entries.end());
+  uint64_t h = HashCombine(Mix64(entries.size()),
+                           DoubleBits(dict.default_value));
+  for (const auto& [key, value] : entries) {
+    h = HashCombine(h, static_cast<uint64_t>(key));
+    h = HashCombine(h, DoubleBits(value));
+  }
+  return h;
+}
+
+}  // namespace
 
 Function Function::Identity() {
   return Function(FunctionKind::kIdentity, 0.0, nullptr);
@@ -20,7 +48,9 @@ Function Function::Square() {
 
 Function Function::Dictionary(std::shared_ptr<const FunctionDict> dict) {
   LMFAO_CHECK(dict != nullptr);
-  return Function(FunctionKind::kDictionary, 0.0, std::move(dict));
+  Function f(FunctionKind::kDictionary, 0.0, std::move(dict));
+  f.dict_hash_ = DictContentHash(*f.dict_);
+  return f;
 }
 
 Function Function::Indicator(FunctionKind op, double threshold) {
@@ -87,15 +117,13 @@ bool Function::operator==(const Function& o) const {
 uint64_t Function::Signature() const {
   uint64_t h = Mix64(static_cast<uint64_t>(kind_) + 0x51ed2701);
   if (kind_ == FunctionKind::kDictionary) {
-    h = HashCombine(h, reinterpret_cast<uintptr_t>(dict_.get()));
+    h = HashCombine(h, dict_hash_);
   } else if (param_ != kNoParam) {
     // Slot identity, distinctly salted so p0 never collides with a
     // literal threshold of 0.
     h = HashCombine(h, Mix64(static_cast<uint64_t>(param_) + 0x9e3779b9));
   } else {
-    uint64_t bits;
-    std::memcpy(&bits, &threshold_, sizeof(bits));
-    h = HashCombine(h, bits);
+    h = HashCombine(h, DoubleBits(threshold_));
   }
   return h;
 }

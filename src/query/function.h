@@ -96,8 +96,10 @@ enum class FunctionKind : uint8_t {
 
 /// \brief Lookup table for user-defined dictionary functions.
 ///
-/// Shared (by pointer) across all factors that reference the same function,
-/// so structural aggregate deduplication can compare dictionary identity.
+/// Shared (by pointer) across all factors that reference the same
+/// function. Function equality compares this identity; Function::Signature
+/// hashes the content instead, so plans never depend on where a table was
+/// allocated.
 struct FunctionDict {
   std::string name;
   std::unordered_map<int64_t, double> table;
@@ -155,10 +157,13 @@ class Function {
   bool operator==(const Function& o) const;
   bool operator!=(const Function& o) const { return !(*this == o); }
 
-  /// Stable 64-bit structural signature for deduplication. Parameterized
-  /// functions hash (kind, slot) — NOT a threshold value — so batches that
-  /// differ only in bound constants share one signature (and one compiled
-  /// plan in the engine's plan cache).
+  /// Stable 64-bit structural signature for deduplication and canonical
+  /// ordering. Parameterized functions hash (kind, slot) — NOT a threshold
+  /// value — so batches that differ only in bound constants share one
+  /// signature (and one compiled plan in the engine's plan cache).
+  /// Dictionaries hash their content (default value and entries in key
+  /// order), never their address, so factor and plan-part order — and
+  /// with it the floating-point result — is the same in every process.
   uint64_t Signature() const;
 
   /// Renders e.g. "id", "sq", "g[·]", "(x<=3.5)", "(x<=?p2)".
@@ -178,6 +183,8 @@ class Function {
   double threshold_;
   std::shared_ptr<const FunctionDict> dict_;
   ParamId param_ = kNoParam;
+  /// DictContentHash of `dict_`, computed once by Dictionary().
+  uint64_t dict_hash_ = 0;
 };
 
 }  // namespace lmfao

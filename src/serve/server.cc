@@ -12,6 +12,18 @@ namespace lmfao {
 
 namespace {
 
+/// Load-shedding watermarks, as fractions of the summed queue capacities:
+/// once the combined backlog reaches one, new requests of that class are
+/// shed even though their own queue has room. Prepared-execute is never
+/// watermark-shed.
+constexpr double kAdHocShedFraction = 0.5;
+constexpr double kDeltaShedFraction = 0.8;
+/// Capped exponential backoff between retries, before jitter.
+constexpr double kRetryInitialBackoffMs = 1.0;
+constexpr double kRetryMaxBackoffMs = 50.0;
+/// Seed of the deterministic retry jitter.
+constexpr uint64_t kJitterSeed = 0x5e12e;
+
 double UnitUniform(uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
@@ -40,13 +52,9 @@ Response RejectedResponse(Status status) {
 Server::Server(Engine* engine, const Catalog* catalog, ServerOptions options)
     : engine_(engine), catalog_(catalog), options_(std::move(options)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
-  // At least one general worker must remain, or the other classes starve.
-  options_.prepared_reserved_workers = std::min(
-      options_.prepared_reserved_workers, options_.num_workers - 1);
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
-    const bool prepared_only = i < options_.prepared_reserved_workers;
-    workers_.emplace_back([this, prepared_only] { WorkerLoop(prepared_only); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -149,9 +157,9 @@ std::future<Response> Server::Submit(Request request) {
         static_cast<double>(std::max<size_t>(TotalCapacity(), 1));
     const bool watermark_shed =
         (cls == RequestClass::kAdHoc &&
-         backlog_fraction >= options_.adhoc_shed_fraction) ||
+         backlog_fraction >= kAdHocShedFraction) ||
         (cls == RequestClass::kDeltaRefresh &&
-         backlog_fraction >= options_.delta_shed_fraction);
+         backlog_fraction >= kDeltaShedFraction);
     if (watermark_shed) {
       ++cs.shed_watermark;
       promise.set_value(RejectedResponse(Status::ResourceExhausted(
@@ -181,27 +189,12 @@ std::future<Response> Server::Submit(Request request) {
     stats_.total_queue_depth_highwater =
         std::max(stats_.total_queue_depth_highwater, queued_total_);
   }
-  if (cls == RequestClass::kPreparedExecute) cv_prepared_.notify_one();
   cv_work_.notify_one();
   return future;
 }
 
-std::unique_ptr<Server::QueuedRequest> Server::PopNext(bool prepared_only) {
+std::unique_ptr<Server::QueuedRequest> Server::PopNext() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (prepared_only) {
-    // Reserved workers sleep through non-prepared backlog; they wake only
-    // for prepared admissions (or shutdown), so they are always available
-    // the moment one arrives.
-    auto& prepared =
-        queues_[static_cast<size_t>(RequestClass::kPreparedExecute)];
-    cv_prepared_.wait(lock,
-                      [this, &prepared] { return stop_ || !prepared.empty(); });
-    if (prepared.empty()) return nullptr;  // stop_ with a drained queue
-    std::unique_ptr<QueuedRequest> item = std::move(prepared.front());
-    prepared.pop_front();
-    --queued_total_;
-    return item;
-  }
   cv_work_.wait(lock, [this] { return stop_ || queued_total_ > 0; });
   if (queued_total_ == 0) return nullptr;  // stop_ with drained queues
   for (auto& queue : queues_) {  // strict class-priority order
@@ -214,9 +207,9 @@ std::unique_ptr<Server::QueuedRequest> Server::PopNext(bool prepared_only) {
   return nullptr;  // unreachable: queued_total_ > 0
 }
 
-void Server::WorkerLoop(bool prepared_only) {
+void Server::WorkerLoop() {
   for (;;) {
-    std::unique_ptr<QueuedRequest> item = PopNext(prepared_only);
+    std::unique_ptr<QueuedRequest> item = PopNext();
     if (item == nullptr) return;
     const RequestClass cls = item->request.cls;
     const bool expired_in_queue = Clock::now() > item->deadline;
@@ -290,10 +283,6 @@ StatusOr<BatchResult> Server::Attempt(const QueuedRequest& item,
       const ParamPack& params = item.request.params.size() > 0
                                     ? item.request.params
                                     : batch->params;
-      if (item.request.shards > 0) {
-        return batch->prepared.ExecuteSharded(item.request.shards, params,
-                                              limits);
-      }
       return batch->prepared.Execute(params, limits);
     }
     case RequestClass::kDeltaRefresh: {
@@ -358,15 +347,15 @@ Response Server::RunWithRetries(const QueuedRequest& item,
     // is already spent. Everything else retryable gets backoff + retry.
     if (last_error.code() == StatusCode::kDeadlineExceeded) break;
     if (!last_error.IsRetryable()) break;
-    if (attempt >= options_.max_retries) break;
+    if (attempt >= kMaxRetries) break;
     double backoff_ms =
-        std::min(options_.retry_max_backoff_ms,
-                 options_.retry_initial_backoff_ms *
+        std::min(kRetryMaxBackoffMs,
+                 kRetryInitialBackoffMs *
                      std::exp2(static_cast<double>(attempt)));
     // Deterministic jitter in [0.5, 1.0) x backoff de-synchronizes
     // retrying workers without losing reproducibility.
     const double u =
-        UnitUniform(Mix64(options_.seed ^ (item.seq * 0x9e3779b97f4a7c15ULL) ^
+        UnitUniform(Mix64(kJitterSeed ^ (item.seq * 0x9e3779b97f4a7c15ULL) ^
                           static_cast<uint64_t>(attempt + 1)));
     backoff_ms *= 0.5 + 0.5 * u;
     if (backoff_ms * 1e-3 >= RemainingSeconds(item)) break;  // no budget
@@ -418,7 +407,6 @@ void Server::Shutdown(bool drain) {
     stop_ = true;
   }
   cv_work_.notify_all();
-  cv_prepared_.notify_all();
   // Resolve flushed promises outside the lock: a future continuation must
   // not run under the server mutex.
   for (auto& item : flushed) {

@@ -66,11 +66,6 @@ struct Request {
   /// Per-request deadline from admission to completion; <= 0 uses the
   /// server's default_deadline_seconds (0 there too = no deadline).
   double deadline_seconds = 0.0;
-  /// Shard count for prepared execution (kPreparedExecute only): > 0 runs
-  /// PreparedBatch::ExecuteSharded(shards) instead of Execute — same
-  /// result, computed through the distributed plan-split / view-exchange /
-  /// coordinator-merge path.
-  int shards = 0;
 };
 
 /// \brief The answer to one request.
@@ -96,41 +91,22 @@ struct Response {
   std::string backend;
 };
 
+/// \brief Deployment sizing of a Server. The serving policy itself is
+/// fixed: Server::kMaxRetries, and the shedding watermarks and retry
+/// backoff in server.cc.
 struct ServerOptions {
   /// Worker threads popping the queues.
   size_t num_workers = 2;
-  /// Workers (of num_workers) that pop ONLY the prepared-execute queue.
-  /// Class-priority popping alone cannot prevent head-of-line blocking:
-  /// with every worker busy on long ad-hoc queries, a prepared request
-  /// admitted next still waits for one of them to finish. Reserving K
-  /// workers keeps a capacity floor for the steady-state prepared workload
-  /// (general workers still serve prepared requests too — reservation is a
-  /// floor, not an affinity). Clamped to num_workers - 1 so the other
-  /// classes always keep at least one worker.
-  size_t prepared_reserved_workers = 0;
   /// Per-class queue capacities; admission beyond these rejects with
   /// ResourceExhausted.
   size_t prepared_queue_capacity = 64;
   size_t delta_queue_capacity = 16;
   size_t adhoc_queue_capacity = 16;
-  /// Load-shedding watermarks, as fractions of total capacity: when the
-  /// combined backlog reaches `adhoc_shed_fraction` of the summed queue
-  /// capacities, new ad-hoc requests are shed even though their own queue
-  /// has room; likewise `delta_shed_fraction` (higher) for delta-refresh.
-  /// Prepared-execute is never watermark-shed.
-  double adhoc_shed_fraction = 0.5;
-  double delta_shed_fraction = 0.8;
-  /// Retry policy for retryable failures (Status::IsRetryable).
-  int max_retries = 3;
-  double retry_initial_backoff_ms = 1.0;
-  double retry_max_backoff_ms = 50.0;
   /// Deadline applied when the request does not carry one; 0 = none.
   double default_deadline_seconds = 0.0;
   /// View-memory budget applied to every execution (the deadline side of
   /// ExecLimits comes from the request's remaining budget); 0 = unlimited.
   size_t max_view_bytes = 0;
-  /// Seed for the deterministic retry jitter.
-  uint64_t seed = 0x5e12e;
 };
 
 /// \brief The serving front-end. See the file comment for the lifecycle.
@@ -142,6 +118,9 @@ struct ServerOptions {
 /// outlive the server.
 class Server {
  public:
+  /// Re-runs of a retryable failure after the first attempt.
+  static constexpr int kMaxRetries = 3;
+
   /// `catalog` is needed for ad-hoc parsing and epoch snapshots; it must
   /// be the catalog `engine` was built over.
   Server(Engine* engine, const Catalog* catalog, ServerOptions options = {});
@@ -198,11 +177,10 @@ class Server {
     mutable std::mutex mu;
   };
 
-  void WorkerLoop(bool prepared_only);
-  /// Pops the highest-priority queued request (prepared_only workers pop
-  /// only the prepared-execute queue); null when stopping and
-  /// (drain ? the worker's queues empty : always).
-  std::unique_ptr<QueuedRequest> PopNext(bool prepared_only);
+  void WorkerLoop();
+  /// Pops the highest-priority queued request; null when stopping and
+  /// (drain ? the queues empty : always).
+  std::unique_ptr<QueuedRequest> PopNext();
   Response Process(QueuedRequest& item);
   Response RunWithRetries(const QueuedRequest& item, RegisteredBatch* batch);
   /// One execution attempt for `item` (class dispatch).
@@ -222,10 +200,6 @@ class Server {
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;
-  /// Reserved workers wait here: a shared notify_one on cv_work_ could
-  /// wake a reserved worker for an ad-hoc item it will never pop (a lost
-  /// wakeup). Prepared admissions notify both.
-  std::condition_variable cv_prepared_;
   /// One FIFO per class, popped in class-priority order.
   std::array<std::deque<std::unique_ptr<QueuedRequest>>, kNumRequestClasses>
       queues_;

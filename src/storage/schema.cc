@@ -11,15 +11,6 @@ int RelationSchema::IndexOf(AttrId attr) const {
   return -1;
 }
 
-std::vector<AttrId> RelationSchema::Intersect(
-    const RelationSchema& other) const {
-  std::vector<AttrId> out;
-  for (AttrId a : attrs_) {
-    if (other.Contains(a)) out.push_back(a);
-  }
-  return out;
-}
-
 std::vector<AttrId> SortedUnique(std::vector<AttrId> attrs) {
   std::sort(attrs.begin(), attrs.end());
   attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
@@ -35,8 +26,8 @@ std::vector<AttrId> SetUnion(const std::vector<AttrId>& a,
   return out;
 }
 
-std::vector<AttrId> SetIntersect(const std::vector<AttrId>& a,
-                                 const std::vector<AttrId>& b) {
+std::vector<AttrId> SetIntersection(const std::vector<AttrId>& a,
+                                    const std::vector<AttrId>& b) {
   std::vector<AttrId> out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));

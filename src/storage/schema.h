@@ -40,9 +40,6 @@ class RelationSchema {
   /// True if `attr` occurs in this schema.
   bool Contains(AttrId attr) const { return IndexOf(attr) >= 0; }
 
-  /// Attributes shared with `other`, in this schema's order.
-  std::vector<AttrId> Intersect(const RelationSchema& other) const;
-
  private:
   std::vector<AttrId> attrs_;
 };
@@ -53,8 +50,8 @@ class RelationSchema {
 std::vector<AttrId> SortedUnique(std::vector<AttrId> attrs);
 std::vector<AttrId> SetUnion(const std::vector<AttrId>& a,
                              const std::vector<AttrId>& b);
-std::vector<AttrId> SetIntersect(const std::vector<AttrId>& a,
-                                 const std::vector<AttrId>& b);
+std::vector<AttrId> SetIntersection(const std::vector<AttrId>& a,
+                                    const std::vector<AttrId>& b);
 std::vector<AttrId> SetDifference(const std::vector<AttrId>& a,
                                   const std::vector<AttrId>& b);
 bool SetContains(const std::vector<AttrId>& sorted, AttrId attr);

@@ -14,12 +14,6 @@ const char* AttrTypeName(AttrType type) {
   return "?";
 }
 
-StatusOr<AttrType> ParseAttrType(const std::string& name) {
-  if (name == "int") return AttrType::kInt;
-  if (name == "double") return AttrType::kDouble;
-  return Status::InvalidArgument("unknown attribute type: " + name);
-}
-
 std::string Value::ToString() const {
   std::ostringstream out;
   if (type_ == AttrType::kInt) {

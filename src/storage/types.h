@@ -29,9 +29,6 @@ enum class AttrType : uint8_t {
 /// \brief Stable name for an attribute type ("int" / "double").
 const char* AttrTypeName(AttrType type);
 
-/// \brief Parses "int" or "double".
-StatusOr<AttrType> ParseAttrType(const std::string& name);
-
 /// \brief A scalar value tagged with its type.
 class Value {
  public:

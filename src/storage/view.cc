@@ -103,13 +103,6 @@ void ViewMap::Rehash(size_t new_capacity) {
   }
 }
 
-std::vector<TupleKey> ViewMap::Keys() const {
-  std::vector<TupleKey> out;
-  out.reserve(size_);
-  ForEach([&out](const TupleKey& k, const double*) { out.push_back(k); });
-  return out;
-}
-
 void ViewMap::MergeAdd(const ViewMap& other) {
   LMFAO_CHECK_EQ(key_arity_, other.key_arity_);
   LMFAO_CHECK_EQ(width_, other.width_);

@@ -134,9 +134,6 @@ class ViewMap {
   }
   /// @}
 
-  /// Extracts all keys (unspecified order).
-  std::vector<TupleKey> Keys() const;
-
   /// Merges `other` into this map by summing payloads (used to combine
   /// thread-local partial results from domain-parallel execution).
   /// Pre-sizes to the worst-case union, so the merge itself never rehashes.

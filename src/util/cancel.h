@@ -49,9 +49,6 @@ class CancelToken {
 
   bool armed() const { return deadline_armed_ || budget_bytes_ != 0; }
 
-  /// Marks the token permanently cancelled (deadline semantics).
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-
   bool cancelled() const {
     return cancelled_.load(std::memory_order_relaxed);
   }

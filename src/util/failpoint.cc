@@ -1,6 +1,10 @@
 #include "util/failpoint.h"
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <shared_mutex>
@@ -66,6 +70,34 @@ uint64_t HashName(const std::string& name) {
   return h;
 }
 
+/// Parses all of `text` as a decimal count: digits only, no sign, no
+/// trailing characters, no overflow.
+bool ParseCount(const std::string& text, uint64_t* out) {
+  if (text.empty() || text.find_first_not_of("0123456789") !=
+                          std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno != 0) return false;
+  *out = v;
+  return true;
+}
+
+/// Parses all of `text` as a finite double (no leading space, no trailing
+/// characters, no NaN or infinity).
+bool ParseFinite(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
 /// Parses one `name=action[:ms][@prob][#nth][*count]` clause.
 Status ParseClause(const std::string& clause, std::string* name,
                    FpEntry* entry) {
@@ -103,15 +135,12 @@ Status ParseClause(const std::string& clause, std::string* name,
       return Status::InvalidArgument("':ms' only valid for delay: '" + clause +
                                      "'");
     }
-    try {
-      entry->delay_ms = std::stoi(action.substr(colon + 1));
-    } catch (...) {
+    uint64_t ms = 0;
+    if (!ParseCount(action.substr(colon + 1), &ms) || ms > INT_MAX) {
       return Status::InvalidArgument("bad delay milliseconds in '" + clause +
                                      "'");
     }
-    if (entry->delay_ms < 0) {
-      return Status::InvalidArgument("negative delay in '" + clause + "'");
-    }
+    entry->delay_ms = static_cast<int>(ms);
   }
 
   // Trigger suffixes.
@@ -126,28 +155,24 @@ Status ParseClause(const std::string& clause, std::string* name,
       return Status::InvalidArgument("empty trigger value in '" + clause +
                                      "'");
     }
-    try {
-      if (kind == '@') {
-        entry->probability = std::stod(num);
-        if (entry->probability < 0.0 || entry->probability > 1.0) {
-          return Status::InvalidArgument("probability out of [0,1] in '" +
-                                         clause + "'");
-        }
-      } else if (kind == '#') {
-        entry->nth = std::stoull(num);
-        if (entry->nth == 0) {
-          return Status::InvalidArgument("'#nth' is 1-based in '" + clause +
-                                         "'");
-        }
-      } else {  // '*'
-        entry->max_fires = std::stoull(num);
-        if (entry->max_fires == 0) {
-          return Status::InvalidArgument("'*count' must be positive in '" +
-                                         clause + "'");
-        }
-      }
-    } catch (...) {
+    const bool parsed = kind == '@'
+                            ? ParseFinite(num, &entry->probability)
+                            : ParseCount(num, kind == '#' ? &entry->nth
+                                                          : &entry->max_fires);
+    if (!parsed) {
       return Status::InvalidArgument("bad trigger number in '" + clause + "'");
+    }
+    if (kind == '@' &&
+        (entry->probability < 0.0 || entry->probability > 1.0)) {
+      return Status::InvalidArgument("probability out of [0,1] in '" + clause +
+                                     "'");
+    }
+    if (kind == '#' && entry->nth == 0) {
+      return Status::InvalidArgument("'#nth' is 1-based in '" + clause + "'");
+    }
+    if (kind == '*' && entry->max_fires == 0) {
+      return Status::InvalidArgument("'*count' must be positive in '" +
+                                     clause + "'");
     }
     i = end == std::string::npos ? triggers.size() : end;
   }

@@ -32,9 +32,10 @@ void ThreadPool::Shutdown() {
     stop_ = true;
   }
   cv_work_.notify_all();
-  // Workers exit only once the queue is empty AND no task is running (a
-  // running task may still submit continuations), so join() here IS the
-  // drain barrier: everything accepted before the stop flag runs first.
+  // A worker exits once it finds the queue empty; a worker still running a
+  // task loops back afterwards and runs any continuations that task
+  // submitted, so join() here IS the drain barrier: everything accepted
+  // before the stop flag runs first.
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -50,11 +51,6 @@ bool ThreadPool::Submit(std::function<void()> task) {
   return true;
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   g_current_pool = this;
   for (;;) {
@@ -65,59 +61,14 @@ void ThreadPool::WorkerLoop() {
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 
 size_t ThreadPool::DefaultThreadCount() {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : hc;
-}
-
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || pool->num_threads() == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  auto work = [&] {
-    for (;;) {
-      const size_t i = next.fetch_add(1);
-      if (i >= n) break;
-      fn(i);
-    }
-  };
-  // The caller claims indices alongside up to (threads - 1) accepted
-  // helpers, so a Submit rejected by a shutting-down pool only costs
-  // parallelism — every index still runs, and the wait below is on the
-  // helpers that were actually accepted.
-  const size_t max_helpers = std::min(n, pool->num_threads()) - 1;
-  size_t accepted = 0;
-  for (size_t w = 0; w < max_helpers; ++w) {
-    if (pool->Submit([&] {
-          work();
-          std::lock_guard<std::mutex> lock(mu);
-          done.fetch_add(1);
-          cv.notify_all();
-        })) {
-      ++accepted;
-    }
-  }
-  work();
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done.load() == accepted; });
 }
 
 void ParallelForShared(ThreadPool* pool, size_t n,

@@ -17,10 +17,9 @@ namespace lmfao {
 
 /// \brief A simple FIFO thread pool.
 ///
-/// Tasks are arbitrary callables. WaitIdle() blocks until the queue is empty
-/// and all workers are idle, which is how the engine implements barriers
-/// between dependency-graph strata. The pool is not work-stealing; the
-/// engine's scheduler enqueues ready groups explicitly.
+/// Tasks are arbitrary callables. The pool is not work-stealing; the
+/// engine's scheduler enqueues ready groups explicitly and tracks their
+/// completion itself.
 ///
 /// Shutdown contract: `Shutdown()` (and the destructor, which calls it)
 /// drains deterministically — every task accepted before the shutdown
@@ -43,10 +42,6 @@ class ThreadPool {
   /// *before* enqueue — it will never run, and the caller knows).
   bool Submit(std::function<void()> task);
 
-  /// Blocks until all submitted tasks (including those submitted by running
-  /// tasks) have completed.
-  void WaitIdle();
-
   /// Drains then joins: stops accepting new external Submits, runs every
   /// already-accepted task (worker-submitted continuations included), and
   /// joins the workers. Idempotent; called by the destructor.
@@ -62,23 +57,14 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable cv_work_;
-  std::condition_variable cv_idle_;
   std::deque<std::function<void()>> queue_;
-  size_t active_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
 
-/// \brief Runs `fn(i)` for i in [0, n) across `pool`, blocking until done.
-///
-/// If `pool` is null or has one thread, runs inline. Must NOT be called
-/// from inside a pool worker: the caller does not participate, so if every
-/// worker blocked here the queued helpers could never run (deadlock). Use
-/// ParallelForShared from worker context.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
-
-/// \brief Caller-participating ParallelFor, safe from inside a pool worker.
+/// \brief Runs `fn(i)` for i in [0, n) across `pool`, blocking until done;
+/// safe from inside a pool worker. Runs inline when `pool` is null or has
+/// one thread.
 ///
 /// The caller claims indices alongside up-to-(n-1) helper tasks submitted
 /// to the pool, and returns as soon as all n indices have run — helpers

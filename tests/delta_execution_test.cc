@@ -43,14 +43,12 @@ class DeltaFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DeltaFuzzTest, RefreshMatchesRecomputeAndBaselineBitForBit) {
   struct Config {
     bool factorize = true;
-    bool freeze = true;
     int threads = 1;
   };
   const std::vector<Config> configs = {
-      {true, true, 1},   // Default: frozen sorted views (both layouts).
-      {true, false, 1},  // All views stay in hash form.
-      {false, true, 1},  // Unfactorized leaf writes.
-      {true, true, 3},   // Hybrid scheduler.
+      {true, 1},   // Default: frozen sorted views (both layouts).
+      {false, 1},  // Unfactorized leaf writes.
+      {true, 3},   // Hybrid scheduler.
   };
   for (size_t ci = 0; ci < configs.size(); ++ci) {
     Rng rng(GetParam() * 131 + ci);
@@ -64,7 +62,6 @@ TEST_P(DeltaFuzzTest, RefreshMatchesRecomputeAndBaselineBitForBit) {
 
     EngineOptions options;
     options.plan.factorize = configs[ci].factorize;
-    options.plan.freeze_views = configs[ci].freeze;
     options.scheduler.num_threads = configs[ci].threads;
     Engine engine(&db.catalog, &db.tree, options);
     auto prepared = engine.Prepare(batch);

@@ -86,15 +86,11 @@ size_t SplitGroups(const ExecutionStats& stats) {
 class DistFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
-  struct Config {
-    bool freeze = true;
-    int threads = 1;
-  };
-  // Frozen single-thread is the default path; the others make sure shard
-  // passes compose with hash-form views and the hybrid scheduler.
-  const std::vector<Config> configs = {{true, 1}, {false, 1}, {true, 3}};
+  // Single-thread is the default path; three threads make sure shard
+  // passes compose with the hybrid scheduler.
+  const std::vector<int> thread_counts = {1, 3};
   const std::vector<int> shard_counts = ShardCounts();
-  for (size_t ci = 0; ci < configs.size(); ++ci) {
+  for (size_t ci = 0; ci < thread_counts.size(); ++ci) {
     Rng rng(GetParam() * 977 + ci);
     ExactDatabase db = MakeExactDatabase(&rng);
     const QueryBatch batch = MakeExactBatch(db, &rng);
@@ -102,8 +98,7 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
     LMFAO_REPRO_TRACE(GetParam() * 977 + ci);
 
     EngineOptions options;
-    options.plan.freeze_views = configs[ci].freeze;
-    options.scheduler.num_threads = configs[ci].threads;
+    options.scheduler.num_threads = thread_counts[ci];
     Engine engine(&db.catalog, &db.tree, options);
     auto prepared = engine.Prepare(batch);
     ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
@@ -255,54 +250,35 @@ TEST_F(ShardPlanTest, AutoPicksTheLargestEligibleRelation) {
   EXPECT_EQ(one->num_shards, 1);
 }
 
-TEST_F(ShardPlanTest, PinnedRelationIsHonored) {
-  const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
-  ShardSpec spec;
-  spec.num_shards = 3;
-  spec.relation = data_->sales;
-  auto plan = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
-                              spec);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->relation, data_->sales);
-}
-
-TEST_F(ShardPlanTest, PinnedUnknownRelationRejected) {
+TEST_F(ShardPlanTest, AutoPickSkipsRelationsOutsideEveryClosure) {
   const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
   ShardSpec spec;
   spec.num_shards = 2;
-  spec.relation = 99;  // Not in the catalog.
-  auto plan = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
-                              spec);
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(ShardPlanTest, PinnedRelationOutsideInputClosureRejected) {
-  // Doctor the compiled plans so no group reads relation 0: partitioning
-  // it would duplicate the result per shard, so the split must refuse.
+  auto largest = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
+                                 spec);
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  // Doctor the compiled plans so no group reads the largest relation:
+  // partitioning it would duplicate the result per shard, so the split
+  // must pick a relation some group reads instead.
   CompiledBatch doctored = prepared_.compiled();
   for (GroupPlan& plan : doctored.plans) {
-    plan.source_relation_mask &= ~1ull;
+    plan.source_relation_mask &= ~(1ull << largest->relation);
   }
-  const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
-  ShardSpec spec;
-  spec.num_shards = 2;
-  spec.relation = 0;
   auto plan = MakeShardedPlan(doctored, data_->catalog, epoch, spec);
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->relation, largest->relation);
+  EXPECT_GT(plan->dirty_groups, 0);
 
   // With no eligible relation at all, auto-pick has nothing to partition.
   for (GroupPlan& p : doctored.plans) p.source_relation_mask = 0;
-  spec.relation = kInvalidRelation;
   auto none = MakeShardedPlan(doctored, data_->catalog, epoch, spec);
   EXPECT_FALSE(none.ok());
   EXPECT_EQ(none.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Relation ids beyond 63 saturate the closure masks. Such a relation is
-// still read by the batch: it can be pinned or auto-picked for a split, and
-// a refresh of it counts its dirty groups.
+// still read by the batch: it can be auto-picked for a split, and a
+// refresh of it counts its dirty groups.
 TEST(ShardPlanWideCatalogTest, RelationBeyond63ShardsAndRefreshes) {
   // A 65-relation star on one join attribute: R0 at the centre, R1..R64
   // around it, one row per key everywhere except R64 (four rows per key).
@@ -342,9 +318,9 @@ TEST(ShardPlanWideCatalogTest, RelationBeyond63ShardsAndRefreshes) {
   Engine engine(&catalog, &tree, EngineOptions{});
 
   // Auto-pick sees the largest relation, id 64.
-  auto unpinned = engine.Prepare(batch);
-  ASSERT_TRUE(unpinned.ok()) << unpinned.status().ToString();
-  auto picked = MakeShardedPlan(unpinned->compiled(), catalog,
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto picked = MakeShardedPlan(prepared->compiled(), catalog,
                                 catalog.SnapshotEpoch(), ShardSpec{3});
   ASSERT_TRUE(picked.ok()) << picked.status().ToString();
   EXPECT_EQ(picked->relation, wide);
@@ -353,12 +329,7 @@ TEST(ShardPlanWideCatalogTest, RelationBeyond63ShardsAndRefreshes) {
   // count is an upper bound, and here it overcounts by that one group.
   EXPECT_EQ(picked->dirty_groups, 2);
 
-  ShardSpec spec;
-  spec.num_shards = 3;
-  spec.relation = wide;
-  auto prepared = engine.PrepareSharded(batch, spec);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  auto sharded = prepared->ExecuteSharded(0);
+  auto sharded = prepared->ExecuteSharded(3);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ(sharded->stats.dist_relation, wide);
   EXPECT_EQ(sharded->stats.dist_shards, 3);
@@ -579,45 +550,28 @@ TEST(SplitPassTest, RefreshOfAShardedBaseServesTheDeltaSlice) {
   }
 }
 
-// --- PrepareSharded and observability ------------------------------------
+// --- Shard counts and observability --------------------------------------
 
-TEST(PrepareShardedTest, PinnedSpecDrivesExecuteSharded) {
+// A shard count of zero or one runs the split pass with one shard, whose
+// result is bit-for-bit the unsharded Execute's.
+TEST(ShardCountTest, ZeroAndOneRunOneShard) {
   Rng rng(4242);
   ExactDatabase db = MakeExactDatabase(&rng);
   const QueryBatch batch = MakeExactBatch(db, &rng);
   Engine engine(&db.catalog, &db.tree, EngineOptions{});
-
-  ShardSpec spec;
-  spec.num_shards = 3;
-  auto prepared = engine.PrepareSharded(batch, spec);
+  auto prepared = engine.Prepare(batch);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  EXPECT_EQ(prepared->shard_spec().num_shards, 3);
-
-  // num_shards <= 0 defers to the pinned spec.
-  auto sharded = prepared->ExecuteSharded(0);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded->stats.dist_shards, 3);
   auto full = prepared->Execute();
-  ASSERT_TRUE(full.ok());
-  ExpectResultsMatch(sharded->results, full->results, 0.0,
-                     "pinned-spec sharded execute");
-
-  // An explicit per-call count overrides the pinned one.
-  auto two = prepared->ExecuteSharded(2);
-  ASSERT_TRUE(two.ok());
-  EXPECT_EQ(two->stats.dist_shards, 2);
-}
-
-TEST(PrepareShardedTest, BadSpecFailsAtPrepareNotAtExecute) {
-  Rng rng(777);
-  ExactDatabase db = MakeExactDatabase(&rng);
-  Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  ShardSpec spec;
-  spec.num_shards = 2;
-  spec.relation = 99;
-  auto prepared = engine.PrepareSharded(MakeExactBatch(db, &rng), spec);
-  EXPECT_FALSE(prepared.ok());
-  EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  for (int n : {0, 1}) {
+    auto sharded = prepared->ExecuteSharded(n);
+    ASSERT_TRUE(sharded.ok()) << "n=" << n << ": "
+                              << sharded.status().ToString();
+    EXPECT_TRUE(sharded->stats.dist_execution);
+    EXPECT_EQ(sharded->stats.dist_shards, 1) << "n=" << n;
+    ExpectResultsMatch(sharded->results, full->results, 0.0,
+                       "n=" + std::to_string(n) + ": one shard vs execute");
+  }
 }
 
 TEST(DistStatsTest, ShardAndExchangeCountersAreCoherent) {

@@ -217,6 +217,7 @@ TEST(ConsumedViewTest, PermutesAndSorts) {
   incoming.key_perm = {1};        // Relation comp: canonical position 1.
   incoming.key_levels = {1};
   incoming.extra_perm = {0};      // Extra comp: canonical position 0.
+  incoming.consumed_perm = {1, 0};
   incoming.bound_level = 1;
   incoming.width = 1;
   ConsumedView cv = BuildConsumedView(produced, incoming);
@@ -380,14 +381,7 @@ TEST(LevelKernelTest, GeneratedPlansMatchBaselineBitForBit) {
       q.root_hint = root;
       batch.Add(std::move(q));
     }
-    // Frozen views may hand a group a borrowed layout; hash-form views are
-    // always re-gathered (row-major single-entry, columnar multi-entry).
-    for (bool freeze : {true, false}) {
-      EngineOptions options;
-      options.plan.freeze_views = freeze;
-      ExpectMatchesBaseline(star.db, batch, options,
-                            freeze ? "star frozen" : "star hash");
-    }
+    ExpectMatchesBaseline(star.db, batch, EngineOptions{}, "star");
     Engine engine(&star.db.catalog, &star.db.tree, EngineOptions{});
     shape += ShapeOf(engine, star.db.catalog, batch);
 
@@ -647,6 +641,39 @@ TEST(LevelKernelTest, RejectsRegistersReadingTheirOwnLevel) {
         RunHandPlan(h, *plan, PayloadLayout::kRowMajor, &o0, &o1);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   }
+}
+
+TEST(LevelKernelTest, RejectsMissingOrOutOfRangeLoweredIds) {
+  HandPlan h;
+  MakeHandPlan(&h);
+  // Leaf factors without their ids into the leaf factor table, or with ids
+  // outside it.
+  GroupPlan no_ids = h.plan;
+  no_ids.leaf_sums[0].factors = {{1, Function::Identity()}};
+  GroupPlan bad_id = no_ids;
+  bad_id.leaf_factor_table = no_ids.leaf_sums[0].factors;
+  bad_id.leaf_sums[0].factor_ids = {1};
+  // An incoming view without its consumed permutation, or with a position
+  // outside its key.
+  GroupPlan no_perm = h.plan;
+  no_perm.incoming[1].consumed_perm.clear();
+  GroupPlan bad_perm = h.plan;
+  bad_perm.incoming[1].consumed_perm = {1};
+  for (const GroupPlan* plan : {&no_ids, &bad_id, &no_perm, &bad_perm}) {
+    ViewMap o0(0, 7);
+    ViewMap o1(2, 4);
+    // Columnar views are borrowed as frozen, so no consumed view is built
+    // from the broken permutation before the executor refuses the plan.
+    const Status st =
+        RunHandPlan(h, *plan, PayloadLayout::kColumnar, &o0, &o1);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+  // The same plan with valid ids runs.
+  GroupPlan good = bad_id;
+  good.leaf_sums[0].factor_ids = {0};
+  ViewMap o0(0, 7);
+  ViewMap o1(2, 4);
+  EXPECT_TRUE(RunHandPlan(h, good, PayloadLayout::kColumnar, &o0, &o1).ok());
 }
 
 }  // namespace

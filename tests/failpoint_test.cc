@@ -70,6 +70,10 @@ TEST(FailpointGrammarTest, MalformedSpecsRejectedAndPreviousConfigKept) {
       "x=delay:junk",  "x=delay:-5",  "x=fail@2.0", "x=fail@-0.5",
       "x=fail@junk",   "x=fail#0",    "x=fail#junk", "x=fail*0",
       "x=fail@",       "x=fail#",     "x=fail*",
+      // Numbers must be consumed whole, finite, and non-negative counts.
+      "x=fail@0.5x",   "x=delay:5ms", "x=fail#3x",  "x=fail*2x",
+      "x=fail@nan",    "x=fail@inf",  "x=fail#-1",  "x=fail*-1",
+      "x=delay:+5",    "x=fail@ 0.5", "x=delay:99999999999",
   };
   for (const char* spec : bad_specs) {
     Status st = Failpoints::Configure(spec);

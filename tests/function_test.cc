@@ -69,6 +69,33 @@ TEST(FunctionTest, DictionaryEqualityByPointer) {
   EXPECT_NE(Function::Dictionary(d1), Function::Dictionary(d2));
 }
 
+// Factors and plan parts are ordered by signature, so a signature that
+// depended on where a dictionary was allocated would let the product
+// order, and with it a floating-point result, vary between processes.
+TEST(FunctionTest, DictionarySignatureHashesContentNotAddress) {
+  auto make = [](double default_value) {
+    auto d = std::make_shared<FunctionDict>();
+    d->name = "g";
+    d->default_value = default_value;
+    for (int64_t k = 0; k < 50; ++k) d->table[k * 7 - 100] = 0.25 * k;
+    return d;
+  };
+  const auto d1 = make(0.5);
+  const auto d2 = make(0.5);
+  ASSERT_NE(d1.get(), d2.get());
+  EXPECT_EQ(Function::Dictionary(d1).Signature(),
+            Function::Dictionary(d2).Signature());
+  // Identity stays exact for equality.
+  EXPECT_NE(Function::Dictionary(d1), Function::Dictionary(d2));
+  // Different content, different signature.
+  EXPECT_NE(Function::Dictionary(d1).Signature(),
+            Function::Dictionary(make(1.5)).Signature());
+  auto d3 = make(0.5);
+  d3->table[-100] = 9.0;
+  EXPECT_NE(Function::Dictionary(d1).Signature(),
+            Function::Dictionary(d3).Signature());
+}
+
 TEST(FunctionTest, SignatureSeparatesKindsAndParams) {
   EXPECT_NE(Function::Identity().Signature(), Function::Square().Signature());
   EXPECT_NE(Function::Indicator(FunctionKind::kIndicatorLe, 1.0).Signature(),

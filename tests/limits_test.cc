@@ -3,8 +3,7 @@
 /// view-byte-budget trips surface as DeadlineExceeded/ResourceExhausted
 /// with per-group progress, unwind without leaking views, and leave the
 /// PreparedBatch fully reusable; a budget trip on a domain-sharded group
-/// recovers by retrying unsharded; the CART provider degrades one node's
-/// evaluation instead of failing a training run.
+/// recovers by retrying unsharded.
 
 #include <memory>
 #include <string>
@@ -15,7 +14,6 @@
 #include "data/favorita.h"
 #include "differential_harness.h"
 #include "engine/engine.h"
-#include "ml/cart.h"
 #include "storage/view_store.h"
 #include "util/failpoint.h"
 
@@ -109,22 +107,6 @@ TEST_F(LimitsTest, GenerousLimitsAreExactAndUntripped) {
                      "governed vs ungoverned execute");
 }
 
-TEST_F(LimitsTest, EngineOptionDefaultsApplyAndPerCallOverrides) {
-  EngineOptions options;
-  options.limits.deadline_seconds = 1e-9;
-  Engine engine(&data_->catalog, &data_->tree, options);
-  auto prepared = engine.Prepare(MakeExampleBatch(*data_));
-  ASSERT_TRUE(prepared.ok());
-
-  // Execute() inherits the options' limits...
-  auto governed = prepared->Execute();
-  ASSERT_FALSE(governed.ok());
-  EXPECT_EQ(governed.status().code(), StatusCode::kDeadlineExceeded);
-  // ...and the per-call overload overrides them (here: back to unlimited).
-  auto overridden = prepared->Execute(ParamPack{}, ExecLimits{});
-  EXPECT_TRUE(overridden.ok()) << overridden.status().ToString();
-}
-
 /// The degradation path: a budget trip on a domain-sharded group (whose
 /// per-shard private maps are the memory multiplier) is retried once
 /// unsharded and the pass completes. Injected via viewmap.reserve=oom#1
@@ -207,43 +189,6 @@ TEST_F(LimitsTest, DeltaFailureLeavesHeldBaseIntact) {
   ASSERT_TRUE(full.ok());
   ExpectResultsMatch(refreshed->results, full->results, 1e-9,
                      "delta refresh after failed governed refresh");
-}
-
-TEST_F(LimitsTest, CartProviderRetriesBudgetTripsOnce) {
-  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
-  LmfaoCartProvider provider(&engine);
-
-  QueryBatch batch;
-  Query q;
-  q.name = "node";
-  q.aggregates.push_back(Aggregate::Count());
-  q.aggregates.push_back(
-      Aggregate({Factor{data_->units, Function::Identity()}}));
-  batch.Add(std::move(q));
-
-  // Unlimited reference.
-  auto want = provider.EvaluateBatch(batch, ParamPack{});
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  EXPECT_EQ(provider.limit_retries(), 0);
-
-  // A budget every node batch trips: the provider retries unlimited and
-  // still answers — one oversized node degrades, training survives.
-  ExecLimits limits;
-  limits.max_view_bytes = 1;
-  provider.set_limits(limits);
-  auto got = provider.EvaluateBatch(batch, ParamPack{});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(provider.limit_retries(), 1);
-  ExpectResultsMatch(*got, *want, 0.0, "provider retry vs unlimited");
-
-  // Deadline trips are NOT retried: the time is spent either way.
-  ExecLimits deadline;
-  deadline.deadline_seconds = 1e-9;
-  provider.set_limits(deadline);
-  auto timed_out = provider.EvaluateBatch(batch, ParamPack{});
-  ASSERT_FALSE(timed_out.ok());
-  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(provider.limit_retries(), 1);
 }
 
 }  // namespace

@@ -108,6 +108,24 @@ TEST(LoaderTest, FailedLoadLeavesRelationUnchanged) {
   EXPECT_EQ(rel.num_rows(), 3u);
 }
 
+/// NaN or an infinity would poison every sum over the column, so a
+/// non-finite double is malformed input like any other bad field.
+TEST(LoaderTest, RejectsNonFiniteDoubles) {
+  Catalog cat = MakeCatalog();
+  Relation& rel = cat.mutable_relation(0);
+  rel.AppendRowUnchecked({Value::Int(7), Value::Double(1.5)});
+  for (const char* field : {"nan", "NAN", "-nan", "inf", "-inf", "infinity",
+                            "1e999"}) {
+    const Status st = LoadRelationCsvText(
+        std::string("k,x\n1,2\n2,") + field + "\n", cat, &rel);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(st.message().find(field), std::string::npos) << st.ToString();
+    ASSERT_EQ(rel.num_rows(), 1u) << field;
+    EXPECT_EQ(rel.column(0).ints(), (std::vector<int64_t>{7}));
+    EXPECT_EQ(rel.column(1).doubles(), (std::vector<double>{1.5}));
+  }
+}
+
 TEST(LoaderTest, FileRoundTrip) {
   Catalog cat = MakeCatalog();
   Relation& rel = cat.mutable_relation(0);

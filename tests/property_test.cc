@@ -183,15 +183,12 @@ TEST_P(EngineFuzzTest, AgreesWithBaselineAcrossConfigs) {
     bool task = true;
     bool domain = true;
     int64_t min_shard_rows = 4096;
-    bool freeze = true;
   };
   const std::vector<Config> configs = {
       {true, true, true, 1},
       {false, true, true, 1},
       {true, false, true, 1},
       {true, true, false, 1},
-      // No freezing: every view stays in hash form.
-      {true, true, true, 1, true, true, 4096, false},
       // Hybrid (the default parallel path), with sharding forced on every
       // group by the min_shard_rows=1 floor.
       {true, true, true, 3, true, true, 1},
@@ -204,7 +201,6 @@ TEST_P(EngineFuzzTest, AgreesWithBaselineAcrossConfigs) {
     options.view_generation.merge_views = config.merge;
     options.grouping.multi_output = config.multi;
     options.plan.factorize = config.factorize;
-    options.plan.freeze_views = config.freeze;
     options.scheduler.num_threads = config.threads;
     options.scheduler.task_parallel = config.task;
     options.scheduler.domain_parallel = config.domain;
@@ -216,7 +212,7 @@ TEST_P(EngineFuzzTest, AgreesWithBaselineAcrossConfigs) {
     label << "vs baseline, merge=" << config.merge
           << " multi=" << config.multi << " factorize=" << config.factorize
           << " threads=" << config.threads << " task=" << config.task
-          << " domain=" << config.domain << " freeze=" << config.freeze;
+          << " domain=" << config.domain;
     ::lmfao::testing::ExpectResultsMatch(result->results, *baseline, 1e-7,
                                          label.str());
   }

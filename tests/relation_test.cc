@@ -155,7 +155,8 @@ TEST(ValueTest, TypedAccess) {
 TEST(SchemaSetOpsTest, Basics) {
   EXPECT_EQ(SortedUnique({3, 1, 3, 2}), (std::vector<AttrId>{1, 2, 3}));
   EXPECT_EQ(SetUnion({1, 3}, {2, 3}), (std::vector<AttrId>{1, 2, 3}));
-  EXPECT_EQ(SetIntersect({1, 2, 3}, {2, 3, 4}), (std::vector<AttrId>{2, 3}));
+  EXPECT_EQ(SetIntersection({1, 2, 3}, {2, 3, 4}),
+            (std::vector<AttrId>{2, 3}));
   EXPECT_EQ(SetDifference({1, 2, 3}, {2}), (std::vector<AttrId>{1, 3}));
   EXPECT_TRUE(SetContains({1, 2, 3}, 2));
   EXPECT_FALSE(SetContains({1, 2, 3}, 4));

@@ -542,8 +542,6 @@ TEST(ServingTest, RetriesRecoverDegradeOrExhaust) {
 
   ServerOptions options;
   options.num_workers = 1;
-  options.retry_initial_backoff_ms = 0.1;  // Keep the test fast.
-  options.retry_max_backoff_ms = 1.0;
   Server server(&engine, &db.catalog, options);
   ASSERT_TRUE(server.RegisterBatch("exact", batch).ok());
   const EpochSnapshot epoch0 = db.catalog.SnapshotEpoch();
@@ -567,7 +565,7 @@ TEST(ServingTest, RetriesRecoverDegradeOrExhaust) {
   Response exhausted = server.Submit(PreparedRequest()).get();
   ASSERT_FALSE(exhausted.status.ok());
   EXPECT_TRUE(exhausted.status.IsRetryable());
-  EXPECT_EQ(exhausted.retries, options.max_retries);
+  EXPECT_EQ(exhausted.retries, Server::kMaxRetries);
 
   // ...but delta-refresh degrades instead: the pinned base epoch is served
   // (stale — appends happened since — yet correct as of that epoch).
@@ -602,7 +600,7 @@ TEST(ServingTest, RetriesRecoverDegradeOrExhaust) {
 
   const ServerStats stats = server.stats();
   EXPECT_GE(stats.of(RequestClass::kPreparedExecute).retries,
-            static_cast<uint64_t>(2 + options.max_retries));
+            static_cast<uint64_t>(2 + Server::kMaxRetries));
   EXPECT_EQ(stats.of(RequestClass::kDeltaRefresh).degraded, 1u);
 }
 
@@ -704,95 +702,6 @@ TEST(ServingTest, AdmissionValidationAndParseErrors) {
   EXPECT_EQ(parse_error.status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(parse_error.status.message().find("line 1"), std::string::npos);
   EXPECT_EQ(parse_error.retries, 0);  // Parse errors are not retryable.
-  server.Shutdown();
-}
-
-/// The head-of-line fix: with every general worker stalled on a long
-/// ad-hoc query, a reserved worker must still pop and finish prepared
-/// requests. Made deterministic with a delay failpoint pinning the ad-hoc
-/// execution inside its first sorted-relation fetch.
-TEST(ServingTest, ReservedWorkersPreventHeadOfLineBlocking) {
-  FailpointGuard guard;
-  Failpoints::Clear();
-
-  ExactServingDb db = MakeExactServingDb(0x5e1f);
-  Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  ServerOptions options;
-  options.num_workers = 2;
-  options.prepared_reserved_workers = 1;  // One general, one reserved.
-  Server server(&engine, &db.catalog, options);
-  ASSERT_TRUE(server.RegisterBatch("exact", MakeExactServingBatch(db)).ok());
-
-  // The seam fires on every sorted fetch, so #1 counted from here is the
-  // ad-hoc query's first fetch (registration already ran its executes).
-  ASSERT_TRUE(
-      Failpoints::Configure("engine.sorted_cache=delay:3000#1", 1).ok());
-  Request adhoc;
-  adhoc.cls = RequestClass::kAdHoc;
-  adhoc.text = kAdHocText;
-  auto blocked = server.Submit(std::move(adhoc));
-  // Only the general worker may pop ad-hoc work; wait until it is inside
-  // the delayed fetch before offering prepared requests.
-  while (Failpoints::Hits("engine.sorted_cache") < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  for (int i = 0; i < 4; ++i) {
-    Response resp = server.Submit(PreparedRequest()).get();
-    EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
-  }
-  // The prepared requests finished while the ad-hoc query is still stalled
-  // — without the reservation they would be queued behind it.
-  EXPECT_EQ(blocked.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);
-  Response late = blocked.get();
-  EXPECT_TRUE(late.status.ok()) << late.status.ToString();
-  server.Shutdown();
-}
-
-/// Reservation never starves the other classes: a reservation >= the
-/// worker count is clamped so at least one general worker remains.
-TEST(ServingTest, ReservationClampKeepsAGeneralWorker) {
-  FailpointGuard guard;
-  Failpoints::Clear();
-
-  ExactServingDb db = MakeExactServingDb(0xc1a3);
-  Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  ServerOptions options;
-  options.num_workers = 1;
-  options.prepared_reserved_workers = 8;  // Clamped to 0.
-  Server server(&engine, &db.catalog, options);
-  ASSERT_TRUE(server.RegisterBatch("exact", MakeExactServingBatch(db)).ok());
-
-  Request adhoc;
-  adhoc.cls = RequestClass::kAdHoc;
-  adhoc.text = kAdHocText;
-  Response resp = server.Submit(std::move(adhoc)).get();
-  EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
-  server.Shutdown();
-}
-
-/// Request::shards routes a prepared execute through the sharded
-/// distributed path; on the integer-exact db the response must be
-/// bit-for-bit the unsharded one.
-TEST(ServingTest, ShardedPreparedRequestMatchesUnsharded) {
-  FailpointGuard guard;
-  Failpoints::Clear();
-
-  ExactServingDb db = MakeExactServingDb(0xd157);
-  Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  Server server(&engine, &db.catalog, ServerOptions{});
-  ASSERT_TRUE(server.RegisterBatch("exact", MakeExactServingBatch(db)).ok());
-
-  Response plain = server.Submit(PreparedRequest()).get();
-  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
-
-  Request sharded_req = PreparedRequest();
-  sharded_req.shards = 3;
-  Response sharded = server.Submit(std::move(sharded_req)).get();
-  ASSERT_TRUE(sharded.status.ok()) << sharded.status.ToString();
-  ExpectResultsMatch(sharded.results, plain.results, 0.0,
-                     "sharded prepared request");
   server.Shutdown();
 }
 

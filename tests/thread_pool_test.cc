@@ -19,7 +19,7 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&count] { count.fetch_add(1); });
   }
-  pool.WaitIdle();
+  pool.Shutdown();  // Drains every accepted task.
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -27,7 +27,7 @@ TEST(ThreadPoolTest, SingleThreadStillWorks) {
   ThreadPool pool(1);
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) pool.Submit([&count] { ++count; });
-  pool.WaitIdle();
+  pool.Shutdown();
   EXPECT_EQ(count.load(), 10);
 }
 
@@ -44,14 +44,8 @@ TEST(ThreadPoolTest, TasksCanSubmitTasks) {
       pool.Submit([&count] { ++count; });
     }
   });
-  pool.WaitIdle();
+  pool.Shutdown();
   EXPECT_EQ(count.load(), 5);
-}
-
-TEST(ThreadPoolTest, WaitIdleReturnsImmediatelyWhenEmpty) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // Must not hang.
-  SUCCEED();
 }
 
 TEST(ThreadPoolTest, ParallelWorkActuallyOverlaps) {
@@ -68,7 +62,7 @@ TEST(ThreadPoolTest, ParallelWorkActuallyOverlaps) {
       concurrent.fetch_sub(1);
     });
   }
-  pool.WaitIdle();
+  pool.Shutdown();
   EXPECT_GT(max_concurrent.load(), 1);
 }
 
@@ -130,33 +124,19 @@ TEST(ThreadPoolTest, ShutdownIsIdempotent) {
   EXPECT_EQ(count.load(), 1);
 }
 
-/// ParallelFor completes every index even when the pool rejects helper
-/// submissions (shutdown in progress): the caller participates.
-TEST(ParallelForTest, CompletesAgainstShutDownPool) {
+/// ParallelForShared completes every index even when the pool rejects
+/// helper submissions (shutdown in progress): the caller participates.
+TEST(ParallelForSharedTest, CompletesAgainstShutDownPool) {
   ThreadPool pool(4);
   pool.Shutdown();
   std::vector<int> hits(64, 0);
-  ParallelFor(&pool, hits.size(), [&](size_t i) { hits[i] = 1; });
+  ParallelForShared(&pool, hits.size(), [&](size_t i) { hits[i] = 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ParallelForTest, CoversAllIndexes) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h = 0;
-  ParallelFor(&pool, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, InlineWithoutPool) {
-  std::vector<int> hits(10, 0);
-  ParallelFor(nullptr, hits.size(), [&](size_t i) { hits[i] = 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForTest, ZeroIterations) {
+TEST(ParallelForSharedTest, ZeroIterations) {
   ThreadPool pool(2);
-  ParallelFor(&pool, 0, [](size_t) { FAIL(); });
+  ParallelForShared(&pool, 0, [](size_t) { FAIL(); });
   SUCCEED();
 }
 

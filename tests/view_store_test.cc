@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/naive_engine.h"
 #include "data/favorita.h"
 #include "engine/engine.h"
 #include "ml/feature.h"
@@ -193,25 +192,6 @@ TEST_F(RuntimeEvictionTest, HybridSchedulerPopulatesGroupStats) {
     any_sharded = any_sharded || g.shards > 1;
   }
   EXPECT_TRUE(any_sharded);
-}
-
-/// Results are identical with and without freezing/eviction (the lifetime
-/// machinery must be invisible to correctness).
-TEST_F(RuntimeEvictionTest, FreezeDecisionDoesNotChangeResults) {
-  Engine frozen(&data_->catalog, &data_->tree, EngineOptions{});
-  auto a = frozen.Evaluate(batch_);
-  ASSERT_TRUE(a.ok());
-  EngineOptions no_freeze;
-  no_freeze.plan.freeze_views = false;
-  Engine hash_only(&data_->catalog, &data_->tree, no_freeze);
-  auto b = hash_only.Evaluate(batch_);
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->results.size(), b->results.size());
-  for (size_t q = 0; q < a->results.size(); ++q) {
-    EXPECT_TRUE(ResultsEquivalent(a->results[q], b->results[q], 1e-12))
-        << "query " << q;
-  }
-  EXPECT_EQ(b->stats.num_frozen_views, 0);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 /// \file view_wire_test.cc
-/// \brief ViewWire serialization tests: bit-identical round-trips across
-/// arities and both payload layouts, multi-frame streams, and a corrupt-
-/// input fuzz over truncations and byte flips — decode must answer every
-/// malformed buffer with InvalidArgument, never crash or over-read.
+/// \brief ViewWire serialization tests over the frames the sharded
+/// exchange sends (AppendEncodedSlots chunks of a live hash map):
+/// bit-identical round-trips across arities, multi-frame streams, and a
+/// corrupt-input fuzz over truncations and byte flips — decode must answer
+/// every malformed buffer with InvalidArgument, never crash or over-read.
 
 #include "dist/view_wire.h"
 
@@ -10,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -37,57 +39,60 @@ ViewMap MakeMap(int arity, int width, int entries, uint64_t seed) {
   return map;
 }
 
-void ExpectBitIdentical(const SortView& view, const DecodedView& decoded) {
-  ASSERT_EQ(decoded.arity, view.key_arity());
-  ASSERT_EQ(decoded.width, view.width());
-  ASSERT_EQ(decoded.rows, view.size());
-  ASSERT_EQ(decoded.layout, view.payload_matrix().layout());
-  for (int c = 0; c < view.key_arity(); ++c) {
-    for (size_t i = 0; i < view.size(); ++i) {
-      EXPECT_EQ(decoded.keys.col(c)[i], view.col(c)[i]);
-    }
+/// All occupied slots of `map`, in slot order.
+std::vector<size_t> OccupiedSlots(const ViewMap& map) {
+  std::vector<size_t> slots;
+  for (size_t slot = 0; slot < map.num_slots(); ++slot) {
+    if (map.slot_occupied(slot)) slots.push_back(slot);
   }
-  for (size_t i = 0; i < view.size(); ++i) {
-    for (int s = 0; s < view.width(); ++s) {
-      // Bit compare, not ==: the transport must preserve -0.0 and NaN
-      // payloads exactly, which value comparison cannot distinguish.
-      uint64_t got, want;
-      const double g = decoded.payloads.at(i, s);
-      const double w = view.payload_at(i, s);
-      std::memcpy(&got, &g, sizeof(got));
-      std::memcpy(&want, &w, sizeof(want));
-      EXPECT_EQ(got, want) << "entry " << i << " slot " << s;
+  return slots;
+}
+
+/// One frame holding every entry of `map`.
+std::string EncodeMap(const ViewMap& map) {
+  std::string wire;
+  AppendEncodedSlots(map, OccupiedSlots(map), &wire);
+  return wire;
+}
+
+/// `decoded` holds exactly the entries at `slots` of `map`, in that order.
+void ExpectBitIdentical(const ViewMap& map, const std::vector<size_t>& slots,
+                        const DecodedView& decoded) {
+  ASSERT_EQ(decoded.arity, map.key_arity());
+  ASSERT_EQ(decoded.width, map.width());
+  ASSERT_EQ(decoded.rows, slots.size());
+  for (size_t i = 0; i < decoded.rows; ++i) {
+    for (int c = 0; c < map.key_arity(); ++c) {
+      EXPECT_EQ(decoded.keys.col(c)[i], map.slot_key(slots[i])[c]);
     }
+    // Bit compare, not ==: the transport must preserve -0.0 and NaN
+    // payloads exactly, which value comparison cannot distinguish.
+    EXPECT_EQ(std::memcmp(decoded.payloads.row(i), map.slot_payload(slots[i]),
+                          static_cast<size_t>(map.width()) * sizeof(double)),
+              0)
+        << "entry " << i;
   }
 }
 
-TEST(ViewWireTest, RoundTripAllAritiesBothLayouts) {
+TEST(ViewWireTest, RoundTripAllArities) {
   for (int arity = 0; arity <= 4; ++arity) {
     for (int width : {1, 3, 7}) {
-      for (PayloadLayout layout :
-           {PayloadLayout::kRowMajor, PayloadLayout::kColumnar}) {
-        const ViewMap map = MakeMap(
-            arity, width, arity == 0 ? 1 : 50,
-            0x9e3779b9u + static_cast<uint64_t>(arity * 10 + width));
-        const SortView view = SortView::FromMap(map, layout);
-        std::string wire;
-        AppendEncodedView(view, &wire);
-        EXPECT_EQ(wire.size(), EncodedViewSize(view));
-        size_t offset = 0;
-        StatusOr<DecodedView> decoded = DecodeView(wire, &offset);
-        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-        EXPECT_EQ(offset, wire.size());
-        ExpectBitIdentical(view, *decoded);
-      }
+      const ViewMap map = MakeMap(
+          arity, width, arity == 0 ? 1 : 50,
+          0x9e3779b9u + static_cast<uint64_t>(arity * 10 + width));
+      const std::string wire = EncodeMap(map);
+      size_t offset = 0;
+      StatusOr<DecodedView> decoded = DecodeView(wire, &offset);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(offset, wire.size());
+      ExpectBitIdentical(map, OccupiedSlots(map), *decoded);
     }
   }
 }
 
 TEST(ViewWireTest, RoundTripEmptyView) {
   const ViewMap map(2, 3);
-  const SortView view = SortView::FromMap(map, PayloadLayout::kRowMajor);
-  std::string wire;
-  AppendEncodedView(view, &wire);
+  const std::string wire = EncodeMap(map);
   size_t offset = 0;
   StatusOr<DecodedView> decoded = DecodeView(wire, &offset);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -104,13 +109,11 @@ TEST(ViewWireTest, RoundTripSpecialDoubles) {
   p[1] = std::numeric_limits<double>::infinity();
   p[2] = std::nan("");
   p[3] = std::numeric_limits<double>::denorm_min();
-  const SortView view = SortView::FromMap(map, PayloadLayout::kColumnar);
-  std::string wire;
-  AppendEncodedView(view, &wire);
+  const std::string wire = EncodeMap(map);
   size_t offset = 0;
   StatusOr<DecodedView> decoded = DecodeView(wire, &offset);
   ASSERT_TRUE(decoded.ok());
-  ExpectBitIdentical(view, *decoded);
+  ExpectBitIdentical(map, OccupiedSlots(map), *decoded);
 }
 
 TEST(ViewWireTest, SlotChunksOfALiveMapRoundTrip) {
@@ -130,21 +133,7 @@ TEST(ViewWireTest, SlotChunksOfALiveMapRoundTrip) {
       StatusOr<DecodedView> decoded = DecodeView(wire, &offset);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       EXPECT_EQ(offset, wire.size());
-      ASSERT_EQ(decoded->arity, arity);
-      ASSERT_EQ(decoded->width, 5);
-      ASSERT_EQ(decoded->rows, slots.size());
-      EXPECT_EQ(decoded->layout, PayloadLayout::kRowMajor);
-      for (size_t i = 0; i < decoded->rows; ++i) {
-        for (int c = 0; c < arity; ++c) {
-          EXPECT_EQ(decoded->keys.col(c)[i], map.slot_key(slots[i])[c]);
-        }
-        // The payload crosses as raw bytes, so it compares bit for bit.
-        const double* row = decoded->payloads.data() +
-                            i * decoded->payloads.entry_stride();
-        EXPECT_EQ(std::memcmp(row, map.slot_payload(slots[i]),
-                              5 * sizeof(double)),
-                  0);
-      }
+      ExpectBitIdentical(map, slots, *decoded);
       decoded_rows += slots.size();
       slots.clear();
     }
@@ -154,18 +143,18 @@ TEST(ViewWireTest, SlotChunksOfALiveMapRoundTrip) {
 
 TEST(ViewWireTest, MultiFrameStreamDecodesInOrder) {
   std::string wire;
-  std::vector<SortView> views;
+  std::vector<ViewMap> maps;
   for (int q = 0; q < 4; ++q) {
-    const ViewMap map =
-        MakeMap(q % 3, q + 1, 10 + q, 0xabcdefull + static_cast<uint64_t>(q));
-    views.push_back(SortView::FromMap(map, PayloadLayout::kRowMajor));
-    AppendEncodedView(views.back(), &wire);
+    maps.push_back(
+        MakeMap(q % 3, q + 1, 10 + q, 0xabcdefull + static_cast<uint64_t>(q)));
+    wire += EncodeMap(maps.back());
   }
   size_t offset = 0;
   for (int q = 0; q < 4; ++q) {
     StatusOr<DecodedView> decoded = DecodeView(wire, &offset);
     ASSERT_TRUE(decoded.ok()) << "frame " << q;
-    ExpectBitIdentical(views[static_cast<size_t>(q)], *decoded);
+    const ViewMap& map = maps[static_cast<size_t>(q)];
+    ExpectBitIdentical(map, OccupiedSlots(map), *decoded);
   }
   EXPECT_EQ(offset, wire.size());
   // One decode past the end is a clean truncation error.
@@ -175,10 +164,7 @@ TEST(ViewWireTest, MultiFrameStreamDecodesInOrder) {
 /// Every strict prefix of a valid frame must decode to InvalidArgument
 /// and leave the offset untouched.
 TEST(ViewWireTest, AllTruncationsRejected) {
-  const ViewMap map = MakeMap(2, 3, 20, 0x5eed);
-  const SortView view = SortView::FromMap(map, PayloadLayout::kColumnar);
-  std::string wire;
-  AppendEncodedView(view, &wire);
+  const std::string wire = EncodeMap(MakeMap(2, 3, 20, 0x5eed));
   for (size_t len = 0; len < wire.size(); ++len) {
     size_t offset = 0;
     StatusOr<DecodedView> decoded = DecodeView(wire.data(), len, &offset);
@@ -191,10 +177,7 @@ TEST(ViewWireTest, AllTruncationsRejected) {
 /// Flipping any single byte of the frame must be rejected: header fields
 /// are validated and everything else is covered by the checksum.
 TEST(ViewWireTest, EveryByteFlipRejected) {
-  const ViewMap map = MakeMap(1, 2, 8, 0xf11b);
-  const SortView view = SortView::FromMap(map, PayloadLayout::kRowMajor);
-  std::string wire;
-  AppendEncodedView(view, &wire);
+  const std::string wire = EncodeMap(MakeMap(1, 2, 8, 0xf11b));
   for (size_t pos = 0; pos < wire.size(); ++pos) {
     for (uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}}) {
       std::string corrupt = wire;
@@ -212,10 +195,7 @@ TEST(ViewWireTest, EveryByteFlipRejected) {
 }
 
 TEST(ViewWireTest, BadMagicVersionArityLayoutRejected) {
-  const ViewMap map = MakeMap(1, 1, 3, 0xbad);
-  const SortView view = SortView::FromMap(map, PayloadLayout::kRowMajor);
-  std::string wire;
-  AppendEncodedView(view, &wire);
+  const std::string wire = EncodeMap(MakeMap(1, 1, 3, 0xbad));
 
   auto corrupt_at = [&](size_t pos, uint8_t value) {
     std::string c = wire;
@@ -224,10 +204,12 @@ TEST(ViewWireTest, BadMagicVersionArityLayoutRejected) {
     return DecodeView(c, &offset).status();
   };
   // Offsets past the u64 length prefix: magic @8, version @12, arity @14,
-  // layout @15 (see the frame layout in view_wire.h).
+  // layout @15 (see the frame layout in view_wire.h; row-major, 0, is the
+  // only layout).
   EXPECT_EQ(corrupt_at(8, 0x00).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(corrupt_at(12, 0x7f).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(corrupt_at(14, 200).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(corrupt_at(15, 1).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(corrupt_at(15, 9).code(), StatusCode::kInvalidArgument);
 }
 
@@ -235,10 +217,7 @@ TEST(ViewWireTest, BadMagicVersionArityLayoutRejected) {
 /// explicit consistency check (with its overflow guard), not by an
 /// allocation attempt.
 TEST(ViewWireTest, InconsistentRowCountRejected) {
-  const ViewMap map = MakeMap(2, 2, 5, 0xc0de);
-  const SortView view = SortView::FromMap(map, PayloadLayout::kRowMajor);
-  std::string wire;
-  AppendEncodedView(view, &wire);
+  const std::string wire = EncodeMap(MakeMap(2, 2, 5, 0xc0de));
   // rows lives at offset 8 (length) + 16 (magic..reserved) = 24.
   uint64_t huge = ~0ull;
   std::string corrupt = wire;
