@@ -119,11 +119,12 @@ int main() {
                 return a.seconds > b.seconds;
               });
     for (size_t i = 0; i < groups.size() && i < 12; ++i) {
-      std::printf("  group %d @ %s: %.2f ms (%d outputs, %zu entries)\n",
-                  groups[i].group_id,
-                  db.catalog.relation(groups[i].node).name().c_str(),
-                  groups[i].seconds * 1e3, groups[i].num_outputs,
-                  groups[i].output_entries);
+      std::printf(
+          "  group %d @ %s: %.2f ms (%d outputs, %d dense, %zu entries)\n",
+          groups[i].group_id,
+          db.catalog.relation(groups[i].node).name().c_str(),
+          groups[i].seconds * 1e3, groups[i].num_outputs,
+          groups[i].dense_outputs, groups[i].output_entries);
     }
   }
   return 0;

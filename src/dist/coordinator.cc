@@ -19,7 +19,7 @@ void FoldFrame(const DecodedView& frame, ViewMap* map) {
   int64_t kb[TupleKey::kMaxArity];
   for (size_t i = 0; i < frame.rows; ++i) {
     for (int c = 0; c < arity; ++c) kb[c] = cols[c][i];
-    double* dst = map->UpsertHashed(kb, HashKeySpan(kb, arity));
+    double* dst = map->Upsert(kb);
     const double* src = payload + i * static_cast<size_t>(width);
     for (int s = 0; s < width; ++s) dst[s] += src[s];
   }

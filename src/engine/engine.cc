@@ -340,7 +340,7 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
         }
         return engine_->SortedRelationAt(node, order, spec.rows->at(node));
       },
-      &params, artifact_->jit.get(), &cancel, spec.split);
+      &params, artifact_->jit.get(), &cancel, spec.split, &spec.rows->ranges);
   LMFAO_RETURN_NOT_OK(context.Run(&result.stats));
   result.stats.execute_seconds = exec_timer.ElapsedSeconds();
 
@@ -451,7 +451,10 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
   // batch evaluated with c_i served as its appended slice, c_1..c_{i-1} at
   // their NEW watermarks and c_{i+1}..c_k (and everything unchanged) at the
   // OLD watermarks telescopes to exactly Q(new) - Q(old).
+  // Every term sizes its dense outputs from the target epoch's ranges,
+  // which cover every row any term serves.
   EpochSnapshot serve = base.epoch;
+  serve.ranges = result.epoch.ranges;
   const std::vector<GroupPlan>& plans = artifact_->compiled.plans;
   for (RelationId r : changed) {
     PassSpec spec;

@@ -134,6 +134,8 @@ struct GroupStats {
   /// occupancy) and payload bytes so layout wins stay attributable.
   size_t store_key_bytes = 0;
   size_t store_payload_bytes = 0;
+  /// Outputs built as direct-addressed (dense) ViewMaps; the rest hash.
+  int dense_outputs = 0;
 
   size_t store_bytes() const { return store_key_bytes + store_payload_bytes; }
 };

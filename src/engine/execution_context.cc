@@ -8,7 +8,6 @@
 
 #include "engine/executor.h"
 #include "util/failpoint.h"
-#include "util/hash.h"
 #include "util/timer.h"
 
 namespace lmfao {
@@ -61,20 +60,40 @@ void HarvestParked(Status* st) {
 }
 
 /// Host side of the JIT output callback: resolves (output, key) to the
-/// payload row of the right ViewMap, hashing exactly like the interpreter's
-/// write path so native and interpreted executions build identical maps.
+/// payload row of the right ViewMap through the interpreter's own Upsert,
+/// so native and interpreted executions build identical maps.
 struct JitUpsertCtx {
   const std::vector<ViewMap*>* outputs = nullptr;
-  const int* arities = nullptr;  ///< Key arity per output.
 };
 
 double* JitUpsert(void* ctx, int32_t output, const int64_t* key) {
   static const int64_t kNoKey[1] = {0};
   const auto* c = static_cast<const JitUpsertCtx*>(ctx);
-  const int n = c->arities[output];
-  const int64_t* k = key != nullptr ? key : kNoKey;
-  return (*c->outputs)[static_cast<size_t>(output)]->UpsertHashed(
-      k, HashKeySpan(k, n));
+  return (*c->outputs)[static_cast<size_t>(output)]->Upsert(
+      key != nullptr ? key : kNoKey);
+}
+
+/// The key box of a direct-addressed output map: each key attribute's
+/// value range at the pass's epoch, when all are known and their product
+/// is at most twice the output's estimated entries (itself capped, so the
+/// box needs no byte cap of its own). False selects hash mode.
+bool DenseKeyBox(const std::vector<AttrId>& key,
+                 const std::vector<ValueRange>& ranges, size_t estimate,
+                 std::vector<ValueRange>* box) {
+  if (estimate == 0) return false;
+  const uint64_t max_cells = 2 * static_cast<uint64_t>(estimate);
+  uint64_t cells = 1;
+  for (AttrId a : key) {
+    if (static_cast<size_t>(a) >= ranges.size()) return false;
+    const ValueRange& r = ranges[static_cast<size_t>(a)];
+    if (!r.known()) return false;
+    const uint64_t extent =
+        static_cast<uint64_t>(r.max) - static_cast<uint64_t>(r.min) + 1;
+    if (extent == 0 || extent > max_cells / cells) return false;
+    cells *= extent;
+    box->push_back(r);
+  }
+  return true;
 }
 
 }  // namespace
@@ -87,7 +106,8 @@ ExecutionContext::ExecutionContext(const Workload& workload,
                                    const ParamPack* params,
                                    const JitModule* jit,
                                    const CancelToken* cancel,
-                                   const ScanSplit* split)
+                                   const ScanSplit* split,
+                                   const std::vector<ValueRange>* ranges)
     : workload_(workload),
       grouped_(grouped),
       plans_(plans),
@@ -96,7 +116,8 @@ ExecutionContext::ExecutionContext(const Workload& workload,
       params_(params),
       jit_(jit),
       cancel_(cancel != nullptr && cancel->armed() ? cancel : nullptr),
-      split_(split) {
+      split_(split),
+      ranges_(ranges) {
   LMFAO_CHECK_EQ(grouped_.groups.size(), plans_.size());
 }
 
@@ -206,24 +227,36 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   }
   for (const ConsumedView& cv : consumed) consumed_ptrs.push_back(&cv);
 
-  // Output maps, preallocated from the plan's cardinality estimates; in one
-  // of `n` shards, only an output keyed on the level-1 attribute sees an
-  // n-th of the keys, and reserves an n-th of its estimate.
+  // Output maps, preallocated from the plan's cardinality estimates:
+  // direct-addressed when the key's value ranges allow (DenseKeyBox), else
+  // hashed. In one of `n` shards, an output keyed on the level-1 attribute
+  // sees an n-th of the keys, scattered over the whole box; it stays
+  // hashed and reserves an n-th of its estimate. Returns the number of
+  // dense maps built.
   auto make_output_maps = [&](size_t n,
                               std::vector<std::unique_ptr<ViewMap>>* maps,
                               std::vector<ViewMap*>* ptrs) {
+    int dense = 0;
     for (const GroupPlan::OutputInfo& out : plan.outputs) {
       const ViewInfo& info = workload_.view(out.view);
       maps->push_back(std::make_unique<ViewMap>(
           static_cast<int>(info.key.size()), out.width));
-      if (out.estimated_entries > 0) {
-        const std::vector<AttrId>& key = info.key;
-        const bool split_keys =
-            n > 1 && std::count(key.begin(), key.end(), plan.attr_order[0]);
-        maps->back()->Reserve(out.estimated_entries / (split_keys ? n : 1) + 1);
-      }
       ptrs->push_back(maps->back().get());
+      if (out.estimated_entries == 0) continue;
+      const std::vector<AttrId>& key = info.key;
+      const bool split_keys =
+          n > 1 && std::count(key.begin(), key.end(), plan.attr_order[0]);
+      std::vector<ValueRange> box;
+      if (!split_keys && ranges_ != nullptr &&
+          DenseKeyBox(key, *ranges_, out.estimated_entries, &box)) {
+        maps->back()->ReserveDense(box, out.estimated_entries + 1);
+        ++dense;
+      } else {
+        maps->back()->Reserve(out.estimated_entries / (split_keys ? n : 1) +
+                              1);
+      }
     }
+    return dense;
   };
   // Backend selection, per group: a ready native function wins; a module
   // still compiling (async), failed, or rejecting this group's shape
@@ -233,7 +266,6 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       jit_fn != nullptr ? jit_->GetMeta(gid) : nullptr;
   std::vector<LmfaoJitView> jit_views;
   std::vector<double> jit_params;
-  std::vector<int> jit_arities;
   bool use_jit = jit_fn != nullptr && jit_meta != nullptr;
   // The emitted range-sum helper reduces payload runs contiguously, which
   // requires multi-entry views in columnar layout (entry stride 1); any
@@ -258,9 +290,6 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     jit_params.reserve(jit_meta->param_order.size());
     for (ParamId p : jit_meta->param_order) {
       jit_params.push_back(params_ != nullptr ? params_->Get(p) : 0.0);
-    }
-    for (const GroupPlan::OutputInfo& out : plan.outputs) {
-      jit_arities.push_back(static_cast<int>(out.key_sources.size()));
     }
   }
   if (jit_ != nullptr && !use_jit) gs->degraded = true;
@@ -291,7 +320,6 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       }
       JitUpsertCtx uctx;
       uctx.outputs = &ptrs;
-      uctx.arities = jit_arities.data();
       LmfaoJitInput input;
       input.rel_rows = range.rows();
       input.rel_cols = jit_rel_cols.data();
@@ -335,6 +363,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   }
   std::vector<std::unique_ptr<ViewMap>> out_maps;
   std::vector<ViewMap*> out_ptrs;
+  int dense_outputs = 0;
   // Scans `ranges` in `n` shards into out_maps/out_ptrs. One unsplit shard
   // scans straight into the outputs. Otherwise shard s scans ranges s,
   // s + n, ... into private maps, concurrently on the pool when there is
@@ -345,7 +374,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
                       size_t n) -> Status {
     out_maps.clear();
     out_ptrs.clear();
-    make_output_maps(1, &out_maps, &out_ptrs);
+    dense_outputs = make_output_maps(1, &out_maps, &out_ptrs);
     if (!split && n == 1) {
       return run_piece(make_executor().get(), ranges[0], out_ptrs);
     }
@@ -445,6 +474,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   gs->seconds = group_timer.ElapsedSeconds();
   gs->output_entries = entries;
   gs->shards = static_cast<int>(shards);
+  gs->dense_outputs = dense_outputs;
   gs->wait_seconds = start.wait_seconds;
   gs->backend = use_jit ? "jit" : "interp";
   gs->store_key_bytes = store_.current_key_bytes();

@@ -70,6 +70,9 @@ class ExecutionContext {
   /// `split` (optional, borrowed) runs the groups at its node in the
   /// split's shard count instead of the cost model's, and folds their
   /// shards through its exchange instead of MergeAdd.
+  /// `ranges` (optional, borrowed; indexed by AttrId) are the attribute
+  /// value ranges at the pass's epoch: an output whose key box they bound
+  /// tightly enough is built as a direct-addressed (dense) ViewMap.
   ExecutionContext(const Workload& workload, const GroupedWorkload& grouped,
                    const std::vector<GroupPlan>& plans,
                    const SchedulerOptions& options,
@@ -77,7 +80,8 @@ class ExecutionContext {
                    const ParamPack* params = nullptr,
                    const JitModule* jit = nullptr,
                    const CancelToken* cancel = nullptr,
-                   const ScanSplit* split = nullptr);
+                   const ScanSplit* split = nullptr,
+                   const std::vector<ValueRange>* ranges = nullptr);
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
@@ -102,6 +106,7 @@ class ExecutionContext {
   const JitModule* jit_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   const ScanSplit* split_ = nullptr;
+  const std::vector<ValueRange>* ranges_ = nullptr;
   ViewStore store_;
   std::unique_ptr<ThreadPool> pool_;
   /// Limit trips observed during this pass (deadline/budget/injected OOM),

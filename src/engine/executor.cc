@@ -648,7 +648,7 @@ Status GroupExecutor::Execute(const std::vector<ViewMap*>& outputs,
   if (outputs.size() != plan_.outputs.size()) {
     return Status::InvalidArgument("executor: output count mismatch");
   }
-  // The write paths hand raw key_sources-sized spans to UpsertHashed (which
+  // The write paths hand raw key_sources-sized spans to Upsert (which
   // cannot check a span length), so pin the arity invariant once up front.
   for (size_t o = 0; o < outputs.size(); ++o) {
     if (outputs[o]->key_arity() !=
@@ -987,8 +987,7 @@ void GroupExecutor::RunSteps(uint32_t begin, uint32_t end, int level) {
         for (int c = 0; c < key_n; ++c) {
           key[c] = bound_[static_cast<size_t>(key_comps_[kb + c].level)];
         }
-        o = outputs_[static_cast<size_t>(s.dst)]->UpsertHashed(
-            key, HashKeySpan(key, key_n));
+        o = outputs_[static_cast<size_t>(s.dst)]->Upsert(key);
         break;
       }
       case StepKind::kWriteRun: {
@@ -1013,7 +1012,7 @@ void GroupExecutor::RunSteps(uint32_t begin, uint32_t end, int level) {
 void GroupExecutor::EmitKeyedWrite(const KeyedWrite& w, double base,
                                    int level) {
   // Raw packed key buffer: only the output's actual arity is touched, and
-  // UpsertHashed skips the inline-tuple handle entirely.
+  // the raw-span Upsert skips the inline-tuple handle entirely.
   const size_t output = static_cast<size_t>(w.output);
   const KeyComp* comps = key_comps_.data() + output_key_begin_[output];
   const int key_n =
@@ -1028,8 +1027,7 @@ void GroupExecutor::EmitKeyedWrite(const KeyedWrite& w, double base,
   }
   const std::vector<int>& key_views = plan_.outputs[output].key_views;
   if (key_views.empty()) {
-    outputs_[output]->UpsertHashed(key, HashKeySpan(key, key_n))[w.slot] +=
-        base;
+    outputs_[output]->Upsert(key)[w.slot] += base;
     return;
   }
   // Iterate the cross product of the key views' entry ranges.
@@ -1053,8 +1051,7 @@ void GroupExecutor::EmitKeyedWrite(const KeyedWrite& w, double base,
             comps[i].cursor)]];
       }
     }
-    outputs_[output]->UpsertHashed(key, HashKeySpan(key, key_n))[w.slot] +=
-        value;
+    outputs_[output]->Upsert(key)[w.slot] += value;
     // Advance the odometer.
     size_t i = 0;
     for (; i < nv; ++i) {

@@ -43,6 +43,10 @@ struct ViewAggregate {
 
   /// Structural signature for deduplication within a view.
   uint64_t Signature() const;
+
+  bool operator==(const ViewAggregate& o) const {
+    return local_factors == o.local_factors && child_refs == o.child_refs;
+  }
 };
 
 /// \brief A directional view (or a query output) in the workload DAG.

@@ -341,9 +341,13 @@ class PlanBuilder {
         SortParts(&at_level);
         sig = HashCombine(HashCombine(sig, static_cast<uint64_t>(level)),
                           PartsSignature(at_level));
-        auto it = alpha_registry_.find(sig);
-        if (it != alpha_registry_.end()) {
-          head_alpha = it->second;
+        const int found = alpha_registry_.Find(sig, [&](int a) {
+          const GroupPlan::AlphaReg& reg = plan_.alphas[static_cast<size_t>(a)];
+          return reg.prev == head_alpha && reg.level == level &&
+                 reg.parts == at_level;
+        });
+        if (found >= 0) {
+          head_alpha = found;
           continue;
         }
         GroupPlan::AlphaReg reg;
@@ -354,7 +358,7 @@ class PlanBuilder {
         plan_.alphas.push_back(std::move(reg));
         plan_.alphas_at_level[static_cast<size_t>(level)].push_back(
             head_alpha);
-        alpha_registry_.emplace(sig, head_alpha);
+        alpha_registry_.Add(sig, head_alpha);
       }
     }
 
@@ -374,10 +378,14 @@ class PlanBuilder {
       suffix_sig =
           HashCombine(HashCombine(suffix_sig, static_cast<uint64_t>(level)),
                       PartsSignature(at_level));
-      auto it = beta_registry_.find(suffix_sig);
-      if (it != beta_registry_.end()) {
+      const int found = beta_registry_.Find(suffix_sig, [&](int b) {
+        const GroupPlan::BetaReg& reg = plan_.betas[static_cast<size_t>(b)];
+        return reg.level == level && reg.parts == at_level &&
+               reg.next.kind == suffix.kind && reg.next.index == suffix.index;
+      });
+      if (found >= 0) {
         suffix.kind = GroupPlan::SuffixKind::kBeta;
-        suffix.index = it->second;
+        suffix.index = found;
         continue;
       }
       GroupPlan::BetaReg reg;
@@ -387,7 +395,7 @@ class PlanBuilder {
       const int beta_index = static_cast<int>(plan_.betas.size());
       plan_.betas.push_back(std::move(reg));
       plan_.betas_at_level[static_cast<size_t>(level)].push_back(beta_index);
-      beta_registry_.emplace(suffix_sig, beta_index);
+      beta_registry_.Add(suffix_sig, beta_index);
       suffix.kind = GroupPlan::SuffixKind::kBeta;
       suffix.index = beta_index;
     }
@@ -404,14 +412,16 @@ class PlanBuilder {
 
   int RequireLeafSum(const std::vector<std::pair<int, Function>>& factors) {
     const uint64_t sig = LeafSumSignature(factors);
-    auto it = leaf_registry_.find(sig);
-    if (it != leaf_registry_.end()) return it->second;
+    const int found = leaf_registry_.Find(sig, [&](int i) {
+      return plan_.leaf_sums[static_cast<size_t>(i)].factors == factors;
+    });
+    if (found >= 0) return found;
     GroupPlan::LeafSum sum;
     sum.factors = factors;
     sum.factor_ids = RequireLeafFactors(factors);
     const int index = static_cast<int>(plan_.leaf_sums.size());
     plan_.leaf_sums.push_back(std::move(sum));
-    leaf_registry_.emplace(sig, index);
+    leaf_registry_.Add(sig, index);
     return index;
   }
 
@@ -450,9 +460,9 @@ class PlanBuilder {
   PlanOptions options_;
   GroupPlan plan_;
   std::unordered_map<ViewId, int> incoming_index_;
-  std::unordered_map<uint64_t, int> alpha_registry_;
-  std::unordered_map<uint64_t, int> beta_registry_;
-  std::unordered_map<uint64_t, int> leaf_registry_;
+  SignatureIndex alpha_registry_;
+  SignatureIndex beta_registry_;
+  SignatureIndex leaf_registry_;
   std::unordered_map<uint64_t, int> range_sum_registry_;
 };
 

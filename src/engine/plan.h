@@ -73,6 +73,12 @@ struct PlanPart {
 
   bool is_view() const { return kind != Kind::kFactor; }
   uint64_t Signature() const;
+
+  bool operator==(const PlanPart& o) const {
+    return kind == o.kind && factor == o.factor &&
+           view_index == o.view_index && slot == o.slot && level == o.level &&
+           range_sum_id == o.range_sum_id;
+  }
 };
 
 /// \brief Whether an input closure (GroupPlan::source_relation_mask) may

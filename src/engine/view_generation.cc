@@ -166,12 +166,14 @@ class ViewGenerator {
   int AddAggregate(ViewId vid, ViewAggregate agg) {
     ViewInfo& view = workload_.views[static_cast<size_t>(vid)];
     const uint64_t sig = agg.Signature();
-    auto& sig_map = agg_signatures_[vid];
-    auto it = sig_map.find(sig);
-    if (it != sig_map.end()) return it->second;
+    SignatureIndex& index = agg_signatures_[vid];
+    const int found = index.Find(sig, [&view, &agg](int slot) {
+      return view.aggregates[static_cast<size_t>(slot)] == agg;
+    });
+    if (found >= 0) return found;
     const int slot = static_cast<int>(view.aggregates.size());
     view.aggregates.push_back(std::move(agg));
-    sig_map.emplace(sig, slot);
+    index.Add(sig, slot);
     return slot;
   }
 
@@ -180,8 +182,7 @@ class ViewGenerator {
   ViewGenerationOptions options_;
   Workload workload_;
   std::unordered_map<DirectionKey, ViewId, DirectionKeyHash> registry_;
-  std::unordered_map<ViewId, std::unordered_map<uint64_t, int>>
-      agg_signatures_;
+  std::unordered_map<ViewId, SignatureIndex> agg_signatures_;
 };
 
 }  // namespace

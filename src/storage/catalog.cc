@@ -1,7 +1,7 @@
 #include "storage/catalog.h"
 
+#include <algorithm>
 #include <mutex>
-#include <set>
 #include <sstream>
 
 #include "util/failpoint.h"
@@ -22,6 +22,10 @@ StatusOr<AttrId> Catalog::AddAttribute(const std::string& name, AttrType type,
   info.domain_size = domain_size;
   attrs_.push_back(info);
   attr_by_name_[name] = info.id;
+  {
+    std::unique_lock<std::shared_mutex> lock(epoch_->mu);
+    epoch_->ranges.emplace_back();
+  }
   return info.id;
 }
 
@@ -86,6 +90,17 @@ Status Catalog::Append(RelationId id, const Relation& rows) {
   LMFAO_RETURN_NOT_OK(rel.Append(rows));
   epoch_->watermarks[static_cast<size_t>(id)] = rel.num_rows();
   ++epoch_->append_epoch;
+  // Widen the known (int) ranges to the appended values. An unknown range
+  // stays unknown: the relation's earlier rows are not in it.
+  for (int c = 0; c < rows.num_columns(); ++c) {
+    ValueRange& range =
+        epoch_->ranges[static_cast<size_t>(rel.schema().attr(c))];
+    if (!range.known()) continue;
+    for (int64_t v : rows.column(c).ints()) {
+      range.min = std::min(range.min, v);
+      range.max = std::max(range.max, v);
+    }
+  }
   return Status::OK();
 }
 
@@ -124,7 +139,13 @@ EpochSnapshot Catalog::SnapshotEpoch() const {
     snap.rows.push_back(w != kUntrackedWatermark ? w
                                                  : relations_[i]->num_rows());
   }
+  snap.ranges = epoch_->ranges;
   return snap;
+}
+
+ValueRange Catalog::attr_range(AttrId id) const {
+  std::shared_lock<std::shared_mutex> lock(epoch_->mu);
+  return epoch_->ranges[static_cast<size_t>(id)];
 }
 
 uint64_t Catalog::append_epoch() const {
@@ -141,19 +162,54 @@ StatusOr<RelationId> Catalog::RelationIdOf(const std::string& name) const {
 }
 
 void Catalog::RefreshDomainSizes() {
-  std::vector<std::set<int64_t>> domains(attrs_.size());
+  std::vector<std::vector<const std::vector<int64_t>*>> columns(attrs_.size());
   for (const auto& rel : relations_) {
     for (int c = 0; c < rel->num_columns(); ++c) {
       const AttrId a = rel->schema().attr(c);
       if (attrs_[static_cast<size_t>(a)].type != AttrType::kInt) continue;
-      const auto& ints = rel->column(c).ints();
-      domains[static_cast<size_t>(a)].insert(ints.begin(), ints.end());
+      columns[static_cast<size_t>(a)].push_back(&rel->column(c).ints());
     }
   }
+  std::unique_lock<std::shared_mutex> lock(epoch_->mu);
+  std::vector<uint64_t> seen;
+  std::vector<int64_t> values;
   for (size_t i = 0; i < attrs_.size(); ++i) {
-    if (!domains[i].empty()) {
-      attrs_[i].domain_size = static_cast<int64_t>(domains[i].size());
+    // One pass for [min, max]; then the distinct count from a bitmap over
+    // that range when it is no larger than the values themselves (the
+    // common case: dense ids), else from a sort of the values.
+    size_t count = 0;
+    ValueRange range;
+    for (const std::vector<int64_t>* ints : columns[i]) {
+      if (ints->empty()) continue;
+      const auto [lo, hi] = std::minmax_element(ints->begin(), ints->end());
+      range.min = count == 0 ? *lo : std::min(range.min, *lo);
+      range.max = count == 0 ? *hi : std::max(range.max, *hi);
+      count += ints->size();
     }
+    if (count == 0) continue;
+    epoch_->ranges[i] = range;
+    const uint64_t span = static_cast<uint64_t>(range.max) -
+                          static_cast<uint64_t>(range.min);
+    int64_t distinct = 0;
+    if (span / 64 < count) {
+      seen.assign(static_cast<size_t>(span / 64 + 1), 0);
+      for (const std::vector<int64_t>* ints : columns[i]) {
+        for (int64_t v : *ints) {
+          const uint64_t bit =
+              static_cast<uint64_t>(v) - static_cast<uint64_t>(range.min);
+          seen[bit / 64] |= uint64_t{1} << (bit % 64);
+        }
+      }
+      for (uint64_t word : seen) distinct += __builtin_popcountll(word);
+    } else {
+      values.clear();
+      for (const std::vector<int64_t>* ints : columns[i]) {
+        values.insert(values.end(), ints->begin(), ints->end());
+      }
+      std::sort(values.begin(), values.end());
+      distinct = std::unique(values.begin(), values.end()) - values.begin();
+    }
+    attrs_[i].domain_size = distinct;
   }
 }
 

@@ -34,6 +34,11 @@ namespace lmfao {
 /// the rows between two snapshots.
 struct EpochSnapshot {
   std::vector<size_t> rows;
+  /// Per attribute (indexed by AttrId), the [min, max] its committed
+  /// values span, read under the same lock as `rows`; the execution pass
+  /// sizes direct-addressed output views from it. May be empty or
+  /// unknown per attribute, which only costs those outputs the dense mode.
+  std::vector<ValueRange> ranges;
 
   size_t at(RelationId id) const { return rows[static_cast<size_t>(id)]; }
 };
@@ -114,8 +119,14 @@ class Catalog {
   /// rows directly, before any concurrent use starts).
   size_t CommittedRows(RelationId id) const;
 
-  /// One consistent snapshot of every relation's watermark.
+  /// One consistent snapshot of every relation's watermark and every
+  /// attribute's value range.
   EpochSnapshot SnapshotEpoch() const;
+
+  /// The [min, max] the committed values of int attribute `id` span: set by
+  /// RefreshDomainSizes, widened by every Append. Unknown until the first
+  /// refresh that sees a value of the attribute.
+  ValueRange attr_range(AttrId id) const;
 
   /// Monotonic count of committed Append calls.
   uint64_t append_epoch() const;
@@ -128,8 +139,9 @@ class Catalog {
 
   /// @}
 
-  /// \brief Recomputes each attribute's domain_size as the number of
-  /// distinct values observed across all relations (int attributes only).
+  /// \brief Recomputes each int attribute's domain_size as the number of
+  /// distinct values observed across all relations, and its value range
+  /// (attr_range) as their [min, max].
   void RefreshDomainSizes();
 
   /// \brief Human-readable schema dump.
@@ -147,6 +159,9 @@ class Catalog {
     /// Parallel to relations_; kUntrackedWatermark until first Append.
     std::vector<size_t> watermarks;
     uint64_t append_epoch = 0;
+    /// Parallel to attrs_: each attribute's value range, kept beside its
+    /// domain_size but under `mu`, because appends widen it.
+    std::vector<ValueRange> ranges;
   };
 
   std::vector<AttrInfo> attrs_;

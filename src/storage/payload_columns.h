@@ -15,8 +15,9 @@
 /// plan-layer decision (GroupPlan::OutputInfo::payload_layout, mirroring
 /// the hash-vs-frozen form decision): columnar exactly when some consumer
 /// marginalizes or iterates the view's entry ranges. ViewMap keeps its
-/// row-major payload for out-of-order upserts; the argsort-freeze gathers
-/// rows into whichever layout the plan chose.
+/// row-major payload for out-of-order upserts; the freeze gathers rows
+/// into whichever layout the plan chose, or adopts a dense map's rows,
+/// permuted into key order in place, when that layout is row-major.
 
 #ifndef LMFAO_STORAGE_PAYLOAD_COLUMNS_H_
 #define LMFAO_STORAGE_PAYLOAD_COLUMNS_H_
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
@@ -50,6 +52,13 @@ class PayloadMatrix {
 
   /// Creates storage for `n` entries of `width` slots (zero-initialized).
   PayloadMatrix(int width, size_t n, PayloadLayout layout)
+      : PayloadMatrix(width, n, layout,
+                      std::vector<double>(static_cast<size_t>(width) * n,
+                                          0.0)) {}
+
+  /// Adopts `data`, `n` entries of `width` slots already in layout order.
+  PayloadMatrix(int width, size_t n, PayloadLayout layout,
+                std::vector<double> data)
       : width_(width),
         size_(n),
         layout_(layout),
@@ -57,8 +66,9 @@ class PayloadMatrix {
                           ? static_cast<size_t>(width)
                           : 1),
         slot_stride_(layout == PayloadLayout::kRowMajor ? 1 : n),
-        data_(static_cast<size_t>(width) * n, 0.0) {
+        data_(std::move(data)) {
     LMFAO_CHECK_GE(width, 0);
+    LMFAO_CHECK_EQ(data_.size(), static_cast<size_t>(width) * n);
   }
 
   int width() const { return width_; }

@@ -4,6 +4,7 @@
 #ifndef LMFAO_STORAGE_SCHEMA_H_
 #define LMFAO_STORAGE_SCHEMA_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,15 @@ struct AttrInfo {
   /// the root-assignment heuristic and by data-structure selection. Zero
   /// means unknown.
   int64_t domain_size = 0;
+};
+
+/// \brief Inclusive [min, max] of an int attribute's committed values (the
+/// box a direct-addressed view covers). Unknown when min > max.
+struct ValueRange {
+  int64_t min = 1;
+  int64_t max = 0;
+
+  bool known() const { return min <= max; }
 };
 
 /// \brief Ordered list of attribute ids forming a relation's schema.

@@ -34,58 +34,116 @@ size_t ViewMap::ProbeSlot(const int64_t* vals, uint64_t hash) const {
 
 double* ViewMap::Upsert(const TupleKey& key) {
   LMFAO_CHECK_EQ(key.size(), key_arity_);
-  return UpsertHashed(key.data(), key.Hash());
+  return Upsert(key.data());
 }
 
 double* ViewMap::UpsertHashed(const int64_t* vals, uint64_t hash) {
-  if (size_ * 10 >= (capacity_mask_ + 1) * 7) Rehash((capacity_mask_ + 1) * 2);
-  const size_t i = ProbeSlot(vals, hash);
-  if (entry_[i] == kEmptySlot) {
-    LMFAO_CHECK_LT(size_, static_cast<size_t>(kEmptySlot));
-    entry_[i] = static_cast<uint32_t>(size_);
-    hashes_[i] = hash;
-    int64_t* dst = keys_.data() + i * static_cast<size_t>(key_arity_);
-    for (int c = 0; c < key_arity_; ++c) dst[c] = vals[c];
-    ++size_;
-    payloads_.resize(size_ * static_cast<size_t>(width_), 0.0);
+  size_t i;
+  if (dense_) {
+    if (!DenseCell(vals, &i)) {
+      ConvertToHash();
+      return UpsertHashed(vals, hash);
+    }
+  } else {
+    if (size_ * 10 >= (capacity_mask_ + 1) * 7) {
+      Rehash((capacity_mask_ + 1) * 2);
+    }
+    i = ProbeSlot(vals, hash);
   }
+  if (entry_[i] == kEmptySlot) Insert(i, vals, hash);
   return payloads_.data() + EntryOffset(i);
 }
 
+void ViewMap::Insert(size_t slot, const int64_t* vals, uint64_t hash) {
+  LMFAO_CHECK_LT(size_, static_cast<size_t>(kEmptySlot));
+  entry_[slot] = static_cast<uint32_t>(size_);
+  hashes_[slot] = hash;
+  int64_t* dst = keys_.data() + slot * static_cast<size_t>(key_arity_);
+  for (int c = 0; c < key_arity_; ++c) dst[c] = vals[c];
+  ++size_;
+  payloads_.resize(size_ * static_cast<size_t>(width_), 0.0);
+}
+
 const double* ViewMap::Lookup(const TupleKey& key) const {
-  const size_t i = ProbeSlot(key.data(), key.Hash());
+  size_t i;
+  if (dense_) {
+    if (!DenseCell(key.data(), &i)) return nullptr;
+  } else {
+    i = ProbeSlot(key.data(), key.Hash());
+  }
   return slot_occupied(i) ? slot_payload(i) : nullptr;
 }
 
 void ViewMap::Reserve(size_t n) {
   LMFAO_FAILPOINT_PARK("viewmap.reserve");
-  size_t capacity = capacity_mask_ + 1;
-  while (n * 10 >= capacity * 7) capacity *= 2;
-  if (capacity > capacity_mask_ + 1) Rehash(capacity);
+  if (!dense_) {
+    size_t capacity = capacity_mask_ + 1;
+    while (n * 10 >= capacity * 7) capacity *= 2;
+    if (capacity > capacity_mask_ + 1) Rehash(capacity);
+  }
   payloads_.reserve(n * static_cast<size_t>(width_));
+}
+
+void ViewMap::ReserveDense(const std::vector<ValueRange>& box, size_t n) {
+  LMFAO_CHECK(empty());
+  LMFAO_CHECK_EQ(static_cast<int>(box.size()), key_arity_);
+  // A dense map reserves and allocates its slot arrays here only, so both
+  // ViewMap seams fire here as in a fresh hash map's Reserve.
+  LMFAO_FAILPOINT_PARK("viewmap.reserve");
+  size_t cells = 1;
+  for (int c = 0; c < key_arity_; ++c) {
+    const ValueRange& r = box[static_cast<size_t>(c)];
+    LMFAO_CHECK(r.known());
+    box_lo_[c] = r.min;
+    box_extent_[c] =
+        static_cast<uint64_t>(r.max) - static_cast<uint64_t>(r.min) + 1;
+    LMFAO_CHECK_LT(box_extent_[c], static_cast<uint64_t>(kEmptySlot));
+    cells *= box_extent_[c];
+    LMFAO_CHECK_LT(cells, static_cast<size_t>(kEmptySlot));
+  }
+  dense_ = true;
+  AllocateSlots(cells);
+  payloads_.reserve(n * static_cast<size_t>(width_));
+}
+
+void ViewMap::ConvertToHash() {
+  // Sized for what the map was reserved for, so the conversion is the only
+  // rehash a well-estimated map pays.
+  const size_t want =
+      std::max(size_ + 1, payloads_.capacity() / static_cast<size_t>(width_));
+  size_t capacity = kInitialCapacity;
+  while (want * 10 >= capacity * 7) capacity *= 2;
+  dense_ = false;
+  Rehash(capacity);
 }
 
 void ViewMap::ShrinkToFit() {
   size_t capacity = kInitialCapacity;
   while (size_ * 10 >= capacity * 7) capacity *= 2;
-  if (capacity < capacity_mask_ + 1) Rehash(capacity);
+  if (capacity < num_slots()) {
+    dense_ = false;
+    Rehash(capacity);
+  }
   if (payloads_.capacity() - payloads_.size() > payloads_.size()) {
     payloads_.shrink_to_fit();
   }
 }
 
-void ViewMap::Rehash(size_t new_capacity) {
+void ViewMap::AllocateSlots(size_t slots) {
   // The allocation seam of the hot upsert path. An injected failure parks
-  // (no Status channel here); the rehash itself still completes so the map
-  // stays structurally valid for the unwind.
+  // (no Status channel here); the allocation itself still completes so the
+  // map stays structurally valid for the unwind.
   LMFAO_FAILPOINT_PARK("viewmap.rehash");
+  keys_.assign(slots * static_cast<size_t>(key_arity_), 0);
+  hashes_.assign(slots, 0);
+  entry_.assign(slots, kEmptySlot);
+}
+
+void ViewMap::Rehash(size_t new_capacity) {
   std::vector<int64_t> old_keys = std::move(keys_);
   std::vector<uint64_t> old_hashes = std::move(hashes_);
   std::vector<uint32_t> old_entry = std::move(entry_);
-
-  keys_.assign(new_capacity * static_cast<size_t>(key_arity_), 0);
-  hashes_.assign(new_capacity, 0);
-  entry_.assign(new_capacity, kEmptySlot);
+  AllocateSlots(new_capacity);
   capacity_mask_ = new_capacity - 1;
 
   for (size_t i = 0; i < old_entry.size(); ++i) {
@@ -118,12 +176,52 @@ void ViewMap::MergeAdd(const ViewMap& other) {
   }
 }
 
+namespace {
+
+/// Reorders the `width`-double rows of `data` in place so that row i ends
+/// up holding the old row from[i] (`from` is a permutation; it is consumed
+/// as the visited marks). One row of scratch, each row moved once.
+void PermuteRows(double* data, int width, std::vector<uint32_t>* from) {
+  const size_t w = static_cast<size_t>(width);
+  std::vector<double> held(w);
+  std::vector<uint32_t>& src = *from;
+  for (size_t start = 0; start < src.size(); ++start) {
+    if (src[start] == start) continue;
+    std::memcpy(held.data(), data + start * w, sizeof(double) * w);
+    size_t i = start;
+    for (;;) {
+      const size_t j = src[i];
+      src[i] = static_cast<uint32_t>(i);
+      if (j == start) {
+        std::memcpy(data + i * w, held.data(), sizeof(double) * w);
+        break;
+      }
+      std::memcpy(data + i * w, data + j * w, sizeof(double) * w);
+      i = j;
+    }
+  }
+}
+
+}  // namespace
+
 SortView SortView::FromMap(const ViewMap& map, PayloadLayout layout) {
+  return Freeze(map, layout, nullptr);
+}
+
+SortView SortView::FromMap(ViewMap&& map, PayloadLayout layout) {
+  SortView out = Freeze(map, layout, &map.payloads_);
+  map = ViewMap(map.key_arity(), map.width());
+  return out;
+}
+
+SortView SortView::Freeze(const ViewMap& map, PayloadLayout layout,
+                          std::vector<double>* adopt) {
   SortView out;
   out.width_ = map.width();
   const int arity = map.key_arity();
 
-  // Index argsort over the occupied slots ...
+  // The occupied slots in key order: a dense map's cells already are, a
+  // hash map's slots take an index argsort ...
   std::vector<uint32_t> slots;
   slots.reserve(map.size());
   const size_t num_slots = map.num_slots();
@@ -131,14 +229,17 @@ SortView SortView::FromMap(const ViewMap& map, PayloadLayout layout) {
   for (size_t s = 0; s < num_slots; ++s) {
     if (map.slot_occupied(s)) slots.push_back(static_cast<uint32_t>(s));
   }
-  std::sort(slots.begin(), slots.end(), [&map, arity](uint32_t a, uint32_t b) {
-    const int64_t* ka = map.slot_key(a);
-    const int64_t* kb = map.slot_key(b);
-    for (int c = 0; c < arity; ++c) {
-      if (ka[c] != kb[c]) return ka[c] < kb[c];
-    }
-    return false;
-  });
+  if (!map.dense()) {
+    std::sort(slots.begin(), slots.end(),
+              [&map, arity](uint32_t a, uint32_t b) {
+                const int64_t* ka = map.slot_key(a);
+                const int64_t* kb = map.slot_key(b);
+                for (int c = 0; c < arity; ++c) {
+                  if (ka[c] != kb[c]) return ka[c] < kb[c];
+                }
+                return false;
+              });
+  }
 
   // ... then one gather per key column and one payload gather into the
   // requested layout (a straight row copy, or a tiled transpose into
@@ -148,6 +249,15 @@ SortView SortView::FromMap(const ViewMap& map, PayloadLayout layout) {
   for (int c = 0; c < arity; ++c) {
     int64_t* dst = out.keys_.col(c);
     for (size_t i = 0; i < n; ++i) dst[i] = map.slot_key(slots[i])[c];
+  }
+  if (adopt != nullptr && map.dense() &&
+      (layout == PayloadLayout::kRowMajor || out.width_ == 1)) {
+    // Entry-ordered rows become key-ordered rows where they lie.
+    for (uint32_t& s : slots) s = map.entry_[s];
+    PermuteRows(adopt->data(), out.width_, &slots);
+    out.payloads_ =
+        PayloadMatrix(out.width_, n, layout, std::move(*adopt));
+    return out;
   }
   out.payloads_ = PayloadMatrix(out.width_, n, layout);
   GatherRows(&out.payloads_, [&map, &slots](size_t i) {

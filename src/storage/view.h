@@ -5,11 +5,19 @@
 /// of aggregate values. The Code Generation layer of the paper chooses
 /// "data structures for the views such as sorted arrays and (un)ordered
 /// hashmaps"; we provide both:
-///   - ViewMap: open-addressing hash map with *packed* keys — an
-///     arity-strided int64 buffer plus a cached per-slot hash, so probing
-///     compares 8·arity bytes instead of a fixed-capacity TupleKey — and
-///     dense payloads indexed from the slots (the default; supports
-///     out-of-order upserts),
+///   - ViewMap: the writable form, with *packed* keys — an arity-strided
+///     int64 buffer plus a cached per-slot hash — and dense payloads
+///     indexed from the slots (supports out-of-order upserts). It has two
+///     slot addressings behind one slot API:
+///       - hash mode (the default): open addressing, so probing compares
+///         8·arity bytes instead of a fixed-capacity TupleKey;
+///       - dense mode, chosen from the catalog's cardinality constraints
+///         when the key attributes' value ranges span a box no larger
+///         than twice the output's estimated size: the slot is the key's
+///         row-major offset in the box, so an upsert neither hashes nor
+///         probes, and slot order is key order. A key outside the box
+///         converts the map to hash mode once, so results never depend on
+///         the ranges;
 ///   - SortView: the *frozen* sorted-array form with columnar (SoA) keys
 ///     (KeyColumns) and payloads in the layout the plan chose
 ///     (PayloadMatrix — slot-major columns when consumers marginalize or
@@ -18,11 +26,11 @@
 ///     binary-search lookups over plain contiguous int64 columns.
 ///     Which form a produced view materializes in is a plan-layer decision
 ///     (GroupPlan::OutputInfo::form, see plan.h); the ViewStore
-///     (view_store.h) freezes hash maps into SortViews at publish time.
+///     (view_store.h) freezes maps into SortViews at publish time.
 ///
-/// TupleKey remains the *handle* type at API boundaries (Upsert/Lookup
-/// arguments, ForEach callbacks); the stored layout is packed to the view's
-/// actual arity.
+/// TupleKey remains the *handle* type at API boundaries (Lookup arguments,
+/// ForEach callbacks); the stored layout is packed to the view's actual
+/// arity.
 
 #ifndef LMFAO_STORAGE_VIEW_H_
 #define LMFAO_STORAGE_VIEW_H_
@@ -49,16 +57,26 @@ enum class ViewForm {
   kFrozenSorted,
 };
 
-/// \brief Open-addressing hash map from packed keys to payloads of doubles.
+/// \brief Map from packed keys to payloads of doubles, hash- or
+/// direct-addressed.
 ///
 /// The slot arrays hold, per slot, the packed key (8·arity bytes), its
-/// cached hash and a 4-byte entry index (kEmptySlot when free); probing
+/// cached HashKeySpan hash and a 4-byte entry index (kEmptySlot when
+/// free). Payloads are *dense*: `width` doubles per entry, appended in
+/// insertion order at the entry index, so payload memory scales with
+/// entries, not slots, and accumulation stays contiguous per entry.
+///
+/// Hash mode: linear probing with power-of-two slot counts; probing
 /// rejects on the hash first and only then compares the arity components.
-/// Payloads are *dense*: `width` doubles per entry, appended in insertion
-/// order at the entry index, so payload memory scales with entries, not
-/// slots, and accumulation stays contiguous per entry. Linear probing with
-/// power-of-two slot counts; grows at 70% load, and a rehash moves only
-/// the slot arrays, reusing the cached hashes (keys are never re-hashed).
+/// Grows at 70% load, and a rehash moves only the slot arrays, reusing the
+/// cached hashes (keys are never re-hashed).
+///
+/// Dense mode (ReserveDense): one slot per cell of a key box, the slot
+/// index being the key's row-major offset in it. The key, its hash and the
+/// entry index are written once, on first insert; later upserts of the
+/// key read only its entry index. Occupied slots iterate in key
+/// order. The first key outside the box converts the map to hash mode
+/// through the same cached-hash rehash.
 class ViewMap {
  public:
   /// Creates a map for keys of `key_arity` components and payloads of
@@ -69,15 +87,31 @@ class ViewMap {
   int width() const { return width_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// True while the map is direct-addressed (see ReserveDense).
+  bool dense() const { return dense_; }
 
-  /// Returns the payload slot for `key`, inserting a zero-initialized entry
-  /// if absent. The pointer is invalidated by the next Upsert that inserts
-  /// a key (the dense payload array may grow); Reserve() up front makes a
-  /// known number of upserts rehash-free and pointer-stable.
+  /// Returns the payload slot for the key_arity() components at `vals`,
+  /// inserting a zero-initialized entry if absent. The key is hashed only
+  /// when the map is in hash mode or the key is new. The pointer is
+  /// invalidated by the next upsert that inserts a key (the dense payload
+  /// array may grow); a Reserve up front makes a known number of upserts
+  /// rehash-free and pointer-stable.
+  double* Upsert(const int64_t* vals) {
+    size_t cell;
+    if (dense_ && DenseCell(vals, &cell)) {
+      if (entry_[cell] == kEmptySlot) {
+        Insert(cell, vals, HashKeySpan(vals, key_arity_));
+      }
+      return payloads_.data() + EntryOffset(cell);
+    }
+    return UpsertHashed(vals, HashKeySpan(vals, key_arity_));
+  }
+
+  /// Same, from a TupleKey handle (cold paths and tests).
   double* Upsert(const TupleKey& key);
 
-  /// Same, from a raw component span with its precomputed HashKeySpan hash
-  /// (the rehash-free merge path reuses the source map's cached hashes).
+  /// Same, with the key's precomputed HashKeySpan hash (the rehash-free
+  /// merge path reuses the source map's cached hashes).
   double* UpsertHashed(const int64_t* vals, uint64_t hash);
 
   /// Returns the payload for `key`, or nullptr if absent.
@@ -91,21 +125,29 @@ class ViewMap {
   /// space and slot arrays, not resident payload pages.
   void Reserve(size_t n);
 
-  /// Rehashes down to the smallest capacity holding the current entries,
-  /// and returns the payload slack of an overshot Reserve when it is
-  /// material (more unused than used payload capacity; ordinary growth
-  /// never leaves that much). The ViewStore calls this at publish time for
-  /// views that stay in hash form: published maps take no further inserts,
-  /// so their capacity headroom is pure waste.
+  /// Switches an empty map to dense mode over the key box `box` (one
+  /// inclusive value range per key component, each known) and reserves
+  /// payload for `n` entries. The box must hold fewer than 2^32 cells; the
+  /// caller keeps it near the expected entry count, since the slot arrays
+  /// scale with the box.
+  void ReserveDense(const std::vector<ValueRange>& box, size_t n);
+
+  /// Rehashes down to the smallest capacity holding the current entries —
+  /// converting a dense map whose box is larger than that — and returns
+  /// the payload slack of an overshot Reserve when it is material (more
+  /// unused than used payload capacity; ordinary growth never leaves that
+  /// much). The ViewStore calls this at publish time for views that stay
+  /// in map form: published maps take no further inserts, so their
+  /// capacity headroom is pure waste.
   void ShrinkToFit();
 
-  /// Number of entries the map can hold before the next rehash.
+  /// Number of entries a hash-mode map can hold before the next rehash.
   size_t capacity() const { return ((capacity_mask_ + 1) * 7) / 10; }
 
   /// \name Raw slot access (freeze / consume / merge hot paths — no
   /// TupleKey materialization).
   /// @{
-  size_t num_slots() const { return capacity_mask_ + 1; }
+  size_t num_slots() const { return entry_.size(); }
   bool slot_occupied(size_t slot) const { return entry_[slot] != kEmptySlot; }
   /// The slot's packed key components (key_arity() values).
   const int64_t* slot_key(size_t slot) const {
@@ -117,13 +159,13 @@ class ViewMap {
   }
   /// @}
 
-  /// \name Iteration over occupied entries (unspecified order). The
-  /// callback key is a gathered TupleKey; hot paths use the raw slot
-  /// accessors instead.
+  /// \name Iteration over occupied entries (key order in dense mode,
+  /// unspecified otherwise). The callback key is a gathered TupleKey; hot
+  /// paths use the raw slot accessors instead.
   /// @{
   template <typename Fn>  // Fn(const TupleKey&, const double*)
   void ForEach(Fn&& fn) const {
-    const size_t slots = capacity_mask_ + 1;
+    const size_t slots = num_slots();
     for (size_t i = 0; i < slots; ++i) {
       if (!slot_occupied(i)) continue;
       TupleKey key(key_arity_);
@@ -136,7 +178,9 @@ class ViewMap {
 
   /// Merges `other` into this map by summing payloads (used to combine
   /// thread-local partial results from domain-parallel execution).
-  /// Pre-sizes to the worst-case union, so the merge itself never rehashes.
+  /// Pre-sizes to the worst-case union, so the merge itself never rehashes
+  /// (beyond a dense map's one conversion, should `other` hold a key
+  /// outside its box).
   void MergeAdd(const ViewMap& other);
 
   /// \name Memory accounting: key-side bytes (the slot arrays: packed
@@ -152,12 +196,35 @@ class ViewMap {
   /// @}
 
  private:
+  friend class SortView;  // The freeze adopts a dense map's payload buffer.
+
   /// Entry index of a free slot.
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
   size_t EntryOffset(size_t slot) const {
     return static_cast<size_t>(entry_[slot]) * static_cast<size_t>(width_);
   }
+  /// Dense mode: the key's cell in the box, or false when it lies outside.
+  /// Unsigned differences make one compare per component a range check.
+  bool DenseCell(const int64_t* vals, size_t* cell) const {
+    size_t offset = 0;
+    for (int c = 0; c < key_arity_; ++c) {
+      const uint64_t d =
+          static_cast<uint64_t>(vals[c]) - static_cast<uint64_t>(box_lo_[c]);
+      if (d >= box_extent_[c]) return false;
+      offset = offset * box_extent_[c] + d;
+    }
+    *cell = offset;
+    return true;
+  }
+  /// Fills the free slot `slot` with the key and a zeroed payload entry.
+  void Insert(size_t slot, const int64_t* vals, uint64_t hash);
+  /// Leaves dense mode: rehashes the occupied cells into a hash table
+  /// sized for the reserved entries.
+  void ConvertToHash();
+  /// Replaces the slot arrays with `slots` free slots (the
+  /// viewmap.rehash failpoint seam).
+  void AllocateSlots(size_t slots);
   void Rehash(size_t new_capacity);
   size_t ProbeSlot(const int64_t* vals, uint64_t hash) const;
   bool SlotKeyEquals(size_t slot, const int64_t* vals) const {
@@ -171,8 +238,13 @@ class ViewMap {
   int key_arity_;
   int width_;
   size_t size_ = 0;
+  /// Hash mode: slot count - 1 (a power of two minus one).
   size_t capacity_mask_ = 0;
-  /// Packed keys, capacity * key_arity_ (8·arity bytes per slot).
+  /// Dense mode: the box's lower corner and per-component extents.
+  bool dense_ = false;
+  int64_t box_lo_[TupleKey::kMaxArity] = {};
+  uint64_t box_extent_[TupleKey::kMaxArity] = {};
+  /// Packed keys, num_slots() * key_arity_ (8·arity bytes per slot).
   std::vector<int64_t> keys_;
   /// Cached HashKeySpan per slot (valid where occupied).
   std::vector<uint64_t> hashes_;
@@ -185,10 +257,11 @@ class ViewMap {
 /// \brief Sorted-array view: entries ordered by key, keys stored columnar
 /// (SoA), payloads in the plan-chosen PayloadLayout.
 ///
-/// Built by freezing a ViewMap: an index argsort over the occupied slots
-/// followed by a single gather into per-component key columns and a gather
-/// of the slot payloads into the requested layout (no per-entry hash
-/// lookups). Supports ordered iteration (merge-join style consumption) and
+/// Built by freezing a ViewMap: the occupied slots in key order (a dense
+/// map's slot order already is; a hash map's slots are argsorted), then a
+/// single gather into per-component key columns and a gather of the slot
+/// payloads into the requested layout (no per-entry hash lookups).
+/// Supports ordered iteration (merge-join style consumption) and
 /// binary-search lookup that narrows one contiguous column at a time. The
 /// raw key and payload arrays are exposed so the execution runtime can
 /// hand them to consumers without copying (ConsumedView borrows them when
@@ -205,6 +278,13 @@ class SortView {
   /// Freezes `map` into sorted form with the given payload layout
   /// (GroupPlan::OutputInfo::payload_layout for plan-produced views).
   static SortView FromMap(const ViewMap& map,
+                          PayloadLayout layout = PayloadLayout::kColumnar);
+
+  /// Same, consuming the map: a dense map frozen into row-major layout (or
+  /// of width 1, where both layouts coincide) has its payload rows
+  /// permuted into key order in place and adopted, so the map's payload
+  /// and the frozen copy never coexist. `map` is left empty.
+  static SortView FromMap(ViewMap&& map,
                           PayloadLayout layout = PayloadLayout::kColumnar);
 
   int key_arity() const { return keys_.arity(); }
@@ -241,6 +321,11 @@ class SortView {
   /// @}
 
  private:
+  /// Both FromMap overloads; `adopt` is the consumed map's payload
+  /// buffer, or nullptr to copy.
+  static SortView Freeze(const ViewMap& map, PayloadLayout layout,
+                         std::vector<double>* adopt);
+
   int width_;
   KeyColumns keys_;
   PayloadMatrix payloads_;

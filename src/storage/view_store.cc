@@ -57,7 +57,7 @@ Status ViewStore::Publish(int32_t view_id, std::unique_ptr<ViewMap> map) {
   if (meta.form == ViewForm::kFrozenSorted) {
     LMFAO_FAILPOINT("viewstore.freeze");
     frozen = std::make_unique<SortView>(
-        SortView::FromMap(*map, meta.payload_layout));
+        SortView::FromMap(std::move(*map), meta.payload_layout));
     map.reset();
   } else {
     // The map takes no further inserts once published; return the slack of

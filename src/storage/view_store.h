@@ -6,7 +6,7 @@
 /// publishes every produced view into the store and consumers read it back
 /// out. The store
 ///   - holds each view in the form its producing plan recorded
-///     (GroupPlan::OutputInfo::form): hash ViewMap, or frozen sorted-array
+///     (GroupPlan::OutputInfo::form): ViewMap, or frozen sorted-array
 ///     SortView built once at publish time;
 ///   - tracks per-view consumer refcounts derived from the workload DAG and
 ///     *eagerly evicts* a view after its last consumer finishes, so peak
@@ -51,7 +51,7 @@ class ViewStore {
                 PayloadLayout payload_layout = PayloadLayout::kColumnar);
 
   /// Publishes the produced map. If the registered form is kFrozenSorted,
-  /// the map is frozen into a SortView and the hash form is dropped.
+  /// the map is frozen into a SortView (consuming it) and dropped.
   /// A view with no consumers and no pin is evicted immediately.
   Status Publish(int32_t view_id, std::unique_ptr<ViewMap> map);
 

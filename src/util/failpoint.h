@@ -38,7 +38,10 @@
 ///
 /// Seams instrumented (see also docs/ARCHITECTURE.md):
 ///   jit.compile, jit.dlopen      — JitModule compile / load
-///   viewmap.reserve, viewmap.rehash — ViewMap growth (parked, see below)
+///   viewmap.reserve, viewmap.rehash — ViewMap reservation and slot-array
+///                                  allocation: hash growth, a dense box,
+///                                  a dense→hash conversion (parked, see
+///                                  below)
 ///   viewstore.register, viewstore.publish, viewstore.freeze
 ///   catalog.append               — epoch commit
 ///   engine.sorted_cache          — sorted-relation cache (re)build

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -126,6 +127,30 @@ struct TupleKeyHash {
   size_t operator()(const TupleKey& k) const {
     return static_cast<size_t>(k.Hash());
   }
+};
+
+/// \brief The deduplication idiom of the compile-time registries (view
+/// aggregate slots, alpha/beta registers, leaf sums): a 64-bit structural
+/// signature buckets the candidate ids, and exact structural equality
+/// confirms a hit, so two different entries whose signatures collide get
+/// two ids instead of silently sharing one. The entries themselves live
+/// with the caller; the index holds only their ids.
+class SignatureIndex {
+ public:
+  /// The id added under `sig` for which `same(id)` holds, or -1.
+  template <typename Same>
+  int Find(uint64_t sig, Same&& same) const {
+    auto [it, end] = ids_.equal_range(sig);
+    for (; it != end; ++it) {
+      if (same(it->second)) return it->second;
+    }
+    return -1;
+  }
+
+  void Add(uint64_t sig, int id) { ids_.emplace(sig, id); }
+
+ private:
+  std::unordered_multimap<uint64_t, int> ids_;
 };
 
 }  // namespace lmfao

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/failpoint.h"
+
 namespace lmfao {
 namespace {
 
@@ -72,6 +74,9 @@ TEST(CatalogTest, RefreshDomainSizesCountsDistinctInts) {
   auto k = cat.AttrIdOf("k");
   ASSERT_TRUE(k.ok());
   EXPECT_EQ(cat.attr(*k).domain_size, 4);
+  EXPECT_EQ(cat.attr_range(*k).min, 0);
+  EXPECT_EQ(cat.attr_range(*k).max, 3);
+  EXPECT_FALSE(cat.attr_range(*cat.AttrIdOf("v")).known());
 }
 
 TEST(CatalogTest, RefreshSpansMultipleRelations) {
@@ -84,6 +89,30 @@ TEST(CatalogTest, RefreshSpansMultipleRelations) {
   cat.mutable_relation(*r2).AppendRowUnchecked({Value::Int(2)});
   cat.RefreshDomainSizes();
   EXPECT_EQ(cat.attr(0).domain_size, 2);
+  EXPECT_EQ(cat.attr_range(0).min, 1);
+  EXPECT_EQ(cat.attr_range(0).max, 2);
+}
+
+/// Appends widen a refreshed attribute's range, under the same lock as the
+/// watermark, so a snapshot carries ranges that cover its rows; an
+/// attribute no refresh has seen stays unknown.
+TEST(CatalogEpochTest, AppendWidensKnownRangesIntoSnapshots) {
+  Catalog cat;
+  ASSERT_TRUE(cat.AddAttribute("k", AttrType::kInt).ok());
+  ASSERT_TRUE(cat.AddAttribute("j", AttrType::kInt).ok());
+  auto r = cat.AddRelation("R", {"k"});
+  auto s = cat.AddRelation("S", {"j"});
+  ASSERT_TRUE(r.ok() && s.ok());
+  cat.mutable_relation(*r).AppendRowUnchecked({Value::Int(5)});
+  cat.RefreshDomainSizes();
+  ASSERT_TRUE(cat.AppendRows(*r, {{Value::Int(-2)}, {Value::Int(7)}}).ok());
+  ASSERT_TRUE(cat.AppendRows(*s, {{Value::Int(4)}}).ok());
+  const EpochSnapshot snap = cat.SnapshotEpoch();
+  ASSERT_EQ(snap.ranges.size(), 2u);
+  EXPECT_EQ(snap.ranges[0].min, -2);
+  EXPECT_EQ(snap.ranges[0].max, 7);
+  EXPECT_FALSE(snap.ranges[1].known());
+  EXPECT_EQ(cat.attr_range(0).max, 7);
 }
 
 TEST(CatalogEpochTest, AppendCommitsRowsWatermarkAndEpoch) {
@@ -175,6 +204,43 @@ TEST(CatalogTest, RejectedAppendBatchCommitsNothing) {
   ASSERT_TRUE(cat.AppendRows(*r, {{Value::Int(9), Value::Double(9.0)}}).ok());
   EXPECT_EQ(cat.relation(*r).num_rows(), rows_before + 1);
   EXPECT_EQ(cat.append_epoch(), epoch_before + 1);
+}
+
+/// A rejected Append — an injected commit failure, a schema mismatch, a
+/// column type mismatch — leaves every attribute's [min, max] as it was,
+/// even when the rejected rows lie far outside it.
+TEST(CatalogTest, RejectedAppendLeavesRangesUnchanged) {
+  Catalog cat;
+  ASSERT_TRUE(cat.AddAttribute("k", AttrType::kInt).ok());
+  ASSERT_TRUE(cat.AddAttribute("x", AttrType::kDouble).ok());
+  auto r = cat.AddRelation("R", {"k", "x"});
+  ASSERT_TRUE(r.ok());
+  cat.mutable_relation(*r).AppendRowUnchecked(
+      {Value::Int(3), Value::Double(0.5)});
+  cat.RefreshDomainSizes();
+  const RelationSchema& schema = cat.relation(*r).schema();
+
+  Relation good("R", schema, {AttrType::kInt, AttrType::kDouble});
+  good.AppendRowUnchecked({Value::Int(-100), Value::Double(1.0)});
+  ASSERT_TRUE(Failpoints::Configure("catalog.append=fail").ok());
+  EXPECT_FALSE(cat.Append(*r, good).ok());
+  Failpoints::Clear();
+
+  Relation narrow("R", RelationSchema({schema.attr(0)}), {AttrType::kInt});
+  narrow.AppendRowUnchecked({Value::Int(100)});
+  EXPECT_EQ(cat.Append(*r, narrow).code(), StatusCode::kInvalidArgument);
+
+  Relation mistyped("R", schema, {AttrType::kInt, AttrType::kInt});
+  mistyped.AppendRowUnchecked({Value::Int(100), Value::Int(1)});
+  EXPECT_EQ(cat.Append(*r, mistyped).code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(cat.attr_range(schema.attr(0)).min, 3);
+  EXPECT_EQ(cat.attr_range(schema.attr(0)).max, 3);
+  EXPECT_EQ(cat.SnapshotEpoch().ranges[0].max, 3);
+  EXPECT_EQ(cat.append_epoch(), 0u);
+
+  ASSERT_TRUE(cat.Append(*r, good).ok());
+  EXPECT_EQ(cat.attr_range(schema.attr(0)).min, -100);
 }
 
 TEST(CatalogTest, ToStringListsRelations) {

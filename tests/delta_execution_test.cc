@@ -110,6 +110,94 @@ TEST_P(DeltaFuzzTest, RefreshMatchesRecomputeAndBaselineBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaFuzzTest,
                          ::testing::Range<uint64_t>(1, 26));
 
+/// Copies of existing rows of relation `r` with int column `col` moved to
+/// `value`, so the appended rows still join on every other column.
+std::vector<std::vector<Value>> RowsWithValue(const Relation& rel, int col,
+                                              int64_t value, int n) {
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < n && static_cast<size_t>(i) < rel.num_rows(); ++i) {
+    std::vector<Value> row;
+    for (int c = 0; c < rel.num_columns(); ++c) {
+      row.push_back(c == col ? Value::Int(value)
+                             : rel.ValueAt(static_cast<size_t>(i), c));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+class DeltaRangeTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// Direct-addressed outputs are sized from the epoch's value ranges, and
+/// appends widen those ranges. A delta whose terms append rows outside the
+/// base epoch's ranges (one term per changed relation, each widening a
+/// different attribute), then a second refresh widening again, must still
+/// equal a full Execute bit for bit; so must an Execute whose snapshot
+/// ranges are forced to one value, so that every dense output converts to
+/// hash mode in the middle of its scan.
+TEST_P(DeltaRangeTest, WideningAppendsMatchFullExecuteExactly) {
+  Rng rng(GetParam() * 977 + 5);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  const QueryBatch batch = MakeExactBatch(db, &rng);
+  LMFAO_REPRO_TRACE(GetParam() * 977 + 5);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto base = prepared->Execute();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  int dense = 0;
+  for (const GroupStats& gs : base->stats.groups) dense += gs.dense_outputs;
+  EXPECT_GT(dense, 0) << "no output was direct-addressed";
+
+  // Widens one int column of relation `r` by `by` past its range.
+  auto widen = [&](RelationId r, int64_t by) {
+    const Relation& rel = db.catalog.relation(r);
+    for (int c = 0; c < rel.num_columns(); ++c) {
+      if (rel.column(c).type() != AttrType::kInt) continue;
+      const AttrId a = rel.schema().attr(c);
+      const int64_t value = db.catalog.attr_range(a).max + by;
+      ASSERT_TRUE(
+          db.catalog.AppendRows(r, RowsWithValue(rel, c, value, 4)).ok());
+      ASSERT_EQ(db.catalog.attr_range(a).max, value);
+      return;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(widen(0, 2));
+  ASSERT_NO_FATAL_FAILURE(widen(db.catalog.num_relations() - 1, 3));
+  auto refreshed = prepared->ExecuteDelta(*base);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(refreshed->stats.delta_passes, 2);
+  auto full = prepared->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ExpectResultsMatch(refreshed->results, full->results, 0.0,
+                     "two widening delta terms vs full execute");
+
+  ASSERT_NO_FATAL_FAILURE(widen(1, 1));
+  auto again = prepared->ExecuteDelta(*refreshed);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  full = prepared->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ExpectResultsMatch(again->results, full->results, 0.0,
+                     "second widening refresh vs full execute");
+
+  EpochSnapshot narrow = db.catalog.SnapshotEpoch();
+  for (ValueRange& r : narrow.ranges) {
+    if (r.known()) r.max = r.min;
+  }
+  auto converted = prepared->ExecuteAt(narrow);
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+  dense = 0;
+  for (const GroupStats& gs : converted->stats.groups) {
+    dense += gs.dense_outputs;
+  }
+  EXPECT_GT(dense, 0) << "no output started direct-addressed";
+  ExpectResultsMatch(converted->results, full->results, 0.0,
+                     "out-of-box keys vs full execute");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeltaRangeTest,
+                         ::testing::Range<uint64_t>(1, 9));
+
 class DeltaContractTest : public ::testing::Test {
  protected:
   void SetUp() override {

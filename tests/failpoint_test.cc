@@ -19,6 +19,7 @@
 #include "data/favorita.h"
 #include "differential_harness.h"
 #include "engine/engine.h"
+#include "storage/view.h"
 #include "storage/view_store.h"
 #include "util/random.h"
 
@@ -149,6 +150,33 @@ TEST(FailpointTriggerTest, ParkedFirstFailureWins) {
   Status st = Failpoints::TakeParked();
   EXPECT_EQ(st.code(), StatusCode::kInternal);
   EXPECT_TRUE(Failpoints::TakeParked().ok());  // take clears the slot
+}
+
+/// A dense ViewMap's seams: its cell-array allocation parks both ViewMap
+/// seams (like a fresh hash map's Reserve), in-box upserts park nothing,
+/// and the conversion to hash mode parks viewmap.rehash.
+TEST(FailpointTriggerTest, DenseViewMapSeamsPark) {
+  FailpointGuard guard;
+  for (const char* seam : {"viewmap.reserve", "viewmap.rehash"}) {
+    SCOPED_TRACE(seam);
+    ASSERT_TRUE(Failpoints::Configure(std::string(seam) + "=oom").ok());
+    Failpoints::ClearParked();
+    ViewMap map(1, 1);
+    map.ReserveDense({ValueRange{0, 9}}, 10);
+    EXPECT_EQ(Failpoints::TakeParked().code(),
+              StatusCode::kResourceExhausted);
+    const int64_t in_box = 4;
+    map.Upsert(&in_box)[0] += 1.0;
+    EXPECT_TRUE(Failpoints::TakeParked().ok());
+    const int64_t outside = 10;
+    map.Upsert(&outside)[0] += 1.0;
+    EXPECT_FALSE(map.dense());
+    EXPECT_EQ(Failpoints::TakeParked().code(),
+              std::string(seam) == "viewmap.rehash"
+                  ? StatusCode::kResourceExhausted
+                  : StatusCode::kOk);
+    EXPECT_EQ(map.size(), 2u);
+  }
 }
 
 // --- Injection through the execution runtime ---------------------------
@@ -408,6 +436,60 @@ TEST(FailpointSweepTest, AmbientInjectionNeverCrashesAndRecovers) {
   Engine oracle_engine(&(*data)->catalog, &(*data)->tree, EngineOptions{});
   auto oracle = oracle_engine.Evaluate(MakeExampleBatch(**data));
   ASSERT_TRUE(oracle.ok());
+  ExpectResultsMatch(clean->results, oracle->results, 0.0,
+                     "clean execute after ambient sweep (" +
+                         std::to_string(failures) + "/20 runs failed)");
+}
+
+/// The sweep's reach into direct-addressed outputs. Single-threaded, every
+/// output of the example batch is dense (pinned on a clean run), so every
+/// ViewMap seam hit of these passes lands on a dense map: its cell-array
+/// allocation parks viewmap.reserve and viewmap.rehash, an out-of-box
+/// conversion viewmap.rehash. An ambient viewmap sweep must register hits;
+/// nothing may leak, and clearing the injection restores exact results.
+TEST(FailpointSweepTest, AmbientInjectionReachesDenseOutputs) {
+  FailpointGuard guard;
+  const std::string ambient = Failpoints::CurrentSpec();
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  auto data = MakeFavorita(FavoritaOptions{.num_sales = 1500});
+  ASSERT_TRUE(data.ok());
+  EngineOptions options;
+  options.scheduler.num_threads = 1;
+  Engine engine(&(*data)->catalog, &(*data)->tree, options);
+  auto prepared = engine.Prepare(MakeExampleBatch(**data));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto oracle = prepared->Execute();
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  int outputs = 0;
+  int dense = 0;
+  for (const GroupStats& gs : oracle->stats.groups) {
+    outputs += gs.num_outputs;
+    dense += gs.dense_outputs;
+    EXPECT_EQ(gs.shards, 1);
+  }
+  ASSERT_GT(dense, 0);
+  ASSERT_EQ(dense, outputs) << "some output of the fixture is hashed";
+  if (!ambient.empty()) {
+    ASSERT_TRUE(Failpoints::Configure(ambient).ok());
+  }
+
+  const size_t base_views = ViewStore::GlobalLiveViews();
+  int failures = 0;
+  for (int i = 0; i < 20; ++i) {
+    auto result = prepared->Execute();
+    if (!result.ok()) ++failures;
+    EXPECT_EQ(ViewStore::GlobalLiveViews(), base_views) << "iteration " << i;
+  }
+  for (const char* seam : {"viewmap.reserve", "viewmap.rehash"}) {
+    if (ambient.find(seam) != std::string::npos) {
+      EXPECT_GT(Failpoints::Hits(seam), 0u) << seam;
+    }
+  }
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  auto clean = prepared->Execute();
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ExpectResultsMatch(clean->results, oracle->results, 0.0,
                      "clean execute after ambient sweep (" +
                          std::to_string(failures) + "/20 runs failed)");

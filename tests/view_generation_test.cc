@@ -4,9 +4,14 @@
 
 #include "engine/view_generation.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/favorita.h"
+#include "engine/ir.h"
+#include "util/hash.h"
 
 namespace lmfao {
 namespace {
@@ -170,6 +175,45 @@ TEST_F(ViewGenerationTest, ValidatesBatch) {
   bad.aggregates.push_back(Aggregate::Sum(9999));
   batch.Add(std::move(bad));
   EXPECT_FALSE(GenerateViews(batch, data_->catalog, data_->tree).ok());
+}
+
+/// AddAggregate's registry idiom (SignatureIndex: the signature is an
+/// input, and equality confirms every hit) with the signature forced, so a
+/// collision between two different aggregates can be staged.
+class ForcedSignatureSlots {
+ public:
+  int Add(uint64_t sig, const ViewAggregate& agg) {
+    const int found = index_.Find(sig, [&](int slot) {
+      return slots_[static_cast<size_t>(slot)] == agg;
+    });
+    if (found >= 0) return found;
+    slots_.push_back(agg);
+    const int slot = static_cast<int>(slots_.size()) - 1;
+    index_.Add(sig, slot);
+    return slot;
+  }
+  size_t size() const { return slots_.size(); }
+
+ private:
+  SignatureIndex index_;
+  std::vector<ViewAggregate> slots_;
+};
+
+TEST(AggregateRegistryTest, CollidingSignaturesGetTwoSlots) {
+  ViewAggregate units;
+  units.local_factors.push_back(Factor{0, Function::Identity()});
+  ViewAggregate count;
+  count.child_refs.emplace_back(3, 1);
+  ASSERT_FALSE(units == count);
+  constexpr uint64_t kForced = 0x5eed;
+  ForcedSignatureSlots slots;
+  const int a = slots.Add(kForced, units);
+  const int b = slots.Add(kForced, count);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(slots.size(), 2u);
+  // Equal aggregates still share their slot.
+  EXPECT_EQ(slots.Add(kForced, units), a);
+  EXPECT_EQ(slots.Add(kForced, count), b);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 /// \file view_test.cc
-/// \brief Tests for ViewMap (open-addressing) and SortView storage.
+/// \brief Tests for ViewMap (hash and dense modes) and SortView storage.
 
 #include "storage/view.h"
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -276,22 +277,49 @@ void ExpectMapMatches(const ViewMap& map, const RefView& ref,
 }
 
 /// Freezing must give the reference's key order and payloads exactly, in
-/// both payload layouts.
+/// both payload layouts, whether the freeze copies the map or consumes it
+/// (a consumed dense map hands its permuted payload buffer over).
 void ExpectFrozenMatches(const ViewMap& map, const RefView& ref,
                          const std::string& where) {
   for (PayloadLayout layout :
        {PayloadLayout::kColumnar, PayloadLayout::kRowMajor}) {
-    const SortView view = SortView::FromMap(map, layout);
-    ASSERT_EQ(view.size(), ref.size()) << where;
-    size_t i = 0;
-    for (const auto& [key, payload] : ref) {
-      EXPECT_EQ(view.key(i), ToTupleKey(key)) << where << " entry " << i;
-      for (int j = 0; j < map.width(); ++j) {
-        EXPECT_EQ(view.payload_at(i, j), payload[static_cast<size_t>(j)])
-            << where << " entry " << i;
+    ViewMap consumed = map;
+    for (const SortView& view :
+         {SortView::FromMap(map, layout),
+          SortView::FromMap(std::move(consumed), layout)}) {
+      ASSERT_EQ(view.size(), ref.size()) << where;
+      EXPECT_EQ(view.payload_matrix().layout(), layout) << where;
+      size_t i = 0;
+      for (const auto& [key, payload] : ref) {
+        EXPECT_EQ(view.key(i), ToTupleKey(key)) << where << " entry " << i;
+        for (int j = 0; j < map.width(); ++j) {
+          EXPECT_EQ(view.payload_at(i, j), payload[static_cast<size_t>(j)])
+              << where << " entry " << i;
+        }
+        ++i;
       }
-      ++i;
     }
+    EXPECT_TRUE(consumed.empty()) << where;
+  }
+}
+
+/// ForEach visits every entry once with its payload; a dense map visits
+/// them in key order.
+void ExpectForEachMatches(const ViewMap& map, const RefView& ref,
+                          const std::string& where) {
+  std::vector<std::vector<int64_t>> seen;
+  map.ForEach([&](const TupleKey& key, const double* payload) {
+    const std::vector<int64_t> k(key.data(), key.data() + key.size());
+    const auto it = ref.find(k);
+    ASSERT_NE(it, ref.end()) << where;
+    for (int j = 0; j < map.width(); ++j) {
+      EXPECT_EQ(payload[j], it->second[static_cast<size_t>(j)]) << where;
+    }
+    seen.push_back(k);
+  });
+  EXPECT_EQ(seen.size(), ref.size()) << where;
+  if (map.dense()) {
+    EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end())) << where;
   }
 }
 
@@ -374,6 +402,152 @@ TEST(ViewMapDifferentialTest, RandomSequencesMatchStdMap) {
     }
     EXPECT_EQ(map.num_slots(), slots) << where;
   }
+}
+
+/// Differential of the dense (direct-addressed) mode: random upsert,
+/// Reserve, MergeAdd and ShrinkToFit sequences over a box with a negative
+/// lower corner, through all three upsert entries, against a std::map
+/// reference. A few keys land outside the box, so most seeds convert to
+/// hash mode in the middle of the sequence, and merges run dense into
+/// hash and hash into dense.
+TEST(ViewMapDifferentialTest, DenseModeMatchesStdMap) {
+  int converted = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed * 7919);
+    const int arity = static_cast<int>(rng.UniformInt(0, 3));
+    const int width = static_cast<int>(rng.UniformInt(1, 5));
+    std::vector<ValueRange> box(static_cast<size_t>(arity));
+    for (ValueRange& r : box) {
+      r.min = rng.UniformInt(-20, 5);
+      r.max = r.min + rng.UniformInt(0, 7);
+    }
+    ViewMap map(arity, width);
+    map.ReserveDense(box, rng.Uniform(40));
+    ASSERT_TRUE(map.dense());
+    RefView ref;
+    // Inside the box, except with probability `outside`.
+    auto random_key = [&](double outside) {
+      std::vector<int64_t> key(static_cast<size_t>(arity));
+      const bool out = rng.UniformDouble() < outside;
+      for (size_t c = 0; c < key.size(); ++c) {
+        key[c] = rng.UniformInt(box[c].min, box[c].max);
+      }
+      if (out && arity > 0) {
+        const size_t c = rng.Uniform(static_cast<uint64_t>(arity));
+        key[c] = rng.Bernoulli(0.5) ? box[c].min - 1 - rng.UniformInt(0, 3)
+                                    : box[c].max + 1 + rng.UniformInt(0, 3);
+      }
+      return key;
+    };
+    auto upsert = [&](ViewMap* m, RefView* r, double outside) {
+      const std::vector<int64_t> key = random_key(outside);
+      const int j = static_cast<int>(rng.UniformInt(0, width - 1));
+      const double v = static_cast<double>(rng.UniformInt(-9, 9));
+      double* p = nullptr;
+      switch (rng.Uniform(3)) {
+        case 0: p = m->Upsert(ToTupleKey(key)); break;
+        case 1: p = m->Upsert(key.data()); break;
+        default:
+          p = m->UpsertHashed(key.data(), HashKeySpan(key.data(), arity));
+      }
+      p[j] += v;
+      std::vector<double>& payload = (*r)[key];
+      payload.resize(static_cast<size_t>(width), 0.0);
+      payload[static_cast<size_t>(j)] += v;
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::string where = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step) +
+                                (map.dense() ? " dense" : " hash");
+      const bool was_dense = map.dense();
+      const int op = static_cast<int>(rng.UniformInt(0, 19));
+      if (op < 15) {
+        upsert(&map, &ref, 0.005);
+      } else if (op < 16) {
+        map.Reserve(map.size() + rng.Uniform(100));
+      } else if (op < 17) {
+        // Hash into this map (dense while every merged key is in the box).
+        ViewMap other(arity, width);
+        RefView other_ref;
+        const int n = static_cast<int>(rng.UniformInt(0, 30));
+        for (int i = 0; i < n; ++i) upsert(&other, &other_ref, 0.01);
+        ASSERT_FALSE(other.dense());
+        map.MergeAdd(other);
+        for (const auto& [key, payload] : other_ref) {
+          std::vector<double>& dst = ref[key];
+          dst.resize(static_cast<size_t>(width), 0.0);
+          for (size_t j = 0; j < payload.size(); ++j) dst[j] += payload[j];
+        }
+      } else if (op < 18) {
+        // This map into a hash map holding some keys of its own.
+        ViewMap other(arity, width);
+        RefView other_ref;
+        const int n = static_cast<int>(rng.UniformInt(0, 30));
+        for (int i = 0; i < n; ++i) upsert(&other, &other_ref, 0.2);
+        other.MergeAdd(map);
+        for (const auto& [key, payload] : ref) {
+          std::vector<double>& dst = other_ref[key];
+          dst.resize(static_cast<size_t>(width), 0.0);
+          for (size_t j = 0; j < payload.size(); ++j) dst[j] += payload[j];
+        }
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectMapMatches(other, other_ref, where + " merged into hash"));
+      } else {
+        ASSERT_NO_FATAL_FAILURE(ExpectMapMatches(map, ref, where));
+        ASSERT_NO_FATAL_FAILURE(ExpectForEachMatches(map, ref, where));
+      }
+      if (was_dense && !map.dense()) {
+        ++converted;
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectMapMatches(map, ref, where + " converted"));
+      }
+    }
+    const std::string where = "seed " + std::to_string(seed);
+    ASSERT_NO_FATAL_FAILURE(ExpectMapMatches(map, ref, where));
+    ASSERT_NO_FATAL_FAILURE(ExpectForEachMatches(map, ref, where));
+    ASSERT_NO_FATAL_FAILURE(ExpectFrozenMatches(map, ref, where));
+    map.ShrinkToFit();
+    ASSERT_NO_FATAL_FAILURE(ExpectMapMatches(map, ref, where + " shrunk"));
+    ASSERT_NO_FATAL_FAILURE(ExpectFrozenMatches(map, ref, where + " shrunk"));
+  }
+  EXPECT_GT(converted, 6) << "too few seeds left the box";
+}
+
+/// A dense map stays dense while every key is in its box, iterates and
+/// freezes in key order, and a sparse dense map shrinks into hash mode.
+TEST(ViewMapTest, DenseModeAddressesTheBox) {
+  ViewMap map(2, 2);
+  map.ReserveDense({ValueRange{-3, 1}, ValueRange{10, 12}}, 15);
+  ASSERT_TRUE(map.dense());
+  EXPECT_EQ(map.num_slots(), 15u);
+  const std::vector<std::vector<int64_t>> keys = {
+      {1, 12}, {-3, 10}, {0, 11}, {-3, 12}, {1, 10}};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    map.Upsert(keys[i].data())[1] += static_cast<double>(i + 1);
+  }
+  EXPECT_TRUE(map.dense());
+  EXPECT_EQ(map.size(), keys.size());
+  EXPECT_EQ(map.Lookup(TupleKey({2, 10})), nullptr);
+  EXPECT_EQ(map.Lookup(TupleKey({0, 9})), nullptr);
+  const SortView view = SortView::FromMap(map, PayloadLayout::kRowMajor);
+  ASSERT_EQ(view.size(), keys.size());
+  EXPECT_EQ(view.key(0), TupleKey({-3, 10}));
+  EXPECT_EQ(view.payload_at(0, 1), 2.0);
+  EXPECT_EQ(view.key(4), TupleKey({1, 12}));
+  EXPECT_EQ(view.payload_at(4, 1), 1.0);
+  // ShrinkToFit keeps a box no larger than the hash table the entries
+  // would need (15 cells < 16 slots); a one-entry map in a 1000-cell box
+  // shrinks into hash mode.
+  map.ShrinkToFit();
+  EXPECT_TRUE(map.dense());
+  ViewMap sparse(1, 1);
+  sparse.ReserveDense({ValueRange{0, 999}}, 4);
+  sparse.Upsert(TupleKey({500}))[0] = 7.0;
+  sparse.ShrinkToFit();
+  EXPECT_FALSE(sparse.dense());
+  EXPECT_EQ(sparse.num_slots(), 16u);
+  ASSERT_NE(sparse.Lookup(TupleKey({500})), nullptr);
+  EXPECT_EQ(sparse.Lookup(TupleKey({500}))[0], 7.0);
 }
 
 }  // namespace
