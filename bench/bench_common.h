@@ -122,27 +122,10 @@ inline void ExportTimingCounters(benchmark::State& state,
   state.counters["execute_ms"] = stats.execute_seconds * 1e3;
 }
 
-/// Exports the execution-backend split of one evaluation (how many group
-/// executions ran native JIT code or the interpreter) plus the engine's
-/// JIT plan-cache counters, so the uploaded BENCH_*.json records which
-/// tier produced each number.
-inline void ExportBackendCounters(benchmark::State& state,
-                                  const ExecutionStats& stats,
-                                  const Engine& engine) {
-  state.counters["groups_jit"] = stats.groups_jit;
-  state.counters["groups_interp"] = stats.groups_interp;
-  const Engine::PlanCacheStats cache = engine.plan_cache_stats();
-  state.counters["jit_compiles"] = static_cast<double>(cache.jit_compiles);
-  state.counters["jit_hits"] = static_cast<double>(cache.jit_hits);
-  state.counters["jit_failures"] = static_cast<double>(cache.jit_failures);
-  state.counters["jit_compile_ms"] = cache.jit_compile_ms;
-}
-
 /// Exports the resource-governance counters of one evaluation: how many
 /// times a deadline/budget limit tripped and how many groups ran degraded
-/// (interpreter fallback or unsharded retry). The bench-smoke CI job greps
-/// these out of the uploaded BENCH_*.json — an untripped governed run must
-/// report zeros.
+/// (unsharded retry). The bench-smoke CI job greps these out of the
+/// uploaded BENCH_*.json — an untripped governed run must report zeros.
 inline void ExportLimitCounters(benchmark::State& state,
                                 const ExecutionStats& stats) {
   state.counters["limit_trips"] = stats.limit_trips;

@@ -74,7 +74,7 @@ void BM_Dist_RetailerCovariance_ShardSweep(benchmark::State& state) {
   state.counters["execute_ms"] = stats.execute_seconds * 1e3;
   state.counters["work_ratio"] =
       unsharded_cpu > 0.0 ? sharded_cpu / unsharded_cpu : 0.0;
-  state.counters["group_runs"] = stats.groups_jit + stats.groups_interp;
+  state.counters["group_runs"] = stats.group_runs;
   state.counters["merge_ms"] = stats.merge_seconds * 1e3;
   state.counters["exchange_bytes"] =
       static_cast<double>(stats.exchange_bytes);

@@ -118,7 +118,6 @@ void BM_E2E_RetailerCovariance_LmfaoPreparedExecute(
   state.counters["prepare_ms"] = prepared->compile_seconds() * 1e3;
   bench::ExportViewMemoryCounters(state, stats);
   bench::ExportTimingCounters(state, stats);
-  bench::ExportBackendCounters(state, stats, engine);
 }
 BENCHMARK(BM_E2E_RetailerCovariance_LmfaoPreparedExecute)
     ->Unit(benchmark::kMillisecond)
@@ -153,36 +152,6 @@ void BM_E2E_RetailerCovariance_LmfaoPreparedExecuteLimitOverhead(
   bench::ExportLimitCounters(state, stats);
 }
 BENCHMARK(BM_E2E_RetailerCovariance_LmfaoPreparedExecuteLimitOverhead)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(2.0);
-
-/// The native tier on the same batch: it is JIT-compiled synchronously at
-/// Prepare (outside the timed loop, reported as jit_compile_ms), and every
-/// iteration dispatches the compiled group functions. Falls back to the
-/// interpreter — visible in groups_jit — if the environment cannot
-/// compile.
-void BM_E2E_RetailerCovariance_LmfaoPreparedExecuteJit(
-    benchmark::State& state) {
-  RetailerData& db = bench::Retailer(kRetailerRows);
-  auto cov = BuildCovarianceBatch(bench::RetailerFeatures(db), db.catalog);
-  LMFAO_CHECK(cov.ok());
-  EngineOptions options;
-  options.jit.mode = JitMode::kSync;
-  Engine engine(&db.catalog, &db.tree, options);
-  auto prepared = engine.Prepare(cov->batch);
-  LMFAO_CHECK(prepared.ok());
-  ExecutionStats stats;
-  for (auto _ : state) {
-    auto result = prepared->Execute();
-    LMFAO_CHECK(result.ok());
-    stats = result->stats;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["queries"] = cov->batch.size();
-  bench::ExportTimingCounters(state, stats);
-  bench::ExportBackendCounters(state, stats, engine);
-}
-BENCHMARK(BM_E2E_RetailerCovariance_LmfaoPreparedExecuteJit)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(2.0);
 

@@ -27,17 +27,16 @@ uint64_t OptionsFingerprint(const EngineOptions& o) {
   h = HashCombine(h, static_cast<uint64_t>(o.view_generation.merge_views));
   h = HashCombine(h, static_cast<uint64_t>(o.grouping.multi_output));
   h = HashCombine(h, static_cast<uint64_t>(o.plan.factorize));
-  // The artifact carries its JIT module, so jit-on and jit-off Prepares
-  // must not share cache entries (the jit *mode flavor* is execution-only
-  // and deliberately excluded).
-  h = HashCombine(h, static_cast<uint64_t>(o.jit.mode != JitMode::kOff));
   return h;
 }
 
 /// Exact structural encoding of a batch under the given options: a flat
-/// word sequence with size prefixes, so equality of two keys IS structural
-/// equality of the batches (group-by sets, root hints, and every factor's
-/// attr/kind/threshold-or-slot/dictionary identity, in canonical order).
+/// word sequence with size prefixes plus the batch's dictionary functions
+/// in encounter order (`*dictionaries`), so equality of two keys IS
+/// structural equality of the batches (group-by sets, root hints, and
+/// every factor's attr/kind/threshold-or-slot/dictionary content, in
+/// canonical order). A dictionary's words are its content signature; its
+/// entry in `*dictionaries` is compared by content (Function::operator==).
 /// Query names are excluded (they never reach the compiled artifact);
 /// parameterized functions encode their slot, not any bound value — which
 /// is exactly what lets CART-style workloads share one artifact across
@@ -46,7 +45,8 @@ uint64_t OptionsFingerprint(const EngineOptions& o) {
 /// 64-bit signature hash degrades to a fresh compile, never to serving
 /// another shape's plans.
 std::vector<uint64_t> BatchStructuralKey(const QueryBatch& batch,
-                                         const EngineOptions& o) {
+                                         const EngineOptions& o,
+                                         std::vector<Function>* dictionaries) {
   std::vector<uint64_t> key;
   key.push_back(OptionsFingerprint(o));
   key.push_back(static_cast<uint64_t>(batch.size()));
@@ -61,7 +61,8 @@ std::vector<uint64_t> BatchStructuralKey(const QueryBatch& batch,
         key.push_back(static_cast<uint64_t>(f.attr));
         key.push_back(static_cast<uint64_t>(f.fn.kind()));
         if (f.fn.kind() == FunctionKind::kDictionary) {
-          key.push_back(reinterpret_cast<uintptr_t>(f.fn.dict().get()));
+          key.push_back(f.fn.Signature());
+          dictionaries->push_back(f.fn);
         } else if (f.fn.IsParameterized()) {
           key.push_back(1);  // Tag: slot, not literal threshold.
           key.push_back(static_cast<uint64_t>(f.fn.param()));
@@ -134,23 +135,6 @@ Engine::PlanCacheStats Engine::plan_cache_stats() const {
   stats.hits = plan_cache_hits_;
   stats.misses = plan_cache_misses_;
   stats.entries = plan_cache_.size();
-  stats.jit_hits = jit_hits_;
-  stats.jit_compiles = jit_compiles_;
-  jit_modules_.erase(
-      std::remove_if(jit_modules_.begin(), jit_modules_.end(),
-                     [](const std::weak_ptr<JitModule>& w) {
-                       return w.expired();
-                     }),
-      jit_modules_.end());
-  for (const std::weak_ptr<JitModule>& w : jit_modules_) {
-    const std::shared_ptr<JitModule> m = w.lock();
-    if (m == nullptr) continue;
-    const JitModule::State s = m->state();
-    if (s == JitModule::State::kFailed) ++stats.jit_failures;
-    if (s != JitModule::State::kCompiling) {
-      stats.jit_compile_ms += m->compile_ms();
-    }
-  }
   return stats;
 }
 
@@ -205,7 +189,9 @@ StatusOr<std::shared_ptr<CompiledArtifact>> Engine::CompileArtifact(
 
 StatusOr<PreparedBatch> Engine::Prepare(const QueryBatch& batch) {
   Timer prepare_timer;
-  std::vector<uint64_t> structural_key = BatchStructuralKey(batch, options_);
+  std::vector<Function> dictionaries;
+  std::vector<uint64_t> structural_key =
+      BatchStructuralKey(batch, options_, &dictionaries);
   const uint64_t signature = KeySignature(structural_key);
   const size_t capacity = options_.plan_cache_capacity;
 
@@ -218,9 +204,9 @@ StatusOr<PreparedBatch> Engine::Prepare(const QueryBatch& batch) {
     prepared.generation_ = generation();
     auto it = plan_cache_.find(signature);
     if (it != plan_cache_.end()) {
-      if (it->second.structural_key == structural_key) {
+      if (it->second.structural_key == structural_key &&
+          it->second.dictionaries == dictionaries) {
         ++plan_cache_hits_;
-        if (it->second.artifact->jit != nullptr) ++jit_hits_;
         plan_lru_.splice(plan_lru_.end(), plan_lru_, it->second.lru_pos);
         prepared.artifact_ = it->second.artifact;
         prepared.from_cache_ = true;
@@ -239,20 +225,6 @@ StatusOr<PreparedBatch> Engine::Prepare(const QueryBatch& batch) {
   LMFAO_ASSIGN_OR_RETURN(std::shared_ptr<CompiledArtifact> fresh,
                          CompileArtifact(batch));
   fresh->signature = signature;
-  if (options_.jit.mode != JitMode::kOff) {
-    // Kick the native backend. Failures at any stage (emission, compiler,
-    // dlopen) are non-fatal: execution falls back to the interpreter, and
-    // plan_cache_stats() surfaces the failure.
-    StatusOr<RuntimeBatchCode> code = GenerateRuntimeBatchCode(
-        fresh->compiled.plans, fresh->compiled.workload, *catalog_);
-    if (code.ok()) {
-      fresh->jit =
-          JitModule::Compile(std::move(code).value(), options_.jit);
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      ++jit_compiles_;
-      jit_modules_.push_back(fresh->jit);
-    }
-  }
   const std::shared_ptr<const CompiledArtifact> artifact = std::move(fresh);
   prepared.artifact_ = artifact;
   if (capacity > 0 && !collision) {
@@ -266,6 +238,7 @@ StatusOr<PreparedBatch> Engine::Prepare(const QueryBatch& batch) {
       plan_lru_.push_back(signature);
       PlanCacheEntry entry;
       entry.structural_key = std::move(structural_key);
+      entry.dictionaries = std::move(dictionaries);
       entry.artifact = artifact;
       entry.lru_pos = std::prev(plan_lru_.end());
       plan_cache_.emplace(signature, std::move(entry));
@@ -340,7 +313,7 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
         }
         return engine_->SortedRelationAt(node, order, spec.rows->at(node));
       },
-      &params, artifact_->jit.get(), &cancel, spec.split, &spec.rows->ranges);
+      &params, &cancel, spec.split, &spec.rows->ranges);
   LMFAO_RETURN_NOT_OK(context.Run(&result.stats));
   result.stats.execute_seconds = exec_timer.ElapsedSeconds();
 
@@ -478,15 +451,13 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
     serve.rows[static_cast<size_t>(r)] =
         result.epoch.at(r);  // Later terms see this relation's new extent.
   }
-  result.stats.DeriveBackend();
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
 }
 
 void ExecutionStats::Accumulate(const ExecutionStats& pass) {
   execute_seconds += pass.execute_seconds;
-  groups_jit += pass.groups_jit;
-  groups_interp += pass.groups_interp;
+  group_runs += pass.group_runs;
   limit_trips += pass.limit_trips;
   degraded_groups += pass.degraded_groups;
   peak_live_views = std::max(peak_live_views, pass.peak_live_views);

@@ -47,7 +47,6 @@
 #include "dist/shard_spec.h"
 #include "engine/grouping.h"
 #include "engine/ir.h"
-#include "engine/jit.h"
 #include "engine/parallel.h"
 #include "engine/plan.h"
 #include "engine/view_generation.h"
@@ -100,13 +99,6 @@ struct EngineOptions {
   /// disables caching — every Prepare compiles fresh. Execution-only: not
   /// part of the cache key.
   size_t plan_cache_capacity = 64;
-  /// Runtime JIT backend (engine/jit.h): Prepare lowers the batch's plans
-  /// through the runtime emitter and compiles them into a shared object;
-  /// groups whose native function is ready execute it instead of the
-  /// interpreter. Defaults from the environment (LMFAO_JIT=off|on|async|
-  /// sync, LMFAO_JIT_CC=<compiler>); kOff when unset. The mode (on/off) is
-  /// part of the plan-cache key — artifacts carry their module.
-  JitOptions jit = JitOptions::FromEnv();
 };
 
 /// \brief Per-group execution statistics.
@@ -121,12 +113,7 @@ struct GroupStats {
   int shards = 1;
   /// Seconds the group waited between becoming ready and starting.
   double wait_seconds = 0.0;
-  /// Execution backend the group ran on: "jit" (native compiled function)
-  /// or "interp" (interpreter). Points at static strings.
-  const char* backend = "interp";
-  /// True when the group ran below its requested tier or shape: a JIT
-  /// module was configured but this group fell back to the interpreter
-  /// tier, or a memory trip forced the once-unsharded retry.
+  /// True when a memory trip forced the group's once-unsharded retry.
   bool degraded = false;
   /// Live ViewStore bytes right after the group published its outputs and
   /// released its inputs (the view-memory frontier at this point of the
@@ -229,15 +216,9 @@ struct ExecutionStats {
   double shard_mean_seconds = 0.0;
   std::vector<DistShardStats> dist_shard_stats;
   /// @}
-  /// \name Execution backend (see GroupStats::backend).
-  /// @{
-  /// Group executions per backend tier this call. Delta passes accumulate
-  /// across passes, so the two can sum to a multiple of num_groups.
-  int groups_jit = 0;
-  int groups_interp = 0;
-  /// "jit" / "interp" when every group ran one tier, "mixed"
-  /// otherwise (e.g. async JIT still compiling for part of a pass).
-  std::string backend = "interp";
+  /// Group executions this call. Delta passes accumulate across passes,
+  /// so this can be a multiple of num_groups.
+  int group_runs = 0;
   /// \name Resource governance (ExecLimits).
   /// Limit trips observed during the pass — deadline or memory-budget
   /// trips, including injected OOM failpoints and trips the unsharded
@@ -248,20 +229,9 @@ struct ExecutionStats {
   int degraded_groups = 0;
   /// @}
   /// Folds another pass of the same call into this one: execute time and
-  /// the per-tier, trip and degraded counters add up; the store peaks and
+  /// the group-run, trip and degraded counters add up; the store peaks and
   /// the frozen-view count take the maximum.
   void Accumulate(const ExecutionStats& pass);
-  /// Recomputes `backend` from the per-tier counters.
-  void DeriveBackend() {
-    if (groups_jit > 0 && groups_interp > 0) {
-      backend = "mixed";
-    } else if (groups_jit > 0) {
-      backend = "jit";
-    } else {
-      backend = "interp";
-    }
-  }
-  /// @}
   /// Per-group stats of a one-pass call, indexed by group id; empty for
   /// ExecuteDelta, which runs every group once per delta pass.
   std::vector<GroupStats> groups;
@@ -315,12 +285,6 @@ struct CompiledArtifact {
   double viewgen_seconds = 0.0;
   double grouping_seconds = 0.0;
   double plan_seconds = 0.0;
-  /// The batch's JIT module (null when the JIT is off or runtime codegen
-  /// was skipped). May still be compiling (async mode): executions probe
-  /// its state per group and fall back to the interpreter until it is
-  /// ready. Shared with the plan cache, so a cached artifact's module
-  /// is reused — the compile is paid once per batch shape.
-  std::shared_ptr<JitModule> jit;
 };
 
 /// \brief A compiled batch ready for repeated execution.
@@ -542,14 +506,6 @@ class Engine {
     size_t hits = 0;
     size_t misses = 0;
     size_t entries = 0;
-    /// Prepares served a cached artifact that carries a JIT module.
-    size_t jit_hits = 0;
-    /// JIT module compilations kicked off by Prepare.
-    size_t jit_compiles = 0;
-    /// Modules that reached a terminal failed state (so far).
-    size_t jit_failures = 0;
-    /// Total compiler+link wall-clock of terminal modules still alive, ms.
-    double jit_compile_ms = 0.0;
   };
   PlanCacheStats plan_cache_stats() const;
 
@@ -595,13 +551,16 @@ class Engine {
       sorted_cache_;
   std::mutex cache_mu_;
 
-  /// Structural plan cache: signature -> (exact structural key, artifact,
-  /// LRU position). The signature is a 64-bit hash of the structural key;
-  /// every hit verifies the full key, so a hash collision degrades to a
-  /// fresh compile instead of silently serving another shape's plans.
+  /// Structural plan cache: signature -> (exact structural key and the
+  /// batch's dictionary functions, artifact, LRU position). The signature
+  /// is a 64-bit hash of the structural key; every hit verifies the full
+  /// key and compares the dictionaries by content, so a hash collision
+  /// degrades to a fresh compile instead of silently serving another
+  /// shape's plans.
   /// Bounded to EngineOptions::plan_cache_capacity shapes, LRU-evicted.
   struct PlanCacheEntry {
     std::vector<uint64_t> structural_key;
+    std::vector<Function> dictionaries;
     std::shared_ptr<const CompiledArtifact> artifact;
     std::list<uint64_t>::iterator lru_pos;
   };
@@ -610,12 +569,6 @@ class Engine {
   std::list<uint64_t> plan_lru_;
   size_t plan_cache_hits_ = 0;
   size_t plan_cache_misses_ = 0;
-  /// JIT observability (under plan_mu_): kick/hit counters plus weak refs
-  /// to every module this engine started, for failure/latency aggregation
-  /// in plan_cache_stats() without pinning dead artifacts.
-  size_t jit_hits_ = 0;
-  size_t jit_compiles_ = 0;
-  mutable std::vector<std::weak_ptr<JitModule>> jit_modules_;
   mutable std::mutex plan_mu_;
 
   /// Bumped (and the plan cache cleared) atomically under plan_mu_, so a

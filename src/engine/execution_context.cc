@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <utility>
 
@@ -59,20 +58,6 @@ void HarvestParked(Status* st) {
   if (st->ok()) *st = std::move(parked);
 }
 
-/// Host side of the JIT output callback: resolves (output, key) to the
-/// payload row of the right ViewMap through the interpreter's own Upsert,
-/// so native and interpreted executions build identical maps.
-struct JitUpsertCtx {
-  const std::vector<ViewMap*>* outputs = nullptr;
-};
-
-double* JitUpsert(void* ctx, int32_t output, const int64_t* key) {
-  static const int64_t kNoKey[1] = {0};
-  const auto* c = static_cast<const JitUpsertCtx*>(ctx);
-  return (*c->outputs)[static_cast<size_t>(output)]->Upsert(
-      key != nullptr ? key : kNoKey);
-}
-
 /// The key box of a direct-addressed output map: each key attribute's
 /// value range at the pass's epoch, when all are known and their product
 /// is at most twice the output's estimated entries (itself capped, so the
@@ -104,7 +89,6 @@ ExecutionContext::ExecutionContext(const Workload& workload,
                                    const SchedulerOptions& options,
                                    SortedRelationProvider sorted_relation,
                                    const ParamPack* params,
-                                   const JitModule* jit,
                                    const CancelToken* cancel,
                                    const ScanSplit* split,
                                    const std::vector<ValueRange>* ranges)
@@ -114,7 +98,6 @@ ExecutionContext::ExecutionContext(const Workload& workload,
       options_(options),
       sorted_relation_(std::move(sorted_relation)),
       params_(params),
-      jit_(jit),
       cancel_(cancel != nullptr && cancel->armed() ? cancel : nullptr),
       split_(split),
       ranges_(ranges) {
@@ -174,14 +157,7 @@ Status ExecutionContext::Run(ExecutionStats* stats) {
     }
     return sched;
   }
-  for (const GroupStats& gs : stats->groups) {
-    if (std::strcmp(gs.backend, "jit") == 0) {
-      ++stats->groups_jit;
-    } else {
-      ++stats->groups_interp;
-    }
-  }
-  stats->DeriveBackend();
+  stats->group_runs = static_cast<int>(stats->groups.size());
   stats->peak_live_views = store_.peak_live_views();
   stats->peak_view_bytes = store_.peak_bytes();
   stats->peak_view_key_bytes = store_.peak_key_bytes();
@@ -195,8 +171,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   Timer group_timer;
   BusyScope self(&busy_threads_, 1);
   // Group boundary: the cheap coarse-grained governance point every group
-  // passes through regardless of backend (the JIT tier is not polled
-  // mid-scan, so this is its trip granularity).
+  // passes through.
   if (cancel_ != nullptr) {
     LMFAO_RETURN_NOT_OK(cancel_->Check(store_.current_bytes()));
   }
@@ -258,79 +233,19 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     }
     return dense;
   };
-  // Backend selection, per group: a ready native function wins; a module
-  // still compiling (async), failed, or rejecting this group's shape
-  // degrades just this group to the interpreter.
-  const JitGroupFn jit_fn = jit_ != nullptr ? jit_->GetFn(gid) : nullptr;
-  const RuntimeGroupMeta* jit_meta =
-      jit_fn != nullptr ? jit_->GetMeta(gid) : nullptr;
-  std::vector<LmfaoJitView> jit_views;
-  std::vector<double> jit_params;
-  bool use_jit = jit_fn != nullptr && jit_meta != nullptr;
-  // The emitted range-sum helper reduces payload runs contiguously, which
-  // requires multi-entry views in columnar layout (entry stride 1); any
-  // other layout sends the group to the interpreter.
-  for (size_t v = 0; use_jit && v < consumed.size(); ++v) {
-    if (plan.incoming[v].IsMultiEntry() &&
-        consumed[v].payload_entry_stride != 1) {
-      use_jit = false;
-    }
-  }
-  if (use_jit) {
-    jit_views.reserve(consumed.size());
-    for (const ConsumedView& cv : consumed) {
-      LmfaoJitView jv;
-      jv.size = cv.size;
-      for (int c = 0; c < cv.arity; ++c) jv.keys[c] = cv.col(c);
-      jv.payload = cv.payload_base;
-      jv.entry_stride = cv.payload_entry_stride;
-      jv.slot_stride = cv.payload_slot_stride;
-      jit_views.push_back(jv);
-    }
-    jit_params.reserve(jit_meta->param_order.size());
-    for (ParamId p : jit_meta->param_order) {
-      jit_params.push_back(params_ != nullptr ? params_->Get(p) : 0.0);
-    }
-  }
-  if (jit_ != nullptr && !use_jit) gs->degraded = true;
   // Baseline the budget charge at the store's live bytes as of this
   // group's start; the executor adds its in-flight output maps on top.
   const size_t charge_base = store_.current_bytes();
   // The interpreter lowers the plan once per shard, and that executor
-  // scans all of the shard's pieces; the JIT path has none.
-  auto make_executor = [&]() -> std::unique_ptr<GroupExecutor> {
-    if (use_jit) return nullptr;
+  // scans all of the shard's pieces.
+  auto make_executor = [&]() {
     return std::make_unique<GroupExecutor>(plan, *rel, consumed_ptrs, params_,
                                            cancel_, charge_base);
   };
-  // One scan piece, rows [range.lo, range.hi) of `rel`, on whichever
-  // backend was chosen; the JIT gets column pointers offset by range.lo.
+  // One scan piece, rows [range.lo, range.hi) of `rel`.
   auto run_piece = [&](GroupExecutor* executor, ShardRange range,
                        const std::vector<ViewMap*>& ptrs) -> Status {
-    Status st = [&]() -> Status {
-      if (executor != nullptr) return executor->Execute(ptrs, range);
-      std::vector<const void*> jit_rel_cols;
-      jit_rel_cols.reserve(jit_meta->used_cols.size());
-      for (int col : jit_meta->used_cols) {
-        const Column& c = rel->column(col);
-        jit_rel_cols.push_back(
-            c.type() == AttrType::kInt
-                ? static_cast<const void*>(c.ints().data() + range.lo)
-                : static_cast<const void*>(c.doubles().data() + range.lo));
-      }
-      JitUpsertCtx uctx;
-      uctx.outputs = &ptrs;
-      LmfaoJitInput input;
-      input.rel_rows = range.rows();
-      input.rel_cols = jit_rel_cols.data();
-      input.views = jit_views.data();
-      input.params = jit_params.data();
-      LmfaoJitOutput output;
-      output.ctx = &uctx;
-      output.upsert = &JitUpsert;
-      jit_fn(&input, &output);
-      return Status::OK();
-    }();
+    Status st = executor->Execute(ptrs, range);
     HarvestParked(&st);
     return st;
   };
@@ -476,7 +391,6 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   gs->shards = static_cast<int>(shards);
   gs->dense_outputs = dense_outputs;
   gs->wait_seconds = start.wait_seconds;
-  gs->backend = use_jit ? "jit" : "interp";
   gs->store_key_bytes = store_.current_key_bytes();
   gs->store_payload_bytes = store_.current_payload_bytes();
   return Status::OK();

@@ -63,10 +63,6 @@ class ExecutionContext {
   /// maps are the multiplier a narrower execution avoids — before the pass
   /// gives up; the retry is possible because budget trips are not sticky
   /// on the token (see CancelToken).
-  /// `jit` (optional, borrowed) runs each group through the module's
-  /// native function when it has one, else through the interpreter.
-  /// Per-group fallback — a module still compiling (or failed, or missing
-  /// a group) degrades only that group.
   /// `split` (optional, borrowed) runs the groups at its node in the
   /// split's shard count instead of the cost model's, and folds their
   /// shards through its exchange instead of MergeAdd.
@@ -78,7 +74,6 @@ class ExecutionContext {
                    const SchedulerOptions& options,
                    SortedRelationProvider sorted_relation,
                    const ParamPack* params = nullptr,
-                   const JitModule* jit = nullptr,
                    const CancelToken* cancel = nullptr,
                    const ScanSplit* split = nullptr,
                    const std::vector<ValueRange>* ranges = nullptr);
@@ -103,7 +98,6 @@ class ExecutionContext {
   SchedulerOptions options_;
   SortedRelationProvider sorted_relation_;
   const ParamPack* params_ = nullptr;
-  const JitModule* jit_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   const ScanSplit* split_ = nullptr;
   const std::vector<ValueRange>* ranges_ = nullptr;

@@ -12,9 +12,8 @@
 /// fused runs and gathers, leaf factors are lowered once per leaf run into
 /// scratch columns by kind-specialized kernels (leaf_kernels.h), leaf sums
 /// are unit-stride products over those columns, and range sums are
-/// unit-stride scans of contiguous payload columns memoized per bind. This
-/// interpreter and the C++ code generator (codegen.h) lower the same plan,
-/// so they produce identical results.
+/// unit-stride scans of contiguous payload columns memoized per bind. The
+/// level program (LowerLevelProgram) is the only lowering of a GroupPlan.
 
 #ifndef LMFAO_ENGINE_EXECUTOR_H_
 #define LMFAO_ENGINE_EXECUTOR_H_

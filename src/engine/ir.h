@@ -5,8 +5,7 @@
 /// directional views over the join tree plus one output view per query. The
 /// Multi-Output Optimization layer partitions the workload into view groups;
 /// the Code Generation layer lowers each group into a register program
-/// (plan.h) executed by the interpreter (executor.h) or emitted as C++
-/// (codegen.h).
+/// (plan.h) executed by the interpreter (executor.h).
 
 #ifndef LMFAO_ENGINE_IR_H_
 #define LMFAO_ENGINE_IR_H_

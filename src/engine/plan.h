@@ -282,7 +282,7 @@ StatusOr<GroupPlan> BuildGroupPlan(const Workload& workload,
 
 /// \brief The freeze decision: records in each producing plan the
 /// materialized form of its outputs (one source of truth for the
-/// interpreter, the code generator, and the ViewStore).
+/// interpreter and the ViewStore).
 ///
 /// An inner view is frozen into sorted-array form iff at least one consumer
 /// group reads it in canonical key order (IncomingView::identity_perm) —

@@ -63,9 +63,6 @@ std::string ReportExecution(const ExecutionStats& stats,
       stats.viewgen_seconds * 1e3, stats.grouping_seconds * 1e3,
       stats.plan_seconds * 1e3, stats.execute_seconds * 1e3,
       stats.total_seconds * 1e3);
-  out << StringPrintf(
-      "  backend: %s (%d jit / %d interp group executions)\n",
-      stats.backend.c_str(), stats.groups_jit, stats.groups_interp);
   if (stats.delta_execution) {
     out << StringPrintf(
         "  delta refresh: %d pass%s over %zu appended rows, %d dirty group "
@@ -103,11 +100,11 @@ std::string ReportExecution(const ExecutionStats& stats,
       stats.num_frozen_views);
   for (const GroupStats& g : stats.groups) {
     out << StringPrintf(
-        "    group %d @ %-14s %8.2f ms [%s], %d outputs, %zu entries, "
+        "    group %d @ %-14s %8.2f ms, %d outputs, %zu entries, "
         "%d shard%s, waited %.2f ms, store %.2f MiB (%.2f key + %.2f "
         "payload)\n",
         g.group_id, catalog.relation(g.node).name().c_str(), g.seconds * 1e3,
-        g.backend, g.num_outputs, g.output_entries, g.shards,
+        g.num_outputs, g.output_entries, g.shards,
         g.shards == 1 ? "" : "s", g.wait_seconds * 1e3,
         static_cast<double>(g.store_bytes()) / kMiB,
         static_cast<double>(g.store_key_bytes) / kMiB,

@@ -107,7 +107,12 @@ double Function::Eval(double x) const {
 bool Function::operator==(const Function& o) const {
   if (kind_ != o.kind_) return false;
   if (param_ != o.param_) return false;
-  if (kind_ == FunctionKind::kDictionary) return dict_ == o.dict_;
+  if (kind_ == FunctionKind::kDictionary) {
+    if (dict_ == o.dict_) return true;
+    return dict_hash_ == o.dict_hash_ && dict_->name == o.dict_->name &&
+           dict_->default_value == o.dict_->default_value &&
+           dict_->table == o.dict_->table;
+  }
   // Parameterized functions are equal by slot alone (their stored
   // thresholds are NaN placeholders).
   if (param_ != kNoParam) return true;

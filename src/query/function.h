@@ -97,9 +97,8 @@ enum class FunctionKind : uint8_t {
 /// \brief Lookup table for user-defined dictionary functions.
 ///
 /// Shared (by pointer) across all factors that reference the same
-/// function. Function equality compares this identity; Function::Signature
-/// hashes the content instead, so plans never depend on where a table was
-/// allocated.
+/// function. Function equality and Function::Signature both go by content,
+/// so plans never depend on where a table was allocated.
 struct FunctionDict {
   std::string name;
   std::unordered_map<int64_t, double> table;
@@ -152,8 +151,9 @@ class Function {
   /// first (checked).
   double Eval(double x) const;
 
-  /// Structural equality (dictionaries by pointer identity; parameterized
-  /// functions by slot, ignoring any bound value).
+  /// Structural equality (dictionaries by content: name, default value and
+  /// entries, the content hash compared first; parameterized functions by
+  /// slot, ignoring any bound value).
   bool operator==(const Function& o) const;
   bool operator!=(const Function& o) const { return !(*this == o); }
 

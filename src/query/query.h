@@ -69,8 +69,7 @@ class QueryBatch {
 
   /// Returns a copy of the batch with every parameterized function
   /// resolved against `params` — the literal batch a one-shot consumer
-  /// (scan baselines, codegen) evaluates. Fails if a referenced slot is
-  /// unbound.
+  /// (the scan baselines) evaluates. Fails if a referenced slot is unbound.
   StatusOr<QueryBatch> Bind(const ParamPack& params) const;
 
   /// Validates the batch against a catalog: group-by attributes exist, are

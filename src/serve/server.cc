@@ -338,7 +338,6 @@ Response Server::RunWithRetries(const QueuedRequest& item,
       resp.epoch = std::move(result->epoch);
       resp.retries = attempts_beyond_first;
       resp.degraded = result->stats.degraded_groups > 0;
-      resp.backend = result->stats.backend;
       resp.exec_seconds = SecondsBetween(exec_start, Clock::now());
       return resp;
     }

@@ -24,8 +24,7 @@
 ///     deterministic jitter, while the deadline budget lasts.
 ///   degrade -> a delta-refresh whose retries are exhausted falls back to
 ///     the batch's pinned base-epoch result (Response::degraded = true,
-///     stale but correct-as-of-its-epoch) instead of failing; execution
-///     tiers degrade per the engine's own jit -> interp fallback.
+///     stale but correct-as-of-its-epoch) instead of failing.
 ///   shutdown -> Shutdown(drain=true) stops admission, lets the workers
 ///     finish every already-admitted request, and joins; drain=false
 ///     answers the still-queued requests with FailedPrecondition first.
@@ -86,9 +85,6 @@ struct Response {
   double queue_seconds = 0.0;
   /// Seconds spent executing (all attempts, including backoff sleeps).
   double exec_seconds = 0.0;
-  /// Backend of the final successful attempt ("jit"/"interp"/"mixed");
-  /// empty for non-OK and base-fallback responses.
-  std::string backend;
 };
 
 /// \brief Deployment sizing of a Server. The serving policy itself is

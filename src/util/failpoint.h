@@ -2,8 +2,8 @@
 /// \brief Named fault-injection points through the execution runtime.
 ///
 /// A failpoint is a named hook at a seam that can genuinely fail in
-/// production (a JIT compile, a hash-map rehash, a view publish, an epoch
-/// commit, a scheduler task spawn). When enabled, the hook may inject a
+/// production (a hash-map rehash, a view publish, an epoch commit, a
+/// scheduler task spawn). When enabled, the hook may inject a
 /// synthetic failure — surfaced as a non-OK Status through the normal
 /// error-propagation paths — so the unwind machinery around every such seam
 /// can be exercised systematically instead of waiting for the failure to
@@ -13,7 +13,7 @@
 /// environment variable at process start or programmatically
 /// (`Failpoints::Configure`, which tests use with a deterministic seed):
 ///
-///   LMFAO_FAILPOINTS=jit.compile=fail,viewmap.rehash=oom@0.01
+///   LMFAO_FAILPOINTS=viewstore.publish=fail,viewmap.rehash=oom@0.01
 ///
 /// Each entry is `name=action[:ms][@prob][#nth][*count]`:
 ///   - action `fail`  -> Status::Internal tagged transient (a generic
@@ -37,7 +37,6 @@
 /// are left compiled into release builds.
 ///
 /// Seams instrumented (see also docs/ARCHITECTURE.md):
-///   jit.compile, jit.dlopen      — JitModule compile / load
 ///   viewmap.reserve, viewmap.rehash — ViewMap reservation and slot-array
 ///                                  allocation: hash growth, a dense box,
 ///                                  a dense→hash conversion (parked, see

@@ -123,7 +123,7 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
         // One pass: every group runs exactly once, and the shards' blocks
         // cover the partitioned relation once per split group.
         const ExecutionStats& st = sharded->stats;
-        EXPECT_EQ(st.groups_jit + st.groups_interp, st.num_groups);
+        EXPECT_EQ(st.group_runs, st.num_groups);
         EXPECT_EQ(st.groups.size(), static_cast<size_t>(st.num_groups));
         size_t shard_rows = 0;
         for (const DistShardStats& ss : st.dist_shard_stats) {
@@ -161,8 +161,7 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
       EXPECT_EQ(rs.merge_seconds, 0.0);
       EXPECT_TRUE(rs.dist_shard_stats.empty());
       EXPECT_EQ(rs.num_groups, base->stats.num_groups);
-      EXPECT_EQ(rs.groups_jit + rs.groups_interp,
-                rs.delta_passes * rs.num_groups);
+      EXPECT_EQ(rs.group_runs, rs.delta_passes * rs.num_groups);
       auto full = prepared->Execute();
       ASSERT_TRUE(full.ok()) << full.status().ToString();
       ExpectResultsMatch(refreshed->results, full->results, 0.0,

@@ -3,6 +3,8 @@
 /// join + scan baseline on every query of realistic batches, across all
 /// ablation and parallelism configurations.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "baseline/join.h"
@@ -33,7 +35,8 @@ class EngineE2eTest : public ::testing::Test {
   }
 
   void ExpectMatchesBaseline(const QueryBatch& batch,
-                             const EngineOptions& options) {
+                             const EngineOptions& options,
+                             double rel_tol = 1e-8) {
     Engine engine(&data_->catalog, &data_->tree, options);
     auto result = engine.Evaluate(batch);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -42,7 +45,7 @@ class EngineE2eTest : public ::testing::Test {
     ASSERT_EQ(result->results.size(), baseline->size());
     for (size_t q = 0; q < baseline->size(); ++q) {
       EXPECT_TRUE(
-          ResultsEquivalent(result->results[q], (*baseline)[q], 1e-8))
+          ResultsEquivalent(result->results[q], (*baseline)[q], rel_tol))
           << "query " << q << " (" << batch.query(static_cast<QueryId>(q)).name
           << ") disagrees with the baseline";
     }
@@ -168,6 +171,52 @@ TEST_F(EngineE2eTest, IndicatorConditions) {
   q.aggregates.push_back(Aggregate::Count());
   batch.Add(std::move(q));
   ExpectMatchesBaseline(batch, EngineOptions{});
+}
+
+/// Non-finite thresholds, which the Function API accepts: every row passes
+/// `<= inf`, `> -inf` and `!= NaN`. Indicators make every sum a count, so
+/// the data is integer-exact and the comparison bit-for-bit.
+TEST_F(EngineE2eTest, NonFiniteThresholds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  QueryBatch batch;
+  Query q;
+  q.name = "non_finite";
+  q.group_by = {data_->store};
+  q.aggregates.push_back(Aggregate(
+      {Factor{data_->price,
+              Function::Indicator(FunctionKind::kIndicatorLe, inf)},
+       Factor{data_->units,
+              Function::Indicator(FunctionKind::kIndicatorGt, -inf)},
+       Factor{data_->txns,
+              Function::Indicator(FunctionKind::kIndicatorNe, nan)}}));
+  batch.Add(std::move(q));
+  ExpectMatchesBaseline(batch, EngineOptions{}, 0.0);
+}
+
+/// A group-by that travels: `stype` comes up from Stores through Sales to
+/// the Items root, where it meets `item_class`. The groups consume
+/// multi-entry views (several entries per join key), whose writes iterate
+/// the view's entry range. A count, so bit-for-bit.
+TEST_F(EngineE2eTest, TravellingGroupByOverMultiEntryViews) {
+  QueryBatch batch;
+  Query q;
+  q.name = "travel";
+  q.group_by = {data_->stype, data_->item_class};
+  q.aggregates.push_back(Aggregate::Count());
+  q.root_hint = data_->items;
+  batch.Add(std::move(q));
+  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
+  auto compiled = engine.Compile(batch);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  bool multi_entry = false;
+  for (const GroupPlan& plan : compiled->plans) {
+    for (const GroupPlan::IncomingView& in : plan.incoming) {
+      multi_entry = multi_entry || in.IsMultiEntry();
+    }
+  }
+  EXPECT_TRUE(multi_entry);
+  ExpectMatchesBaseline(batch, EngineOptions{}, 0.0);
 }
 
 /// The covariance batch for a small Favorita feature set exercises

@@ -52,9 +52,9 @@ class FailpointGuard {
 
 TEST(FailpointGrammarTest, ValidSpecsParse) {
   FailpointGuard guard;
-  EXPECT_TRUE(Failpoints::Configure("jit.compile=fail").ok());
+  EXPECT_TRUE(Failpoints::Configure("viewstore.publish=fail").ok());
   EXPECT_TRUE(Failpoints::enabled());
-  EXPECT_EQ(Failpoints::CurrentSpec(), "jit.compile=fail");
+  EXPECT_EQ(Failpoints::CurrentSpec(), "viewstore.publish=fail");
   EXPECT_TRUE(Failpoints::Configure("a=oom,b=panic,c=delay:5").ok());
   EXPECT_TRUE(Failpoints::Configure("a=fail@0.25#3*2").ok());
   EXPECT_TRUE(Failpoints::Configure("a=fail*2@0.25#3").ok());  // any order
@@ -273,38 +273,6 @@ TEST_F(FailpointEngineTest, CatalogAppendFailpointIsAtomic) {
   ASSERT_TRUE(data_->catalog.AppendRows(data_->sales, rows).ok());
   EXPECT_EQ(data_->catalog.relation(data_->sales).num_rows(), rows_before + 1);
   EXPECT_GT(data_->catalog.append_epoch(), epoch_before);
-}
-
-/// jit.compile fires before the compiler subprocess ever runs, so this
-/// pins the degradation contract even in environments with no toolchain:
-/// the module fails, the interpreter answers, nothing errors.
-TEST_F(FailpointEngineTest, JitCompileFailureDegradesToInterpreter) {
-  ASSERT_TRUE(Failpoints::Configure("jit.compile=fail").ok());
-  EngineOptions options;
-  options.jit.mode = JitMode::kSync;
-  Engine engine(&data_->catalog, &data_->tree, options);
-  auto result = engine.Evaluate(MakeExampleBatch(*data_));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.groups_jit, 0);
-  EXPECT_EQ(engine.plan_cache_stats().jit_failures, 1u);
-  EXPECT_GT(Failpoints::Hits("jit.compile"), 0u);
-  ExpectResultsMatch(result->results, oracle_, 0.0,
-                     "jit.compile failpoint fallback");
-}
-
-/// jit.dlopen: a compile that succeeds but cannot load is equally
-/// graceful. (In sandboxes where the compile itself fails the module is
-/// failed anyway; either way no error crosses the API.)
-TEST_F(FailpointEngineTest, JitDlopenFailureDegradesToInterpreter) {
-  ASSERT_TRUE(Failpoints::Configure("jit.dlopen=fail").ok());
-  EngineOptions options;
-  options.jit.mode = JitMode::kSync;
-  Engine engine(&data_->catalog, &data_->tree, options);
-  auto result = engine.Evaluate(MakeExampleBatch(*data_));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.groups_jit, 0);
-  ExpectResultsMatch(result->results, oracle_, 0.0,
-                     "jit.dlopen failpoint fallback");
 }
 
 /// viewstore.freeze governs the frozen-sorted materialization; it only

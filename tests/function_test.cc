@@ -62,11 +62,30 @@ TEST(FunctionTest, EqualityStructural) {
             Function::Indicator(FunctionKind::kIndicatorGe, 1.5));
 }
 
-TEST(FunctionTest, DictionaryEqualityByPointer) {
-  auto d1 = std::make_shared<FunctionDict>();
-  auto d2 = std::make_shared<FunctionDict>();
+// Dictionaries compare by content (name, default value, entries), so two
+// separately built tables with equal content are one function.
+TEST(FunctionTest, DictionaryEqualityByContent) {
+  auto make = [](const std::string& name, double default_value) {
+    auto d = std::make_shared<FunctionDict>();
+    d->name = name;
+    d->default_value = default_value;
+    for (int64_t k = 0; k < 20; ++k) d->table[k * 3 - 10] = 0.5 * k;
+    return d;
+  };
+  const auto d1 = make("g", 0.5);
   EXPECT_EQ(Function::Dictionary(d1), Function::Dictionary(d1));
-  EXPECT_NE(Function::Dictionary(d1), Function::Dictionary(d2));
+  EXPECT_EQ(Function::Dictionary(d1), Function::Dictionary(make("g", 0.5)));
+  EXPECT_EQ(Function::Dictionary(std::make_shared<FunctionDict>()),
+            Function::Dictionary(std::make_shared<FunctionDict>()));
+  // The name is not hashed, so this pair shares a content hash.
+  EXPECT_NE(Function::Dictionary(d1), Function::Dictionary(make("h", 0.5)));
+  EXPECT_NE(Function::Dictionary(d1), Function::Dictionary(make("g", 1.5)));
+  auto changed = make("g", 0.5);
+  changed->table[-10] = 9.0;
+  EXPECT_NE(Function::Dictionary(d1), Function::Dictionary(changed));
+  auto extra = make("g", 0.5);
+  extra->table[1000] = 0.0;
+  EXPECT_NE(Function::Dictionary(d1), Function::Dictionary(extra));
 }
 
 // Factors and plan parts are ordered by signature, so a signature that
@@ -85,8 +104,7 @@ TEST(FunctionTest, DictionarySignatureHashesContentNotAddress) {
   ASSERT_NE(d1.get(), d2.get());
   EXPECT_EQ(Function::Dictionary(d1).Signature(),
             Function::Dictionary(d2).Signature());
-  // Identity stays exact for equality.
-  EXPECT_NE(Function::Dictionary(d1), Function::Dictionary(d2));
+  EXPECT_EQ(Function::Dictionary(d1), Function::Dictionary(d2));
   // Different content, different signature.
   EXPECT_NE(Function::Dictionary(d1).Signature(),
             Function::Dictionary(make(1.5)).Signature());

@@ -210,6 +210,57 @@ TEST_F(PreparedBatchTest, PlanCacheSharesStructurallyEqualShapes) {
   EXPECT_NE(literal->signature(), first->signature());
 }
 
+// Dictionaries key the cache by content: a batch whose table is a
+// separate object with equal content hits, one whose content differs
+// misses. A renamed table hashes like the original (the content signature
+// leaves the name out), so that Prepare takes the exact comparison.
+TEST_F(PreparedBatchTest, PlanCacheComparesDictionariesByContent) {
+  auto make_batch = [&](std::shared_ptr<const FunctionDict> g) {
+    QueryBatch batch;
+    Query q;
+    q.name = "g_by_store";
+    q.group_by = {data_->store};
+    q.aggregates.push_back(
+        Aggregate({Factor{data_->item, Function::Dictionary(std::move(g))},
+                   Factor{data_->units, Function::Identity()}}));
+    batch.Add(std::move(q));
+    return batch;
+  };
+  auto g = std::make_shared<FunctionDict>();
+  g->name = "g";
+  g->default_value = 1.0;
+  for (int64_t i = 0; i < 40; ++i) g->table[i] = 1.0 + 0.25 * (i % 5);
+  const auto same = std::make_shared<FunctionDict>(*g);
+  auto changed = std::make_shared<FunctionDict>(*g);
+  changed->table[3] = 7.0;
+  auto renamed = std::make_shared<FunctionDict>(*g);
+  renamed->name = "g2";
+
+  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
+  auto first = engine.Prepare(make_batch(g));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first->from_cache());
+  auto second = engine.Prepare(make_batch(same));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second->from_cache());
+  EXPECT_EQ(engine.plan_cache_stats().hits, 1u);
+  EXPECT_EQ(engine.plan_cache_stats().entries, 1u);
+  auto first_result = first->Execute();
+  auto second_result = second->Execute();
+  ASSERT_TRUE(first_result.ok() && second_result.ok());
+  ExpectResultsMatch(second_result->results, first_result->results, 0.0,
+                     "equal-content dictionary");
+
+  auto other = engine.Prepare(make_batch(changed));
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_FALSE(other->from_cache());
+  auto other_name = engine.Prepare(make_batch(renamed));
+  ASSERT_TRUE(other_name.ok()) << other_name.status().ToString();
+  EXPECT_FALSE(other_name->from_cache());
+  EXPECT_EQ(other_name->signature(), first->signature());
+  EXPECT_EQ(engine.plan_cache_stats().hits, 1u);
+}
+
 TEST_F(PreparedBatchTest, PlanCacheCapacityEvictsLeastRecentlyUsed) {
   EngineOptions options;
   options.plan_cache_capacity = 1;

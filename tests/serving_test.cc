@@ -3,8 +3,9 @@
 ///
 ///   1. Chaos soak — concurrent clients + a live appender push a mixed
 ///      workload through the server while failpoints fire across the
-///      jit/viewstore/catalog seams (the ambient LMFAO_FAILPOINTS spec when
-///      the CI sweep sets one, a default probabilistic spec otherwise).
+///      sorted-cache/viewstore/catalog seams (the ambient LMFAO_FAILPOINTS
+///      spec when the CI sweep sets one, a default probabilistic spec
+///      otherwise).
 ///      Afterwards: zero leaked views against the ViewStore baseline, and
 ///      every OK response replays bit-for-bit via a sequential
 ///      ExecuteAt(response.epoch) — chaos may fail requests, but it must
