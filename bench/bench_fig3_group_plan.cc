@@ -47,23 +47,38 @@ class Fig3Fixture {
     LMFAO_CHECK(warm_compiled.ok());
     // Execute dependencies directly: run groups in topo order with the
     // interpreter until all inputs of `group_` exist.
-    std::vector<std::unique_ptr<ViewMap>> produced(
-        compiled_->workload.views.size());
+    produced_.resize(compiled_->workload.views.size());
     for (int gid : compiled_->grouped.TopologicalOrder()) {
       if (gid == group_) break;
-      RunGroup(gid, &produced);
+      RunGroup(gid);
     }
-    for (const auto& in : plan.incoming) {
-      consumed_.push_back(BuildConsumedView(
-          *produced[static_cast<size_t>(in.view)], in));
-    }
-    for (const auto& cv : consumed_) consumed_ptrs_.push_back(&cv);
+    consumed_ = Consume(plan, &permuted_);
     // Sorted relation.
     sorted_ = db_.catalog.relation(db_.sales);
     LMFAO_CHECK(SortRelation(&sorted_, plan.attr_order).ok());
   }
 
-  void RunGroup(int gid, std::vector<std::unique_ptr<ViewMap>>* produced) {
+  /// The incoming views of `plan` as the engine hands them over: the
+  /// frozen view itself in canonical order, else a permuted copy (owned by
+  /// `permuted`).
+  std::vector<const SortView*> Consume(const GroupPlan& plan,
+                                       std::vector<SortView>* permuted) {
+    std::vector<const SortView*> views;
+    permuted->reserve(plan.incoming.size());
+    for (const auto& in : plan.incoming) {
+      const SortView& stored = produced_[static_cast<size_t>(in.view)];
+      if (in.identity_perm) {
+        views.push_back(&stored);
+      } else {
+        permuted->push_back(stored.Permuted(in.consumed_perm,
+                                            in.CopyLayout()));
+        views.push_back(&permuted->back());
+      }
+    }
+    return views;
+  }
+
+  void RunGroup(int gid) {
     const GroupPlan& plan = compiled_->plans[static_cast<size_t>(gid)];
     Relation rel = db_.catalog.relation(plan.node);
     std::vector<AttrId> sub;
@@ -71,13 +86,8 @@ class Fig3Fixture {
       if (rel.schema().Contains(a)) sub.push_back(a);
     }
     if (!sub.empty()) LMFAO_CHECK(SortRelation(&rel, sub).ok());
-    std::vector<ConsumedView> views;
-    for (const auto& in : plan.incoming) {
-      views.push_back(BuildConsumedView(
-          *(*produced)[static_cast<size_t>(in.view)], in));
-    }
-    std::vector<const ConsumedView*> ptrs;
-    for (const auto& cv : views) ptrs.push_back(&cv);
+    std::vector<SortView> permuted;
+    const std::vector<const SortView*> ptrs = Consume(plan, &permuted);
     std::vector<std::unique_ptr<ViewMap>> outs;
     std::vector<ViewMap*> out_ptrs;
     for (const auto& out : plan.outputs) {
@@ -89,8 +99,9 @@ class Fig3Fixture {
     GroupExecutor executor(plan, rel, ptrs);
     LMFAO_CHECK(executor.Execute(out_ptrs).ok());
     for (size_t o = 0; o < plan.outputs.size(); ++o) {
-      (*produced)[static_cast<size_t>(plan.outputs[o].view)] =
-          std::move(outs[o]);
+      produced_[static_cast<size_t>(plan.outputs[o].view)] =
+          SortView::FromMap(std::move(*outs[o]),
+                            plan.outputs[o].payload_layout);
     }
   }
 
@@ -105,7 +116,7 @@ class Fig3Fixture {
           static_cast<int>(info.key.size()), out.width));
       out_ptrs.push_back(outs.back().get());
     }
-    GroupExecutor executor(plan, sorted_, consumed_ptrs_);
+    GroupExecutor executor(plan, sorted_, consumed_);
     LMFAO_CHECK(executor.Execute(out_ptrs).ok());
     // Checksum so the work cannot be optimized away.
     double checksum = 0.0;
@@ -122,8 +133,10 @@ class Fig3Fixture {
   std::unique_ptr<CompiledBatch> compiled_;
   int group_ = -1;
   Relation sorted_;
-  std::vector<ConsumedView> consumed_;
-  std::vector<const ConsumedView*> consumed_ptrs_;
+  /// Every view produced so far, frozen as the view store holds it.
+  std::vector<SortView> produced_;
+  std::vector<SortView> permuted_;
+  std::vector<const SortView*> consumed_;
 };
 
 void BM_Fig3_Factorized(benchmark::State& state) {

@@ -181,8 +181,8 @@ StatusOr<std::shared_ptr<CompiledArtifact>> Engine::CompileArtifact(
     artifact->compiled.attr_orders.push_back(std::move(order));
     artifact->compiled.plans.push_back(std::move(plan));
   }
-  AssignViewForms(artifact->compiled.workload, artifact->compiled.grouped,
-                  &artifact->compiled.plans);
+  AssignLayoutsAndClosures(artifact->compiled.grouped,
+                           &artifact->compiled.plans);
   artifact->plan_seconds = phase_timer.ElapsedSeconds();
   return artifact;
 }
@@ -465,7 +465,6 @@ void ExecutionStats::Accumulate(const ExecutionStats& pass) {
   peak_view_key_bytes = std::max(peak_view_key_bytes, pass.peak_view_key_bytes);
   peak_view_payload_bytes =
       std::max(peak_view_payload_bytes, pass.peak_view_payload_bytes);
-  num_frozen_views = std::max(num_frozen_views, pass.num_frozen_views);
 }
 
 StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,

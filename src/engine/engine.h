@@ -175,8 +175,6 @@ struct ExecutionStats {
   size_t peak_view_bytes = 0;
   size_t peak_view_key_bytes = 0;
   size_t peak_view_payload_bytes = 0;
-  /// Views frozen into sorted-array form (plan-layer freeze decision).
-  int num_frozen_views = 0;
   /// \name Delta execution (PreparedBatch::ExecuteDelta).
   /// @{
   /// True when this result was produced by folding delta passes into a
@@ -229,8 +227,8 @@ struct ExecutionStats {
   int degraded_groups = 0;
   /// @}
   /// Folds another pass of the same call into this one: execute time and
-  /// the group-run, trip and degraded counters add up; the store peaks and
-  /// the frozen-view count take the maximum.
+  /// the group-run, trip and degraded counters add up; the store peaks
+  /// take the maximum.
   void Accumulate(const ExecutionStats& pass);
   /// Per-group stats of a one-pass call, indexed by group id; empty for
   /// ExecuteDelta, which runs every group once per delta pass.

@@ -106,24 +106,28 @@ ExecutionContext::ExecutionContext(const Workload& workload,
 
 Status ExecutionContext::Run(ExecutionStats* stats) {
   // Register every view: consumer refcounts from the plans' incoming
-  // lists, materialized form from the plan-layer freeze decision, query
-  // outputs pinned until TakeQueryResult.
+  // lists, the frozen payload layout from the plan layer, query outputs
+  // pinned until TakeQueryResult. A query output stays a ViewMap for
+  // TakeResult, so none may be an incoming view (the plan layer never
+  // makes one).
   std::vector<int> consumers(workload_.views.size(), 0);
-  std::vector<ViewForm> forms(workload_.views.size(), ViewForm::kHashMap);
   std::vector<PayloadLayout> layouts(workload_.views.size(),
                                      PayloadLayout::kColumnar);
   for (const GroupPlan& plan : plans_) {
     for (const GroupPlan::IncomingView& in : plan.incoming) {
+      if (workload_.view(in.view).IsQueryOutput()) {
+        return Status::Internal("query output " + std::to_string(in.view) +
+                                " is an incoming view");
+      }
       ++consumers[static_cast<size_t>(in.view)];
     }
     for (const GroupPlan::OutputInfo& out : plan.outputs) {
-      forms[static_cast<size_t>(out.view)] = out.form;
       layouts[static_cast<size_t>(out.view)] = out.payload_layout;
     }
   }
   for (size_t v = 0; v < workload_.views.size(); ++v) {
     LMFAO_FAILPOINT("viewstore.register");
-    store_.Register(static_cast<ViewId>(v), consumers[v], forms[v],
+    store_.Register(static_cast<ViewId>(v), consumers[v],
                     workload_.views[v].IsQueryOutput(), layouts[v]);
   }
 
@@ -162,7 +166,6 @@ Status ExecutionContext::Run(ExecutionStats* stats) {
   stats->peak_view_bytes = store_.peak_bytes();
   stats->peak_view_key_bytes = store_.peak_key_bytes();
   stats->peak_view_payload_bytes = store_.peak_payload_bytes();
-  stats->num_frozen_views = store_.num_frozen();
   return Status::OK();
 }
 
@@ -181,26 +184,24 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   LMFAO_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> rel,
                          sorted_relation_(group.node, plan.attr_order));
 
-  // Consumed forms of the incoming views: identity-order consumers borrow
-  // the frozen sorted array with no copy; everything else builds a
-  // permuted copy from whichever form the store holds.
+  // The incoming views in consumed order: an identity-order consumer reads
+  // the stored frozen view itself, any other a permuted copy that this
+  // group owns until its scan ends.
   AcquiredViews acquired(&store_);
-  std::vector<ConsumedView> consumed;
-  consumed.reserve(plan.incoming.size());
-  std::vector<const ConsumedView*> consumed_ptrs;
-  consumed_ptrs.reserve(plan.incoming.size());
+  std::vector<SortView> permuted;
+  permuted.reserve(plan.incoming.size());  // Keeps `views` pointers valid.
+  std::vector<const SortView*> views;
+  views.reserve(plan.incoming.size());
   for (const GroupPlan::IncomingView& in : plan.incoming) {
-    LMFAO_ASSIGN_OR_RETURN(ViewStore::ViewRef ref, store_.Acquire(in.view));
+    LMFAO_ASSIGN_OR_RETURN(const SortView* stored, store_.Acquire(in.view));
     acquired.Add(in.view);
-    if (ref.frozen != nullptr) {
-      consumed.push_back(in.identity_perm
-                             ? ConsumedView::Borrow(*ref.frozen)
-                             : BuildConsumedView(*ref.frozen, in));
+    if (in.identity_perm) {
+      views.push_back(stored);
     } else {
-      consumed.push_back(BuildConsumedView(*ref.map, in));
+      permuted.push_back(stored->Permuted(in.consumed_perm, in.CopyLayout()));
+      views.push_back(&permuted.back());
     }
   }
-  for (const ConsumedView& cv : consumed) consumed_ptrs.push_back(&cv);
 
   // Output maps, preallocated from the plan's cardinality estimates:
   // direct-addressed when the key's value ranges allow (DenseKeyBox), else
@@ -239,7 +240,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // The interpreter lowers the plan once per shard, and that executor
   // scans all of the shard's pieces.
   auto make_executor = [&]() {
-    return std::make_unique<GroupExecutor>(plan, *rel, consumed_ptrs, params_,
+    return std::make_unique<GroupExecutor>(plan, *rel, views, params_,
                                            cancel_, charge_base);
   };
   // One scan piece, rows [range.lo, range.hi) of `rel`.
@@ -360,11 +361,12 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   }
   LMFAO_RETURN_NOT_OK(scan_st);
 
-  // Release the consumed views *before* publishing: the scan is done, so
-  // any input whose last consumer this group was evicts now instead of
-  // coexisting with the freshly produced outputs — the input and output
-  // frontiers of a group never overlap in the store.
+  // Release the consumed views and drop the permuted copies *before*
+  // publishing: the scan is done, so any input whose last consumer this
+  // group was evicts now instead of coexisting with the freshly produced
+  // outputs — the input and output frontiers of a group never overlap.
   acquired.ReleaseAll();
+  permuted.clear();
   size_t entries = 0;
   for (size_t o = 0; o < plan.outputs.size(); ++o) {
     entries += out_maps[o]->size();

@@ -8,8 +8,10 @@
 /// evaluates one compiled batch:
 ///
 ///   1. every workload view is registered in the ViewStore with its
-///      consumer count (derived from the group plans) and its materialized
-///      form (the plan-layer freeze decision, AssignViewForms);
+///      consumer count (derived from the group plans) and the payload
+///      layout it freezes in (AssignLayoutsAndClosures); a query output
+///      consumed by a group is an Internal error, since query outputs stay
+///      ViewMaps;
 ///   2. groups run over the dependency graph via ScheduleGroupsTimed, each
 ///      scanning row-range pieces of its sorted relation: a large group
 ///      claims idle pool slots (ChooseShardCount) for domain shards, each
@@ -18,9 +20,14 @@
 ///      at a ScanSplit's node shards the same way, in the split's shard
 ///      count, and folds through the split's exchange;
 ///   3. per-shard private maps are merged, outputs published into the
-///      store (frozen to sorted form when the plan says so), and consumed
-///      views released — the store evicts each view after its last
-///      consumer finishes.
+///      store (every inner view frozen into a SortView), and consumed views
+///      released — the store evicts each view after its last consumer
+///      finishes.
+///
+/// A group reads each incoming view as a SortView in its consumed key
+/// order: the stored view itself when that order is canonical
+/// (IncomingView::identity_perm), else a SortView::Permuted copy the group
+/// owns until its scan ends.
 
 #ifndef LMFAO_ENGINE_EXECUTION_CONTEXT_H_
 #define LMFAO_ENGINE_EXECUTION_CONTEXT_H_
@@ -82,8 +89,8 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   /// Executes every group. Fills stats->groups (indexed by group id) and
-  /// the store-level fields (peak_live_views, peak_view_bytes,
-  /// num_frozen_views).
+  /// the store-level fields (peak_live_views, peak_view_bytes and its
+  /// key/payload split).
   Status Run(ExecutionStats* stats);
 
   /// Moves a query-output map out of the store (call after Run).

@@ -8,55 +8,6 @@ namespace lmfao {
 
 namespace {
 
-/// Shared tail of the consumed-view build: argsorts u32 entry indices with
-/// a comparator reading the *source* key components in consumed order (no
-/// permuted key objects are ever materialized), then gathers each consumed
-/// component into its own contiguous column and the payloads into the
-/// layout this consumer's access pattern wants — columnar for multi-entry
-/// consumption (range sums, entry iteration), row-major for single-entry
-/// binds. `component(entry, canonical_comp)` reads the source container;
-/// `gather_payloads(dst, sorted_entries)` fills the payload matrix from
-/// the source's own layout (row-major ViewMap slots, either-layout
-/// SortView).
-template <typename ComponentFn, typename PayloadGatherFn>
-ConsumedView ArgsortAndGather(int width, std::vector<uint32_t> entries,
-                              const GroupPlan::IncomingView& incoming,
-                              ComponentFn&& component,
-                              PayloadGatherFn&& gather_payloads) {
-  ConsumedView out;
-  out.width = width;
-  const PayloadLayout layout = incoming.IsMultiEntry()
-                                   ? PayloadLayout::kColumnar
-                                   : PayloadLayout::kRowMajor;
-  const std::vector<int>& perm = incoming.consumed_perm;
-  out.arity = static_cast<int>(perm.size());
-  std::sort(entries.begin(), entries.end(),
-            [&component, &perm](uint32_t a, uint32_t b) {
-              for (int pos : perm) {
-                const int64_t va = component(a, pos);
-                const int64_t vb = component(b, pos);
-                if (va != vb) return va < vb;
-              }
-              return false;
-            });
-  const size_t n = entries.size();
-  out.owned_keys = KeyColumns(out.arity, n);
-  for (int c = 0; c < out.arity; ++c) {
-    int64_t* dst = out.owned_keys.col(c);
-    const int pos = perm[static_cast<size_t>(c)];
-    for (size_t i = 0; i < n; ++i) dst[i] = component(entries[i], pos);
-    out.cols[static_cast<size_t>(c)] = dst;
-  }
-  out.owned_payloads = PayloadMatrix(width, n, layout);
-  gather_payloads(&out.owned_payloads, entries);
-  out.size = n;
-  out.payload_base = out.owned_payloads.data();
-  out.payload_layout = layout;
-  out.payload_entry_stride = out.owned_payloads.entry_stride();
-  out.payload_slot_stride = out.owned_payloads.slot_stride();
-  return out;
-}
-
 /// Unit-stride dot product over two scratch columns (four independent
 /// accumulators, same deterministic reduction shape as SumRange).
 double DotRange(const double* a, const double* b, size_t n) {
@@ -113,83 +64,29 @@ Status CheckLoweredIds(const GroupPlan& plan) {
 
 }  // namespace
 
-ConsumedView ConsumedView::Borrow(const SortView& frozen) {
-  ConsumedView out;
-  out.arity = frozen.key_arity();
-  out.width = frozen.width();
-  out.size = frozen.size();
-  for (int c = 0; c < out.arity; ++c) {
-    out.cols[static_cast<size_t>(c)] = frozen.col(c);
-  }
-  const PayloadMatrix& pm = frozen.payload_matrix();
-  out.payload_base = pm.data();
-  out.payload_layout = pm.layout();
-  out.payload_entry_stride = pm.entry_stride();
-  out.payload_slot_stride = pm.slot_stride();
-  return out;
-}
-
-ConsumedView BuildConsumedView(const ViewMap& produced,
-                               const GroupPlan::IncomingView& incoming) {
-  std::vector<uint32_t> entries;
-  entries.reserve(produced.size());
-  const size_t slots = produced.num_slots();
-  LMFAO_CHECK_LT(slots, static_cast<size_t>(UINT32_MAX));
-  for (size_t s = 0; s < slots; ++s) {
-    if (produced.slot_occupied(s)) entries.push_back(static_cast<uint32_t>(s));
-  }
-  return ArgsortAndGather(
-      produced.width(), std::move(entries), incoming,
-      [&produced](uint32_t slot, int comp) {
-        return produced.slot_key(slot)[comp];
-      },
-      [&produced](PayloadMatrix* dst, const std::vector<uint32_t>& order) {
-        GatherRows(dst, [&produced, &order](size_t i) {
-          return produced.slot_payload(order[i]);
-        });
-      });
-}
-
-ConsumedView BuildConsumedView(const SortView& produced,
-                               const GroupPlan::IncomingView& incoming) {
-  LMFAO_CHECK_LT(produced.size(), static_cast<size_t>(UINT32_MAX));
-  std::vector<uint32_t> entries(produced.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    entries[i] = static_cast<uint32_t>(i);
-  }
-  return ArgsortAndGather(
-      produced.width(), std::move(entries), incoming,
-      [&produced](uint32_t row, int comp) { return produced.col(comp)[row]; },
-      [&produced](PayloadMatrix* dst, const std::vector<uint32_t>& order) {
-        // Either-layout source: permuted gather in destination order.
-        if (dst->layout() == PayloadLayout::kColumnar) {
-          for (int s = 0; s < dst->width(); ++s) {
-            double* d = dst->col(s);
-            for (size_t i = 0; i < order.size(); ++i) {
-              d[i] = produced.payload_at(order[i], s);
-            }
-          }
-        } else {
-          for (size_t i = 0; i < order.size(); ++i) {
-            double* d = dst->row(i);
-            for (int s = 0; s < dst->width(); ++s) {
-              d[s] = produced.payload_at(order[i], s);
-            }
-          }
-        }
-      });
-}
-
 GroupExecutor::GroupExecutor(const GroupPlan& plan,
                              const Relation& sorted_relation,
-                             std::vector<const ConsumedView*> views,
+                             const std::vector<const SortView*>& views,
                              const ParamPack* params,
                              const CancelToken* cancel, size_t charge_base)
     : plan_(plan),
       relation_(sorted_relation),
-      views_(std::move(views)),
       cancel_(cancel != nullptr && cancel->armed() ? cancel : nullptr),
       charge_base_(charge_base) {
+  views_.reserve(views.size());
+  for (const SortView* view : views) {
+    ViewArrays& v = views_.emplace_back();
+    v.width = view->width();
+    v.size = view->size();
+    for (int c = 0; c < view->key_arity(); ++c) {
+      v.cols[static_cast<size_t>(c)] = view->col(c);
+    }
+    const PayloadMatrix& pm = view->payload_matrix();
+    v.payload_base = pm.data();
+    v.payload_layout = pm.layout();
+    v.payload_entry_stride = pm.entry_stride();
+    v.payload_slot_stride = pm.slot_stride();
+  }
   const int levels = plan_.num_levels();
   level_rel_column_.assign(static_cast<size_t>(levels) + 1, nullptr);
   level_views_.assign(static_cast<size_t>(levels) + 1, {});
@@ -316,7 +213,7 @@ void GroupExecutor::LowerLevelProgram(const ParamPack* params) {
       r.view = static_cast<int16_t>(parts[0].view_index);
       r.off = parts[0].slot *
               static_cast<int32_t>(
-                  views_[static_cast<size_t>(r.view)]->payload_slot_stride);
+                  views_[static_cast<size_t>(r.view)].payload_slot_stride);
     } else if (!parts.empty()) {
       r.payload = false;
       r.part_begin = static_cast<uint32_t>(exec_parts_.size());
@@ -354,7 +251,7 @@ void GroupExecutor::LowerLevelProgram(const ParamPack* params) {
   auto emit_regs = [&](const std::vector<Reg>& regs, bool alpha) {
     auto fusable = [this](const Reg& r) {
       return r.payload && r.view >= 0 &&
-             views_[static_cast<size_t>(r.view)]->payload_slot_stride == 1;
+             views_[static_cast<size_t>(r.view)].payload_slot_stride == 1;
     };
     auto follows = [&fusable](const Reg& a, const Reg& b, int32_t step) {
       return fusable(b) && b.view == a.view && b.off == a.off + 1 &&
@@ -424,7 +321,7 @@ void GroupExecutor::LowerLevelProgram(const ParamPack* params) {
           return;
         }
         c.cursor = static_cast<int32_t>(it - o.key_views.begin());
-        c.col = views_[static_cast<size_t>(src.view_index)]->col(src.comp);
+        c.col = views_[static_cast<size_t>(src.view_index)].col(src.comp);
       }
       key_comps_.push_back(c);
     }
@@ -439,7 +336,7 @@ void GroupExecutor::LowerLevelProgram(const ParamPack* params) {
                  static_cast<uint32_t>(keyed_pcols_.size())};
     for (size_t i = 0; i < o.key_views.size(); ++i) {
       keyed_pcols_.push_back(
-          views_[static_cast<size_t>(o.key_views[i])]->pcol(entry_slots[i]));
+          views_[static_cast<size_t>(o.key_views[i])].pcol(entry_slots[i]));
     }
     return w;
   };
@@ -606,14 +503,15 @@ Status GroupExecutor::Validate() const {
   }
   LMFAO_RETURN_NOT_OK(lowering_status_);
   for (size_t v = 0; v < views_.size(); ++v) {
-    if (views_[v]->width != plan_.incoming[v].width) {
+    if (views_[v].width != plan_.incoming[v].width) {
       return Status::InvalidArgument("executor: view width mismatch");
     }
     // The range-sum and entry-iteration kernels read contiguous payload
     // columns; multi-entry views must therefore arrive columnar
-    // (BuildConsumedView and the plan's freeze layout guarantee it).
+    // (IncomingView::CopyLayout and the plan's freeze layout guarantee
+    // it).
     if (plan_.incoming[v].IsMultiEntry() &&
-        views_[v]->payload_layout != PayloadLayout::kColumnar) {
+        views_[v].payload_layout != PayloadLayout::kColumnar) {
       return Status::InvalidArgument(
           "executor: multi-entry view payload must be columnar");
     }
@@ -628,7 +526,7 @@ void GroupExecutor::Prepare(const std::vector<ViewMap*>& outputs,
   rel_range_[0] = Range{rows.lo, rows.hi};
   view_range_.assign(views_.size() * level_stride_, Range{});
   for (size_t v = 0; v < views_.size(); ++v) {
-    view_range_[v * level_stride_] = Range{0, views_[v]->size};
+    view_range_[v * level_stride_] = Range{0, views_[v].size};
   }
   bound_.assign(static_cast<size_t>(levels) + 1, 0);
   bound_payload_.assign(views_.size(), nullptr);
@@ -698,7 +596,7 @@ void GroupExecutor::IterateLevel(int level) {
     const Range parent = ViewRangeAt(vps[i].first, level - 1);
     vpos[i] = parent.lo;
     vhis[i] = parent.hi;
-    vcols[i] = views_[static_cast<size_t>(vps[i].first)]->col(vps[i].second);
+    vcols[i] = views_[static_cast<size_t>(vps[i].first)].col(vps[i].second);
   }
   auto view_hi = [&](size_t i) { return vhis[i]; };
   auto view_val = [&](size_t i) { return vcols[i][vpos[i]]; };
@@ -786,9 +684,9 @@ void GroupExecutor::ProcessMatch(int level, int64_t value) {
   for (int v : level_bound_views_[static_cast<size_t>(level)]) {
     const Range& r = view_range_[static_cast<size_t>(v) * level_stride_ +
                                  static_cast<size_t>(level)];
-    const ConsumedView* cv = views_[static_cast<size_t>(v)];
+    const ViewArrays& cv = views_[static_cast<size_t>(v)];
     bound_payload_[static_cast<size_t>(v)] =
-        cv->payload_base + r.lo * cv->payload_entry_stride;
+        cv.payload_base + r.lo * cv.payload_entry_stride;
   }
   const LevelSteps& ls = level_steps_[static_cast<size_t>(level)];
   RunSteps(ls.entry, ls.exit, level);
@@ -905,23 +803,23 @@ double GroupExecutor::EvalExecPart(const ExecPart& part) {
     case PlanPart::Kind::kViewPayload: {
       const size_t v = static_cast<size_t>(part.view_index);
       return bound_payload_[v][static_cast<size_t>(part.slot) *
-                               views_[v]->payload_slot_stride];
+                               views_[v].payload_slot_stride];
     }
     case PlanPart::Kind::kViewRangeSum: {
       const Range r = ViewRangeAt(part.view_index, part.level);
-      const ConsumedView* v = views_[static_cast<size_t>(part.view_index)];
+      const ViewArrays& v = views_[static_cast<size_t>(part.view_index)];
       if (part.range_sum_id >= 0 &&
           static_cast<size_t>(part.range_sum_id) < range_sum_cache_.size()) {
         RangeSumCache& c =
             range_sum_cache_[static_cast<size_t>(part.range_sum_id)];
         if (c.lo == r.lo && c.hi == r.hi) return c.sum;
-        const double sum = SumRange(v->pcol(part.slot), r.lo, r.hi);
+        const double sum = SumRange(v.pcol(part.slot), r.lo, r.hi);
         c.lo = r.lo;
         c.hi = r.hi;
         c.sum = sum;
         return sum;
       }
-      return SumRange(v->pcol(part.slot), r.lo, r.hi);
+      return SumRange(v.pcol(part.slot), r.lo, r.hi);
     }
   }
   return 1.0;

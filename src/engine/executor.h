@@ -34,88 +34,19 @@
 
 namespace lmfao {
 
-/// \brief An incoming view re-sorted for consumption by one group, keys
-/// exposed as per-component columns, payloads in the layout matching the
-/// consumption pattern.
-///
-/// Keys are permuted into (relation components in trie-level order, then
-/// extra components) and sorted lexicographically, so entries agreeing on
-/// the bound relation components are contiguous and each consumed key
-/// component is one contiguous int64 column — the executor's merge-join
-/// cursors seek over plain columns instead of strided key objects.
-/// Payloads follow the consumption pattern: *multi-entry* views (whose
-/// entry ranges are marginalized over or iterated by writes) are columnar
-/// — a range sum over one slot is a unit-stride scan of one payload
-/// column — while *single-entry* views (bound to one entry per match,
-/// many slots read together) stay row-major so one match's register reads
-/// share cache lines. The executor requires multi-entry views to be
-/// columnar (Validate); single-entry views may be either (a borrowed
-/// frozen view carries its producer's layout).
-///
-/// The consumed form either owns a permuted copy (built by
-/// BuildConsumedView via an index argsort + per-column gather) or borrows
-/// the arrays of a frozen SortView when the consumed order equals the
-/// canonical order (GroupPlan::IncomingView::identity_perm) — the
-/// zero-copy path the ViewStore takes for frozen views.
-struct ConsumedView {
-  int arity = 0;
-  int width = 0;
-  size_t size = 0;
-  /// Per consumed component: a contiguous sorted column. Points into
-  /// `owned_keys` or into a borrowed SortView that must outlive this
-  /// object.
-  std::array<const int64_t*, TupleKey::kMaxArity> cols{};
-  /// Payload base in `payload_layout` order (strides below); points into
-  /// `owned_payloads` or a borrowed SortView.
-  const double* payload_base = nullptr;
-  PayloadLayout payload_layout = PayloadLayout::kColumnar;
-  /// Distance (in doubles) between consecutive entries of one slot /
-  /// consecutive slots of one entry.
-  size_t payload_entry_stride = 0;
-  size_t payload_slot_stride = 0;
-
-  ConsumedView() = default;
-  ConsumedView(const ConsumedView&) = delete;
-  ConsumedView& operator=(const ConsumedView&) = delete;
-  ConsumedView(ConsumedView&&) = default;
-  ConsumedView& operator=(ConsumedView&&) = default;
-
-  /// Borrows the columns of a frozen view (canonical order == consumed
-  /// order); no copy.
-  static ConsumedView Borrow(const SortView& frozen);
-
-  const int64_t* col(int c) const { return cols[static_cast<size_t>(c)]; }
-
-  /// Contiguous payload column of aggregate slot `s` (columnar layout —
-  /// the multi-entry range-sum / entry-iteration hot paths).
-  const double* pcol(int s) const {
-    return payload_base + static_cast<size_t>(s) * payload_slot_stride;
-  }
-  /// Payload slot `s` of entry `i`, any layout (single-entry reads).
-  double payload_at(size_t i, int s) const {
-    return payload_base[i * payload_entry_stride +
-                        static_cast<size_t>(s) * payload_slot_stride];
-  }
-
-  KeyColumns owned_keys;
-  PayloadMatrix owned_payloads;
-};
-
-/// \brief Builds the consumed (trie-ordered, sorted) form of a produced view
-/// in hash form.
-ConsumedView BuildConsumedView(const ViewMap& produced,
-                               const GroupPlan::IncomingView& incoming);
-
-/// \brief Same, from the frozen sorted form (non-identity permutations).
-ConsumedView BuildConsumedView(const SortView& produced,
-                               const GroupPlan::IncomingView& incoming);
-
 /// \brief Executes one group plan.
 ///
 /// The caller provides the node relation sorted by the plan's attribute
-/// order, the consumed incoming views (parallel to plan.incoming), and one
+/// order, the incoming views (parallel to plan.incoming) each as a
+/// SortView in its consumed key order (relation components in trie-level
+/// order, then the extra components: the stored view itself for an
+/// identity-order consumer, else a SortView::Permuted copy), and one
 /// result map per plan output (created with the output's key arity and
-/// width).
+/// width). Entries agreeing on the bound relation components are then
+/// contiguous, and the merge-join cursors seek over plain key columns.
+/// Multi-entry views must be columnar (range sums and entry iteration scan
+/// payload columns); single-entry views may be either layout. The views
+/// must outlive the executor.
 class GroupExecutor {
  public:
   /// `params` supplies the bound values of parameterized functions; they
@@ -132,7 +63,7 @@ class GroupExecutor {
   /// token's status; partially-filled outputs are the caller's
   /// to discard.
   GroupExecutor(const GroupPlan& plan, const Relation& sorted_relation,
-                std::vector<const ConsumedView*> views,
+                const std::vector<const SortView*>& views,
                 const ParamPack* params = nullptr,
                 const CancelToken* cancel = nullptr, size_t charge_base = 0);
 
@@ -304,9 +235,29 @@ class GroupExecutor {
   /// Lowers the plan's registers and writes into steps_ (constructor).
   void LowerLevelProgram(const ParamPack* params);
 
+  /// An incoming view's arrays, resolved once in the constructor so no
+  /// hot loop goes through the SortView's layout-checked accessors.
+  struct ViewArrays {
+    int width = 0;
+    size_t size = 0;
+    /// Per consumed component: a contiguous sorted column.
+    std::array<const int64_t*, TupleKey::kMaxArity> cols{};
+    /// Payload base, layout and strides (PayloadMatrix's).
+    const double* payload_base = nullptr;
+    PayloadLayout payload_layout = PayloadLayout::kColumnar;
+    size_t payload_entry_stride = 0;
+    size_t payload_slot_stride = 0;
+
+    const int64_t* col(int c) const { return cols[static_cast<size_t>(c)]; }
+    /// Contiguous payload column of slot `s` (columnar layout).
+    const double* pcol(int s) const {
+      return payload_base + static_cast<size_t>(s) * payload_slot_stride;
+    }
+  };
+
   const GroupPlan& plan_;
   const Relation& relation_;
-  std::vector<const ConsumedView*> views_;
+  std::vector<ViewArrays> views_;
 
   /// Matches between two cancellation checks: frequent enough that a trip
   /// is noticed within microseconds, rare enough to stay invisible in the

@@ -477,19 +477,8 @@ StatusOr<GroupPlan> BuildGroupPlan(const Workload& workload,
   return builder.Build();
 }
 
-void AssignViewForms(const Workload& workload, const GroupedWorkload& grouped,
-                     std::vector<GroupPlan>* plans) {
-  // Producer lookup: view id -> (plan, output index).
-  std::vector<std::pair<int, int>> producer(workload.views.size(), {-1, -1});
-  for (size_t g = 0; g < plans->size(); ++g) {
-    GroupPlan& plan = (*plans)[g];
-    for (size_t o = 0; o < plan.outputs.size(); ++o) {
-      GroupPlan::OutputInfo& out = plan.outputs[o];
-      out.form = ViewForm::kHashMap;
-      producer[static_cast<size_t>(out.view)] = {static_cast<int>(g),
-                                                 static_cast<int>(o)};
-    }
-  }
+void AssignLayoutsAndClosures(const GroupedWorkload& grouped,
+                              std::vector<GroupPlan>* plans) {
   // Input-closure relation masks, in dependency order: a group's closure is
   // its own node plus the closures of the groups producing its incoming
   // views. Relations beyond 63 saturate (the mask then never prunes, which
@@ -506,29 +495,21 @@ void AssignViewForms(const Workload& workload, const GroupedWorkload& grouped,
     (*plans)[static_cast<size_t>(g)].source_relation_mask = mask;
   }
 
+  // Producer lookup: view id -> its producing output.
+  std::vector<GroupPlan::OutputInfo*> producer(grouped.producer_group.size(),
+                                               nullptr);
   for (GroupPlan& plan : *plans) {
     for (GroupPlan::OutputInfo& out : plan.outputs) {
       out.payload_layout = PayloadLayout::kRowMajor;
+      producer[static_cast<size_t>(out.view)] = &out;
     }
   }
   for (const GroupPlan& plan : *plans) {
     for (const GroupPlan::IncomingView& in : plan.incoming) {
-      if (!in.identity_perm) continue;
-      // Query outputs must stay in hash form (QueryResult extraction moves
-      // the ViewMap out); today they are never incoming views, but enforce
-      // it rather than assume it.
-      if (workload.view(in.view).IsQueryOutput()) continue;
-      const auto& [g, o] = producer[static_cast<size_t>(in.view)];
-      if (g < 0) continue;
-      GroupPlan::OutputInfo& out =
-          (*plans)[static_cast<size_t>(g)].outputs[static_cast<size_t>(o)];
-      out.form = ViewForm::kFrozenSorted;
-      // The frozen array is shared with every identity-order consumer; if
-      // any of them consumes entry ranges (marginalizing range sums /
-      // entry-iterating writes), its payload must be columnar. Otherwise
-      // all borrowers bind single entries and row-major reads win.
-      if (in.IsMultiEntry()) {
-        out.payload_layout = PayloadLayout::kColumnar;
+      GroupPlan::OutputInfo* out = producer[static_cast<size_t>(in.view)];
+      if (in.identity_perm && out != nullptr &&
+          in.CopyLayout() == PayloadLayout::kColumnar) {
+        out->payload_layout = PayloadLayout::kColumnar;
       }
     }
   }

@@ -97,9 +97,11 @@ struct GroupPlan {
   /// Bitmask of the base relations in this group's input closure: the
   /// group's own node plus every relation reachable through its incoming
   /// views' producers (bit = RelationId, relations beyond 63 saturate the
-  /// whole mask). Set by AssignViewForms. Read it through ClosureContains.
-  /// Delta execution uses it to skip groups whose closure does not contain
-  /// the changed relation — their delta term is identically zero.
+  /// whole mask). Set by AssignLayoutsAndClosures. Read it through
+  /// ClosureContains. ExecuteDelta counts the groups whose closure
+  /// contains a changed relation (ExecutionStats::delta_dirty_groups), and
+  /// MakeShardedPlan (dist/shard_plan.h) picks the relation to partition
+  /// from the closures; neither skips a group.
   uint64_t source_relation_mask = ~0ull;
 
   /// The trie attribute order (levels 1..L); all are relation attributes.
@@ -122,9 +124,9 @@ struct GroupPlan {
     /// Canonical-key positions of the extra components (ascending attr id).
     std::vector<int> extra_perm;
     /// key_perm followed by extra_perm: consumed component c is canonical
-    /// component consumed_perm[c]. Precomputed so the consumed-view build
-    /// (an argsort + per-column gather) reads one flat table; required
-    /// (GroupExecutor rejects a plan without it).
+    /// component consumed_perm[c]. The `perm` of SortView::Permuted for a
+    /// non-identity consumer; required (GroupExecutor rejects a plan
+    /// without it).
     std::vector<int> consumed_perm;
     /// Level at which the last relation component binds; the view's entry
     /// range is final from this level on (single entry iff extra_perm is
@@ -134,12 +136,20 @@ struct GroupPlan {
     int width = 0;
     /// True when the consumed key order equals the view's canonical key
     /// order (key_perm then extra_perm is the identity permutation). Such a
-    /// consumer can read the producer's frozen sorted form directly, with no
-    /// per-consumer permute/sort/copy; AssignViewForms freezes exactly the
-    /// views that have at least one identity-order consumer.
+    /// consumer reads the stored frozen view itself; any other reads a
+    /// copy permuted into consumed order (SortView::Permuted) in
+    /// CopyLayout().
     bool identity_perm = false;
 
     bool IsMultiEntry() const { return !extra_perm.empty(); }
+    /// The payload layout this consumer wants: columnar when it
+    /// marginalizes or iterates entry ranges (the range-sum and
+    /// entry-iteration kernels scan payload columns), row-major when it
+    /// binds single entries (one match's slot reads share cache lines).
+    PayloadLayout CopyLayout() const {
+      return IsMultiEntry() ? PayloadLayout::kColumnar
+                            : PayloadLayout::kRowMajor;
+    }
   };
   std::vector<IncomingView> incoming;
 
@@ -218,15 +228,11 @@ struct GroupPlan {
     std::vector<int> key_views;
     /// Number of aggregate slots.
     int width = 0;
-    /// Materialized form of the produced view. Query outputs always stay
-    /// kHashMap; inner views are frozen by AssignViewForms when profitable.
-    ViewForm form = ViewForm::kHashMap;
-    /// Payload layout of the frozen form (ignored for kHashMap): columnar
-    /// when some borrowing (identity-order) consumer marginalizes or
-    /// iterates the view's entry ranges — range sums must scan unit-stride
-    /// columns — row-major when every such consumer binds single entries
-    /// (their per-match multi-slot reads then share cache lines). Set by
-    /// AssignViewForms.
+    /// Payload layout of the frozen view (query outputs stay ViewMaps and
+    /// ignore it): columnar when some identity-order consumer, which reads
+    /// the frozen view itself, wants columnar payloads
+    /// (IncomingView::CopyLayout), else row-major. Set by
+    /// AssignLayoutsAndClosures.
     PayloadLayout payload_layout = PayloadLayout::kColumnar;
     /// Estimated number of result entries, from the catalog's cardinality
     /// constraints (domain sizes of the key attributes, capped by the node
@@ -280,18 +286,14 @@ StatusOr<GroupPlan> BuildGroupPlan(const Workload& workload,
                                    const std::vector<AttrId>& attr_order,
                                    const PlanOptions& options = {});
 
-/// \brief The freeze decision: records in each producing plan the
-/// materialized form of its outputs (one source of truth for the
-/// interpreter and the ViewStore).
-///
-/// An inner view is frozen into sorted-array form iff at least one consumer
-/// group reads it in canonical key order (IncomingView::identity_perm) —
-/// those consumers then share the frozen array with zero copies, and the
-/// hash form is dropped at publish time. Views without such a consumer, and
-/// all query outputs, stay in hash form. `plans` must be parallel to
-/// `grouped.groups`.
-void AssignViewForms(const Workload& workload, const GroupedWorkload& grouped,
-                     std::vector<GroupPlan>* plans);
+/// \brief Links the group plans through their views: records each plan's
+/// input closure (source_relation_mask) and the payload layout each inner
+/// view freezes in (OutputInfo::payload_layout). Every inner view is
+/// frozen into a SortView at publish; its layout serves the consumers that
+/// read it in canonical key order, while the others read permuted copies
+/// in their own layout. `plans` must be parallel to `grouped.groups`.
+void AssignLayoutsAndClosures(const GroupedWorkload& grouped,
+                              std::vector<GroupPlan>* plans);
 
 }  // namespace lmfao
 

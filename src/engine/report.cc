@@ -92,12 +92,11 @@ std::string ReportExecution(const ExecutionStats& stats,
   constexpr double kMiB = 1024.0 * 1024.0;
   out << StringPrintf(
       "  view store: peak %zu live views (%.2f MiB peak: %.2f key + %.2f "
-      "payload), %d frozen\n",
+      "payload)\n",
       stats.peak_live_views,
       static_cast<double>(stats.peak_view_bytes) / kMiB,
       static_cast<double>(stats.peak_view_key_bytes) / kMiB,
-      static_cast<double>(stats.peak_view_payload_bytes) / kMiB,
-      stats.num_frozen_views);
+      static_cast<double>(stats.peak_view_payload_bytes) / kMiB);
   for (const GroupStats& g : stats.groups) {
     out << StringPrintf(
         "    group %d @ %-14s %8.2f ms, %d outputs, %zu entries, "

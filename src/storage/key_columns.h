@@ -5,9 +5,9 @@
 /// practice). Storing them as fixed-capacity TupleKey objects drags
 /// 104 bytes per entry through cache; KeyColumns instead holds one
 /// contiguous int64 array per key component, sized exactly to the arity,
-/// so sorted-array views, consumed views, and the executor's merge-join
-/// cursors scan 8 bytes per component per entry. Built once at freeze /
-/// consume time and immutable afterwards.
+/// so sorted-array views and the executor's merge-join cursors scan 8
+/// bytes per component per entry. Built once at freeze (or permuted-copy)
+/// time and immutable afterwards.
 
 #ifndef LMFAO_STORAGE_KEY_COLUMNS_H_
 #define LMFAO_STORAGE_KEY_COLUMNS_H_

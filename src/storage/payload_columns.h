@@ -1,6 +1,6 @@
 /// \file payload_columns.h
-/// \brief Packed payload storage for frozen/consumed views, in either
-/// row-major (entry-major) or columnar (slot-major, SoA) layout.
+/// \brief Packed payload storage for frozen views, in either row-major
+/// (entry-major) or columnar (slot-major, SoA) layout.
 ///
 /// A frozen view's payload is a `size × width` matrix of doubles. The two
 /// executor access patterns pull the layout in opposite directions:
@@ -12,9 +12,10 @@
 ///     slots of the SAME entry per match and want them on one cache line —
 ///     entry-major rows.
 /// PayloadMatrix supports both; which layout a view freezes into is a
-/// plan-layer decision (GroupPlan::OutputInfo::payload_layout, mirroring
-/// the hash-vs-frozen form decision): columnar exactly when some consumer
-/// marginalizes or iterates the view's entry ranges. ViewMap keeps its
+/// plan-layer decision (GroupPlan::OutputInfo::payload_layout): columnar
+/// exactly when some consumer reading the frozen view in place marginalizes
+/// or iterates its entry ranges; a permuted copy takes its own consumer's
+/// layout (GroupPlan::IncomingView::CopyLayout). ViewMap keeps its
 /// row-major payload for out-of-order upserts; the freeze gathers rows
 /// into whichever layout the plan chose, or adopts a dense map's rows,
 /// permuted into key order in place, when that layout is row-major.

@@ -202,6 +202,34 @@ void PermuteRows(double* data, int width, std::vector<uint32_t>* from) {
   }
 }
 
+/// Sorts `rows` lexicographically by their `arity` key components, read
+/// as `component(row, c)`. Keys are distinct, so the order is unique.
+template <typename ComponentFn>
+void SortByKey(std::vector<uint32_t>* rows, int arity,
+               ComponentFn&& component) {
+  std::sort(rows->begin(), rows->end(),
+            [&component, arity](uint32_t a, uint32_t b) {
+              for (int c = 0; c < arity; ++c) {
+                const int64_t va = component(a, c);
+                const int64_t vb = component(b, c);
+                if (va != vb) return va < vb;
+              }
+              return false;
+            });
+}
+
+/// One gather per key column: column c holds `component(rows[i], c)`.
+template <typename ComponentFn>
+KeyColumns GatherKeys(const std::vector<uint32_t>& rows, int arity,
+                      ComponentFn&& component) {
+  KeyColumns keys(arity, rows.size());
+  for (int c = 0; c < arity; ++c) {
+    int64_t* dst = keys.col(c);
+    for (size_t i = 0; i < rows.size(); ++i) dst[i] = component(rows[i], c);
+  }
+  return keys;
+}
+
 }  // namespace
 
 SortView SortView::FromMap(const ViewMap& map, PayloadLayout layout) {
@@ -219,6 +247,9 @@ SortView SortView::Freeze(const ViewMap& map, PayloadLayout layout,
   SortView out;
   out.width_ = map.width();
   const int arity = map.key_arity();
+  auto component = [&map](uint32_t slot, int c) {
+    return map.slot_key(slot)[c];
+  };
 
   // The occupied slots in key order: a dense map's cells already are, a
   // hash map's slots take an index argsort ...
@@ -229,27 +260,13 @@ SortView SortView::Freeze(const ViewMap& map, PayloadLayout layout,
   for (size_t s = 0; s < num_slots; ++s) {
     if (map.slot_occupied(s)) slots.push_back(static_cast<uint32_t>(s));
   }
-  if (!map.dense()) {
-    std::sort(slots.begin(), slots.end(),
-              [&map, arity](uint32_t a, uint32_t b) {
-                const int64_t* ka = map.slot_key(a);
-                const int64_t* kb = map.slot_key(b);
-                for (int c = 0; c < arity; ++c) {
-                  if (ka[c] != kb[c]) return ka[c] < kb[c];
-                }
-                return false;
-              });
-  }
+  if (!map.dense()) SortByKey(&slots, arity, component);
 
   // ... then one gather per key column and one payload gather into the
   // requested layout (a straight row copy, or a tiled transpose into
   // per-slot columns) — no hash lookups.
   const size_t n = slots.size();
-  out.keys_ = KeyColumns(arity, n);
-  for (int c = 0; c < arity; ++c) {
-    int64_t* dst = out.keys_.col(c);
-    for (size_t i = 0; i < n; ++i) dst[i] = map.slot_key(slots[i])[c];
-  }
+  out.keys_ = GatherKeys(slots, arity, component);
   if (adopt != nullptr && map.dense() &&
       (layout == PayloadLayout::kRowMajor || out.width_ == 1)) {
     // Entry-ordered rows become key-ordered rows where they lie.
@@ -263,6 +280,47 @@ SortView SortView::Freeze(const ViewMap& map, PayloadLayout layout,
   GatherRows(&out.payloads_, [&map, &slots](size_t i) {
     return map.slot_payload(slots[i]);
   });
+  return out;
+}
+
+SortView SortView::Permuted(const std::vector<int>& perm,
+                            PayloadLayout layout) const {
+  const int arity = keys_.arity();
+  LMFAO_CHECK_EQ(static_cast<int>(perm.size()), arity);
+  const int64_t* cols[TupleKey::kMaxArity] = {};
+  for (int c = 0; c < arity; ++c) {
+    const int from = perm[static_cast<size_t>(c)];
+    LMFAO_CHECK(from >= 0 && from < arity);
+    cols[c] = keys_.col(from);
+  }
+  auto component = [&cols](uint32_t row, int c) { return cols[c][row]; };
+
+  // The same argsort and gathers as a freeze, over this view's rows.
+  const size_t n = size();
+  LMFAO_CHECK_LT(n, static_cast<size_t>(UINT32_MAX));
+  std::vector<uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0u);
+  SortByKey(&rows, arity, component);
+  SortView out;
+  out.width_ = width_;
+  out.keys_ = GatherKeys(rows, arity, component);
+  out.payloads_ = PayloadMatrix(width_, n, layout);
+  const double* src = payloads_.data();
+  if (payloads_.layout() == PayloadLayout::kRowMajor) {
+    const size_t w = static_cast<size_t>(width_);
+    GatherRows(&out.payloads_,
+               [src, w, &rows](size_t i) { return src + rows[i] * w; });
+    return out;
+  }
+  // A columnar source: one gather per slot column, written at the
+  // destination's strides.
+  double* dst = out.payloads_.data();
+  const size_t entry_stride = out.payloads_.entry_stride();
+  for (int s = 0; s < width_; ++s) {
+    const double* from = src + static_cast<size_t>(s) * n;
+    double* to = dst + static_cast<size_t>(s) * out.payloads_.slot_stride();
+    for (size_t i = 0; i < n; ++i) to[i * entry_stride] = from[rows[i]];
+  }
   return out;
 }
 

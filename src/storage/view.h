@@ -24,9 +24,10 @@
 ///     iterate entry ranges, entry-major rows when every consumer binds
 ///     single entries), which iterates in key order and supports
 ///     binary-search lookups over plain contiguous int64 columns.
-///     Which form a produced view materializes in is a plan-layer decision
-///     (GroupPlan::OutputInfo::form, see plan.h); the ViewStore
-///     (view_store.h) freezes maps into SortViews at publish time.
+///     A SortView is the only form a view takes between groups: the
+///     ViewStore (view_store.h) freezes every inner view at publish, and a
+///     group reading a view in another key order reads a Permuted copy.
+///     Query outputs stay ViewMaps.
 ///
 /// TupleKey remains the *handle* type at API boundaries (Lookup arguments,
 /// ForEach callbacks); the stored layout is packed to the view's actual
@@ -46,16 +47,6 @@
 #include "util/status.h"
 
 namespace lmfao {
-
-/// \brief Materialized form of a produced view (recorded in the group plan).
-enum class ViewForm {
-  /// Open-addressing hash map; supports out-of-order upserts. The only form
-  /// query outputs take (QueryResult owns a ViewMap).
-  kHashMap,
-  /// Frozen sorted array (SortView): canonical key order, shared directly by
-  /// consumers whose consumed order equals the canonical order.
-  kFrozenSorted,
-};
 
 /// \brief Map from packed keys to payloads of doubles, hash- or
 /// direct-addressed.
@@ -263,11 +254,11 @@ class ViewMap {
 /// payloads into the requested layout (no per-entry hash lookups).
 /// Supports ordered iteration (merge-join style consumption) and
 /// binary-search lookup that narrows one contiguous column at a time. The
-/// raw key and payload arrays are exposed so the execution runtime can
-/// hand them to consumers without copying (ConsumedView borrows them when
-/// the consumed order equals the canonical order); with the columnar
-/// payload layout a marginalizing range sum over one slot is a unit-stride
-/// scan of one payload column.
+/// raw key and payload arrays are exposed so the executor reads a view in
+/// place: a group consuming it in canonical key order reads the stored
+/// view itself, any other group a Permuted copy. With the columnar payload
+/// layout a marginalizing range sum over one slot is a unit-stride scan of
+/// one payload column.
 class SortView {
  public:
   /// Sentinel returned by Find for absent keys.
@@ -286,6 +277,12 @@ class SortView {
   /// and the frozen copy never coexist. `map` is left empty.
   static SortView FromMap(ViewMap&& map,
                           PayloadLayout layout = PayloadLayout::kColumnar);
+
+  /// A copy whose key component c is this view's component perm[c]
+  /// (`perm` is a permutation of [0, key_arity())), sorted in that order,
+  /// with payloads in `layout`: the form a group reads a view in when its
+  /// trie order differs from the view's canonical key order.
+  SortView Permuted(const std::vector<int>& perm, PayloadLayout layout) const;
 
   int key_arity() const { return keys_.arity(); }
   int width() const { return width_; }

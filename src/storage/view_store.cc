@@ -32,14 +32,13 @@ size_t ViewStore::GlobalLiveViews() {
   return g_global_live_views.load(std::memory_order_relaxed);
 }
 
-void ViewStore::Register(int32_t view_id, int consumers, ViewForm form,
-                         bool pinned, PayloadLayout payload_layout) {
+void ViewStore::Register(int32_t view_id, int consumers, bool pinned,
+                         PayloadLayout payload_layout) {
   std::lock_guard<std::mutex> lock(mu_);
   if (static_cast<size_t>(view_id) >= entries_.size()) {
     entries_.resize(static_cast<size_t>(view_id) + 1);
   }
   Entry& e = entries_[static_cast<size_t>(view_id)];
-  e.form = form;
   e.payload_layout = payload_layout;
   e.refs = consumers;
   e.pinned = pinned;
@@ -49,21 +48,22 @@ Status ViewStore::Publish(int32_t view_id, std::unique_ptr<ViewMap> map) {
   if (map == nullptr) {
     return Status::InvalidArgument("view store: publishing a null map");
   }
-  // The form is immutable after Register, so the (possibly expensive)
-  // freeze sort runs outside the lock.
+  // The pin and the consumer count are fixed before the view's producer
+  // runs (Register; refs drop only after Acquire, which needs the
+  // publish), so the (possibly expensive) freeze runs outside the lock.
   LMFAO_FAILPOINT("viewstore.publish");
   const Entry& meta = entries_[static_cast<size_t>(view_id)];
   std::unique_ptr<SortView> frozen;
-  if (meta.form == ViewForm::kFrozenSorted) {
+  if (meta.pinned) {
+    // The map takes no further inserts once published; return the slack of
+    // an overshot cardinality-estimate Reserve instead of carrying it in
+    // the store until TakeResult.
+    map->ShrinkToFit();
+  } else if (meta.refs > 0) {
     LMFAO_FAILPOINT("viewstore.freeze");
     frozen = std::make_unique<SortView>(
         SortView::FromMap(std::move(*map), meta.payload_layout));
     map.reset();
-  } else {
-    // The map takes no further inserts once published; return the slack of
-    // an overshot cardinality-estimate Reserve instead of carrying it in
-    // the store until eviction.
-    map->ShrinkToFit();
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -77,7 +77,6 @@ Status ViewStore::Publish(int32_t view_id, std::unique_ptr<ViewMap> map) {
   if (e.frozen != nullptr) {
     e.key_bytes = e.frozen->KeyBytes();
     e.payload_bytes = e.frozen->PayloadBytes();
-    ++num_frozen_;
   } else {
     e.key_bytes = e.map->KeyBytes();
     e.payload_bytes = e.map->PayloadBytes();
@@ -96,19 +95,17 @@ Status ViewStore::Publish(int32_t view_id, std::unique_ptr<ViewMap> map) {
   return Status::OK();
 }
 
-StatusOr<ViewStore::ViewRef> ViewStore::Acquire(int32_t view_id) {
+StatusOr<const SortView*> ViewStore::Acquire(int32_t view_id) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = entries_[static_cast<size_t>(view_id)];
-  if (!e.published || (e.map == nullptr && e.frozen == nullptr)) {
-    return Status::Internal("view store: acquiring an unpublished view");
+  if (!e.published || e.frozen == nullptr) {
+    return Status::Internal(
+        "view store: acquiring an unpublished or pinned view");
   }
   if (e.refs <= 0) {
     return Status::Internal("view store: more acquires than consumers");
   }
-  ViewRef ref;
-  ref.map = e.map.get();
-  ref.frozen = e.frozen.get();
-  return ref;
+  return e.frozen.get();
 }
 
 void ViewStore::Release(int32_t view_id) {
@@ -122,7 +119,7 @@ StatusOr<ViewMap> ViewStore::TakeResult(int32_t view_id) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = entries_[static_cast<size_t>(view_id)];
   if (!e.published || e.map == nullptr) {
-    return Status::Internal("query output was not produced in hash form");
+    return Status::Internal("view store: taking a view that is not pinned");
   }
   ViewMap out = std::move(*e.map);
   EvictLocked(&e);
@@ -181,11 +178,6 @@ size_t ViewStore::peak_key_bytes() const {
 size_t ViewStore::peak_payload_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return peak_payload_bytes_;
-}
-
-int ViewStore::num_frozen() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return num_frozen_;
 }
 
 }  // namespace lmfao

@@ -5,9 +5,10 @@
 /// The execution runtime (ExecutionContext, engine/execution_context.h)
 /// publishes every produced view into the store and consumers read it back
 /// out. The store
-///   - holds each view in the form its producing plan recorded
-///     (GroupPlan::OutputInfo::form): ViewMap, or frozen sorted-array
-///     SortView built once at publish time;
+///   - freezes every consumed inner view into a SortView once, at publish
+///     (one view form between groups), and keeps query outputs as the
+///     ViewMaps TakeResult hands out; a view with neither a consumer nor a
+///     pin is dropped at publish without being frozen;
 ///   - tracks per-view consumer refcounts derived from the workload DAG and
 ///     *eagerly evicts* a view after its last consumer finishes, so peak
 ///     memory follows the live frontier of the group dependency graph
@@ -42,28 +43,24 @@ class ViewStore {
   ViewStore& operator=(const ViewStore&) = delete;
 
   /// Registers view `view_id` before execution starts: `consumers` groups
-  /// will Acquire/Release it, it materializes as `form` (frozen payloads
-  /// in `payload_layout` — the plan-layer decision of
+  /// will Acquire/Release it, it freezes with payloads in
+  /// `payload_layout` (the plan-layer decision of
   /// GroupPlan::OutputInfo::payload_layout), and `pinned` views (query
-  /// outputs) survive until TakeResult. Must be called for every view id
-  /// in [0, num_views) exactly once, before Run.
-  void Register(int32_t view_id, int consumers, ViewForm form, bool pinned,
+  /// outputs) stay maps and survive until TakeResult. Must be called for
+  /// every view id in [0, num_views) exactly once, before Run.
+  void Register(int32_t view_id, int consumers, bool pinned,
                 PayloadLayout payload_layout = PayloadLayout::kColumnar);
 
-  /// Publishes the produced map. If the registered form is kFrozenSorted,
-  /// the map is frozen into a SortView (consuming it) and dropped.
-  /// A view with no consumers and no pin is evicted immediately.
+  /// Publishes the produced map. A pinned view keeps it; an unpinned view
+  /// with consumers is frozen into a SortView (consuming the map), and
+  /// one without consumers is evicted at once, unfrozen.
   Status Publish(int32_t view_id, std::unique_ptr<ViewMap> map);
 
-  /// \name Consumption. Acquire returns the stored forms (exactly one of
-  /// map/frozen is non-null); the caller must Release once per registered
-  /// consumer slot when done, after which the view may be evicted.
+  /// \name Consumption. Acquire returns the frozen view; the caller must
+  /// Release once per registered consumer slot when done, after which the
+  /// view may be evicted. A pinned view cannot be acquired.
   /// @{
-  struct ViewRef {
-    const ViewMap* map = nullptr;
-    const SortView* frozen = nullptr;
-  };
-  StatusOr<ViewRef> Acquire(int32_t view_id);
+  StatusOr<const SortView*> Acquire(int32_t view_id);
   void Release(int32_t view_id);
   /// @}
 
@@ -83,7 +80,6 @@ class ViewStore {
   size_t peak_bytes() const;
   size_t peak_key_bytes() const;
   size_t peak_payload_bytes() const;
-  int num_frozen() const;
   /// @}
 
   /// \name Process-wide accounting across every live ViewStore. Charged at
@@ -100,7 +96,6 @@ class ViewStore {
   struct Entry {
     std::unique_ptr<ViewMap> map;
     std::unique_ptr<SortView> frozen;
-    ViewForm form = ViewForm::kHashMap;
     PayloadLayout payload_layout = PayloadLayout::kColumnar;
     int refs = 0;
     bool pinned = false;
@@ -120,7 +115,6 @@ class ViewStore {
   size_t peak_bytes_ = 0;
   size_t peak_key_bytes_ = 0;
   size_t peak_payload_bytes_ = 0;
-  int num_frozen_ = 0;
 };
 
 }  // namespace lmfao

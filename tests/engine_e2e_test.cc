@@ -3,6 +3,7 @@
 /// join + scan baseline on every query of realistic batches, across all
 /// ablation and parallelism configurations.
 
+#include <algorithm>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -117,8 +118,21 @@ TEST_F(EngineE2eTest, GroupBysAcrossAllRelations) {
   ExpectMatchesBaseline(batch, EngineOptions{});
 }
 
+/// Incoming views that some group reads in a key order other than the
+/// view's canonical one, and so through a SortView::Permuted copy.
+int NonIdentityIncomingViews(const CompiledBatch& compiled) {
+  int count = 0;
+  for (const GroupPlan& plan : compiled.plans) {
+    for (const GroupPlan::IncomingView& in : plan.incoming) {
+      count += in.identity_perm ? 0 : 1;
+    }
+  }
+  return count;
+}
+
 /// Two-attribute group-bys spanning different relations: group-by values
-/// must travel through intermediate views.
+/// must travel through intermediate views, some of them read in permuted
+/// key order.
 TEST_F(EngineE2eTest, CrossRelationGroupByPairs) {
   QueryBatch batch;
   const std::vector<std::pair<AttrId, AttrId>> pairs = {
@@ -134,6 +148,10 @@ TEST_F(EngineE2eTest, CrossRelationGroupByPairs) {
     q.aggregates.push_back(Aggregate::SumProduct(data_->units, data_->txns));
     batch.Add(std::move(q));
   }
+  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
+  auto compiled = engine.Compile(batch);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_GT(NonIdentityIncomingViews(*compiled), 0);
   ExpectMatchesBaseline(batch, EngineOptions{});
 }
 
@@ -291,6 +309,72 @@ TEST(EngineE2eRetailerTest, MixedBatchMatchesBaseline) {
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   for (size_t q = 0; q < baseline->size(); ++q) {
     EXPECT_TRUE(ResultsEquivalent(result->results[q], (*baseline)[q], 1e-8))
+        << "query " << q;
+  }
+}
+
+/// Retailer group-bys whose views cross groups in permuted key order:
+/// Inventory's group reads Weather's (locn, dateid) view as (dateid, locn),
+/// and Item's group reads Inventory's (dateid, ksn) view as (ksn, dateid).
+/// Counts are integer-exact, so the comparison is bit-for-bit.
+TEST(EngineE2eRetailerTest, NonIdentityConsumedViews) {
+  RetailerOptions options;
+  options.num_inventory = 2500;
+  auto data = MakeRetailer(options);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const RetailerData& db = **data;
+  auto joined = MaterializeJoin(db.catalog, db.tree, db.inventory);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+
+  QueryBatch batch;
+  Query by_cluster;
+  by_cluster.name = "by_category_cluster";
+  by_cluster.group_by = {db.category_cluster};
+  by_cluster.aggregates.push_back(Aggregate::Count());
+  batch.Add(std::move(by_cluster));
+  Query by_date_subcategory;
+  by_date_subcategory.name = "by_date_subcategory";
+  by_date_subcategory.group_by = {db.dateid, db.subcategory};
+  by_date_subcategory.aggregates.push_back(Aggregate::Count());
+  batch.Add(std::move(by_date_subcategory));
+
+  Engine engine(&(*data)->catalog, &(*data)->tree, EngineOptions{});
+  auto compiled = engine.Compile(batch);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  // The consumed order of the view `origin -> node` keyed on {a, b}, as
+  // canonical positions; empty when no group reads such a view.
+  auto consumed_perm = [&](RelationId origin, RelationId node, AttrId a,
+                           AttrId b) {
+    for (const GroupPlan& plan : compiled->plans) {
+      if (plan.node != node) continue;
+      for (const GroupPlan::IncomingView& in : plan.incoming) {
+        const ViewInfo& info = compiled->workload.view(in.view);
+        std::vector<AttrId> key = {a, b};
+        std::sort(key.begin(), key.end());
+        if (info.origin == origin && info.key == key) {
+          EXPECT_FALSE(in.identity_perm);
+          std::vector<AttrId> order;
+          for (int pos : in.consumed_perm) {
+            order.push_back(info.key[static_cast<size_t>(pos)]);
+          }
+          return order;
+        }
+      }
+    }
+    return std::vector<AttrId>{};
+  };
+  EXPECT_EQ(consumed_perm(db.weather, db.inventory, db.locn, db.dateid),
+            (std::vector<AttrId>{db.dateid, db.locn}));
+  EXPECT_EQ(consumed_perm(db.inventory, db.item, db.dateid, db.ksn),
+            (std::vector<AttrId>{db.ksn, db.dateid}));
+
+  auto result = engine.Evaluate(batch);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto baseline = EvaluateBatchSharedScan(*joined, batch);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ASSERT_EQ(result->results.size(), baseline->size());
+  for (size_t q = 0; q < baseline->size(); ++q) {
+    EXPECT_TRUE(ResultsEquivalent(result->results[q], (*baseline)[q], 0.0))
         << "query " << q;
   }
 }

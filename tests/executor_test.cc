@@ -208,34 +208,6 @@ TEST(ExecutorMicroTest, ShardsPartitionTopLevel) {
   });
 }
 
-TEST(ConsumedViewTest, PermutesAndSorts) {
-  ViewMap produced(2, 1);
-  // Canonical key (attr3, attr9) -> trie order wants component 1 first.
-  produced.Upsert(TupleKey({1, 20}))[0] = 1.0;
-  produced.Upsert(TupleKey({2, 10}))[0] = 2.0;
-  GroupPlan::IncomingView incoming;
-  incoming.key_perm = {1};        // Relation comp: canonical position 1.
-  incoming.key_levels = {1};
-  incoming.extra_perm = {0};      // Extra comp: canonical position 0.
-  incoming.consumed_perm = {1, 0};
-  incoming.bound_level = 1;
-  incoming.width = 1;
-  ConsumedView cv = BuildConsumedView(produced, incoming);
-  ASSERT_EQ(cv.size, 2u);
-  ASSERT_EQ(cv.arity, 2);
-  // Consumed component 0 is canonical component 1 (the relation attribute),
-  // sorted ascending; component 1 carries the extras. Each is one
-  // contiguous column.
-  EXPECT_EQ(cv.col(0)[0], 10);
-  EXPECT_EQ(cv.col(0)[1], 20);
-  EXPECT_EQ(cv.col(1)[0], 2);
-  EXPECT_EQ(cv.col(1)[1], 1);
-  // Payloads are columnar: slot 0 is one contiguous column over entries.
-  EXPECT_DOUBLE_EQ(cv.pcol(0)[0], 2.0);
-  EXPECT_DOUBLE_EQ(cv.pcol(0)[1], 1.0);
-  EXPECT_DOUBLE_EQ(cv.payload_at(0, 0), 2.0);
-}
-
 // ---------------------------------------------------------------------------
 // Level kernels: the lowered level program (runs, gathers, generic steps,
 // keyed writes) against the scan baseline and hand-computed sums, on
@@ -262,8 +234,9 @@ GroupExecutor::ProgramShape& operator+=(GroupExecutor::ProgramShape& a,
 }
 
 /// The level programs of every group of `batch`, lowered against empty
-/// stand-ins of the consumed views in their hash-form layouts (single-entry
-/// row-major, multi-entry columnar).
+/// stand-ins of the incoming views in their permuted-copy layouts
+/// (IncomingView::CopyLayout: single-entry row-major, multi-entry
+/// columnar).
 GroupExecutor::ProgramShape ShapeOf(const Engine& engine,
                                     const Catalog& catalog,
                                     const QueryBatch& batch) {
@@ -272,13 +245,14 @@ GroupExecutor::ProgramShape ShapeOf(const Engine& engine,
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   if (!compiled.ok()) return total;
   for (const GroupPlan& plan : compiled->plans) {
-    std::vector<ConsumedView> views;
-    std::vector<const ConsumedView*> ptrs;
+    std::vector<SortView> views;
+    std::vector<const SortView*> ptrs;
     views.reserve(plan.incoming.size());
     for (const GroupPlan::IncomingView& in : plan.incoming) {
       const int arity =
           static_cast<int>(in.key_perm.size() + in.extra_perm.size());
-      views.push_back(BuildConsumedView(ViewMap(arity, in.width), in));
+      views.push_back(
+          SortView::FromMap(ViewMap(arity, in.width), in.CopyLayout()));
       ptrs.push_back(&views.back());
     }
     GroupExecutor executor(plan, catalog.relation(plan.node), ptrs);
@@ -572,17 +546,11 @@ void MakeHandPlan(HandPlan* h) {
 Status RunHandPlan(const HandPlan& h, const GroupPlan& plan,
                    PayloadLayout layout, ViewMap* o0, ViewMap* o1,
                    GroupExecutor::ProgramShape* shape = nullptr) {
-  // Row-major: the gathered consumed form of a single-entry view.
-  // Columnar: a frozen columnar view borrowed as is.
+  // Both views are single-entry and read in canonical order, so the
+  // executor reads their frozen form as is, in either layout.
   const SortView sv = SortView::FromMap(h.v, layout);
   const SortView sw = SortView::FromMap(h.w, layout);
-  ConsumedView cv = layout == PayloadLayout::kRowMajor
-                        ? BuildConsumedView(h.v, plan.incoming[0])
-                        : ConsumedView::Borrow(sv);
-  ConsumedView cw = layout == PayloadLayout::kRowMajor
-                        ? BuildConsumedView(h.w, plan.incoming[1])
-                        : ConsumedView::Borrow(sw);
-  GroupExecutor executor(plan, h.catalog.relation(0), {&cv, &cw});
+  GroupExecutor executor(plan, h.catalog.relation(0), {&sv, &sw});
   if (shape != nullptr) *shape = executor.Shape();
   return executor.Execute({o0, o1});
 }
@@ -662,8 +630,6 @@ TEST(LevelKernelTest, RejectsMissingOrOutOfRangeLoweredIds) {
   for (const GroupPlan* plan : {&no_ids, &bad_id, &no_perm, &bad_perm}) {
     ViewMap o0(0, 7);
     ViewMap o1(2, 4);
-    // Columnar views are borrowed as frozen, so no consumed view is built
-    // from the broken permutation before the executor refuses the plan.
     const Status st =
         RunHandPlan(h, *plan, PayloadLayout::kColumnar, &o0, &o1);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();

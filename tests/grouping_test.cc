@@ -91,7 +91,7 @@ TEST_F(GroupingTest, DependencyGraphIsAcyclicAndComplete) {
   }
 }
 
-TEST_F(GroupingTest, IncomingViewsAreConsumedViewsOnly) {
+TEST_F(GroupingTest, IncomingViewsAreReadByOutputsOnly) {
   auto grouped = GroupViews(workload_, data_->catalog);
   ASSERT_TRUE(grouped.ok());
   for (const ViewGroup& g : grouped->groups) {

@@ -1,6 +1,7 @@
 /// \file view_store_test.cc
 /// \brief Tests of the ViewStore (refcounted view lifetime, freeze-on-
-/// publish, eager eviction) and of the ExecutionContext runtime built on it
+/// publish of every consumed inner view, pinned query outputs, eager
+/// eviction) and of the ExecutionContext runtime built on it
 /// — including the headline property that eager eviction keeps the peak
 /// live-view count below the workload's total view count on multi-group
 /// workloads.
@@ -12,6 +13,7 @@
 #include "data/favorita.h"
 #include "engine/engine.h"
 #include "ml/feature.h"
+#include "util/failpoint.h"
 
 namespace lmfao {
 namespace {
@@ -24,16 +26,14 @@ std::unique_ptr<ViewMap> MakeMap(int entries) {
 
 TEST(ViewStoreTest, PublishAcquireRelease) {
   ViewStore store;
-  store.Register(0, /*consumers=*/2, ViewForm::kHashMap, /*pinned=*/false);
+  store.Register(0, /*consumers=*/2, /*pinned=*/false);
   ASSERT_TRUE(store.Publish(0, MakeMap(10)).ok());
   EXPECT_EQ(store.live_views(), 1u);
   EXPECT_GT(store.current_bytes(), 0u);
 
-  auto ref = store.Acquire(0);
-  ASSERT_TRUE(ref.ok());
-  ASSERT_NE(ref->map, nullptr);
-  EXPECT_EQ(ref->frozen, nullptr);
-  EXPECT_EQ(ref->map->size(), 10u);
+  auto view = store.Acquire(0);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ((*view)->size(), 10u);
 
   store.Release(0);
   EXPECT_EQ(store.live_views(), 1u);  // One consumer still registered.
@@ -44,49 +44,77 @@ TEST(ViewStoreTest, PublishAcquireRelease) {
   EXPECT_EQ(store.peak_live_views(), 1u);
 }
 
-TEST(ViewStoreTest, FreezesToSortedFormOnPublish) {
-  ViewStore store;
-  store.Register(0, 1, ViewForm::kFrozenSorted, false);
-  ASSERT_TRUE(store.Publish(0, MakeMap(5)).ok());
-  auto ref = store.Acquire(0);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(ref->map, nullptr);  // Hash form dropped at publish.
-  ASSERT_NE(ref->frozen, nullptr);
-  ASSERT_EQ(ref->frozen->size(), 5u);
-  for (size_t i = 1; i < ref->frozen->size(); ++i) {
-    EXPECT_TRUE(ref->frozen->key(i - 1) < ref->frozen->key(i));
+/// A consumed, unpinned view is frozen at publish: its consumers read a
+/// sorted SortView in the registered payload layout.
+TEST(ViewStoreTest, FreezesViewWithConsumersOnPublish) {
+  for (PayloadLayout layout :
+       {PayloadLayout::kRowMajor, PayloadLayout::kColumnar}) {
+    ViewStore store;
+    store.Register(0, 1, false, layout);
+    ASSERT_TRUE(store.Publish(0, MakeMap(5)).ok());
+    auto view = store.Acquire(0);
+    ASSERT_TRUE(view.ok());
+    const SortView& frozen = **view;
+    ASSERT_EQ(frozen.size(), 5u);
+    EXPECT_EQ(frozen.payload_matrix().layout(), layout);
+    for (size_t i = 1; i < frozen.size(); ++i) {
+      EXPECT_TRUE(frozen.key(i - 1) < frozen.key(i));
+    }
+    // Exactly the frozen arrays are accounted: no map is kept beside them.
+    EXPECT_EQ(store.current_bytes(), frozen.MemoryUsage());
+    store.Release(0);
   }
-  EXPECT_EQ(store.num_frozen(), 1);
 }
 
 TEST(ViewStoreTest, PinnedViewSurvivesUntilTaken) {
   ViewStore store;
-  store.Register(0, 0, ViewForm::kHashMap, /*pinned=*/true);
+  store.Register(0, 0, /*pinned=*/true);
   ASSERT_TRUE(store.Publish(0, MakeMap(3)).ok());
   EXPECT_EQ(store.live_views(), 1u);
+  // A pinned view stays a map: consumers cannot acquire it, and TakeResult
+  // hands the map itself out.
+  EXPECT_EQ(store.Acquire(0).status().code(), StatusCode::kInternal);
   auto result = store.TakeResult(0);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 3u);
+  EXPECT_DOUBLE_EQ(result->Lookup(TupleKey({2}))[0], 1.0);
   EXPECT_EQ(store.live_views(), 0u);
 }
 
-TEST(ViewStoreTest, UnconsumedUnpinnedViewEvictedImmediately) {
+TEST(ViewStoreTest, UnpinnedViewCannotBeTaken) {
   ViewStore store;
-  store.Register(0, 0, ViewForm::kHashMap, false);
+  store.Register(0, 1, false);
   ASSERT_TRUE(store.Publish(0, MakeMap(3)).ok());
+  EXPECT_EQ(store.TakeResult(0).status().code(), StatusCode::kInternal);
+}
+
+/// A view with no consumer and no pin is dropped at publish without being
+/// frozen: an armed freeze failpoint does not fire for it, while it does
+/// for a consumed view.
+TEST(ViewStoreTest, UnconsumedUnpinnedViewEvictedWithoutFreezing) {
+  ASSERT_TRUE(Failpoints::Configure("viewstore.freeze=fail").ok());
+  ViewStore store;
+  store.Register(0, 0, false);
+  store.Register(1, 1, false);
+  const Status unconsumed = store.Publish(0, MakeMap(3));
+  const Status consumed = store.Publish(1, MakeMap(3));
+  Failpoints::Clear();
+  EXPECT_TRUE(unconsumed.ok()) << unconsumed.ToString();
+  EXPECT_EQ(consumed.code(), StatusCode::kInternal);
   EXPECT_EQ(store.live_views(), 0u);
   EXPECT_EQ(store.peak_live_views(), 1u);
+  EXPECT_EQ(store.current_bytes(), 0u);
 }
 
 /// Pins the store's split key/payload byte accounting across publish,
-/// freeze, and eviction: hash-form views account packed slots (8·arity key
-/// + 8 hash + 1 occupancy per slot, 8·width payload per slot); frozen views
-/// account exactly 8·arity + 8·width per entry; eviction returns both sides
-/// to zero while the peaks persist.
+/// freeze, and eviction: pinned maps account packed slots (8·arity key +
+/// 8 hash + 4 entry index per slot, 8·width payload per entry); frozen
+/// views account exactly 8·arity + 8·width per entry; eviction returns both
+/// sides to zero while the peaks persist.
 TEST(ViewStoreTest, KeyPayloadByteAccounting) {
   ViewStore store;
-  store.Register(0, 1, ViewForm::kHashMap, false);
-  store.Register(1, 1, ViewForm::kFrozenSorted, false);
+  store.Register(0, 0, /*pinned=*/true);
+  store.Register(1, 1, false);
 
   auto map0 = std::make_unique<ViewMap>(2, 3);
   for (int64_t i = 0; i < 5; ++i) map0->Upsert(TupleKey({i, -i}))[0] = 1.0;
@@ -116,7 +144,7 @@ TEST(ViewStoreTest, KeyPayloadByteAccounting) {
   EXPECT_EQ(store.peak_bytes(), store.peak_key_bytes() +
                                     store.peak_payload_bytes());
 
-  store.Release(0);
+  ASSERT_TRUE(store.TakeResult(0).ok());
   store.Release(1);
   EXPECT_EQ(store.current_key_bytes(), 0u);
   EXPECT_EQ(store.current_payload_bytes(), 0u);
@@ -125,13 +153,13 @@ TEST(ViewStoreTest, KeyPayloadByteAccounting) {
 
 TEST(ViewStoreTest, AcquireUnpublishedFails) {
   ViewStore store;
-  store.Register(0, 1, ViewForm::kHashMap, false);
+  store.Register(0, 1, false);
   EXPECT_FALSE(store.Acquire(0).ok());
 }
 
 TEST(ViewStoreTest, DoublePublishFails) {
   ViewStore store;
-  store.Register(0, 1, ViewForm::kHashMap, false);
+  store.Register(0, 1, false);
   ASSERT_TRUE(store.Publish(0, MakeMap(1)).ok());
   EXPECT_FALSE(store.Publish(0, MakeMap(1)).ok());
 }

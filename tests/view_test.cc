@@ -213,6 +213,80 @@ TEST(SortViewTest, LowerBound) {
   EXPECT_EQ(view.LowerBound(TupleKey({25})), 2u);
 }
 
+/// The copy a group reads when its trie order differs from the view's
+/// canonical key order: component c is canonical component perm[c], sorted
+/// in that order, payloads in the requested layout. Keys (2-3 components
+/// over small domains, so the leading permuted component ties often) and
+/// payloads come from a seeded generator; every source layout and copy
+/// layout is checked against a std::map of the permuted keys.
+TEST(SortViewTest, Permuted) {
+  // The two-entry case spelled out: canonical (x, y) read as (y, x).
+  ViewMap pair(2, 1);
+  pair.Upsert(TupleKey({1, 20}))[0] = 1.0;
+  pair.Upsert(TupleKey({2, 10}))[0] = 2.0;
+  const SortView swapped =
+      SortView::FromMap(pair).Permuted({1, 0}, PayloadLayout::kColumnar);
+  ASSERT_EQ(swapped.size(), 2u);
+  ASSERT_EQ(swapped.key_arity(), 2);
+  EXPECT_EQ(swapped.col(0)[0], 10);
+  EXPECT_EQ(swapped.col(0)[1], 20);
+  EXPECT_EQ(swapped.col(1)[0], 2);
+  EXPECT_EQ(swapped.col(1)[1], 1);
+  EXPECT_DOUBLE_EQ(swapped.pcol(0)[0], 2.0);
+  EXPECT_DOUBLE_EQ(swapped.pcol(0)[1], 1.0);
+
+  const std::vector<std::vector<int>> perms = {
+      {1, 0}, {0, 1}, {2, 0, 1}, {1, 2, 0}, {2, 1, 0}, {0, 2, 1}};
+  const PayloadLayout layouts[] = {PayloadLayout::kRowMajor,
+                                   PayloadLayout::kColumnar};
+  Rng rng(23);
+  for (const std::vector<int>& perm : perms) {
+    const int arity = static_cast<int>(perm.size());
+    const int width = 3;
+    ViewMap map(arity, width);
+    for (int i = 0; i < 200; ++i) {
+      TupleKey key(arity);
+      // Component perm[0] leads the copy; a domain of 4 makes it tie.
+      for (int c = 0; c < arity; ++c) {
+        const bool lead = c == perm[0];
+        key.set(c, rng.UniformInt(lead ? 0 : -3, lead ? 3 : 9));
+      }
+      double* p = map.Upsert(key);
+      for (int s = 0; s < width; ++s) p[s] += rng.UniformInt(-50, 50);
+    }
+    std::map<std::vector<int64_t>, std::vector<double>> model;
+    map.ForEach([&](const TupleKey& key, const double* p) {
+      std::vector<int64_t> permuted;
+      for (int c = 0; c < arity; ++c) permuted.push_back(key[perm[c]]);
+      model[permuted] = std::vector<double>(p, p + width);
+    });
+    for (PayloadLayout from : layouts) {
+      const SortView stored = SortView::FromMap(map, from);
+      for (PayloadLayout to : layouts) {
+        SCOPED_TRACE(::testing::Message()
+                     << "arity " << arity << " perm[0] " << perm[0]
+                     << " from " << static_cast<int>(from) << " to "
+                     << static_cast<int>(to));
+        const SortView copy = stored.Permuted(perm, to);
+        EXPECT_EQ(copy.payload_matrix().layout(), to);
+        EXPECT_EQ(copy.key_arity(), arity);
+        EXPECT_EQ(copy.width(), width);
+        ASSERT_EQ(copy.size(), model.size());
+        size_t i = 0;
+        for (const auto& [key, payload] : model) {
+          for (int c = 0; c < arity; ++c) {
+            EXPECT_EQ(copy.col(c)[i], key[static_cast<size_t>(c)]);
+          }
+          for (int s = 0; s < width; ++s) {
+            EXPECT_EQ(copy.payload_at(i, s), payload[static_cast<size_t>(s)]);
+          }
+          ++i;
+        }
+      }
+    }
+  }
+}
+
 /// Property: ViewMap agrees with a reference std::map accumulation under a
 /// random workload.
 TEST(ViewMapPropertyTest, MatchesReferenceAccumulation) {
