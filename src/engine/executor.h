@@ -236,7 +236,7 @@ class GroupExecutor {
   void LowerLevelProgram(const ParamPack* params);
 
   /// An incoming view's arrays, resolved once in the constructor so no
-  /// hot loop goes through the SortView's layout-checked accessors.
+  /// hot loop goes through PayloadMatrix's layout-checked accessors.
   struct ViewArrays {
     int width = 0;
     size_t size = 0;

@@ -322,7 +322,7 @@ TEST(EngineE2eRetailerTest, NonIdentityConsumedViews) {
   options.num_inventory = 2500;
   auto data = MakeRetailer(options);
   ASSERT_TRUE(data.ok()) << data.status().ToString();
-  const RetailerData& db = **data;
+  RetailerData& db = **data;
   auto joined = MaterializeJoin(db.catalog, db.tree, db.inventory);
   ASSERT_TRUE(joined.ok()) << joined.status().ToString();
 
@@ -338,19 +338,19 @@ TEST(EngineE2eRetailerTest, NonIdentityConsumedViews) {
   by_date_subcategory.aggregates.push_back(Aggregate::Count());
   batch.Add(std::move(by_date_subcategory));
 
-  Engine engine(&(*data)->catalog, &(*data)->tree, EngineOptions{});
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
   auto compiled = engine.Compile(batch);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  // The consumed order of the view `origin -> node` keyed on {a, b}, as
-  // canonical positions; empty when no group reads such a view.
-  auto consumed_perm = [&](RelationId origin, RelationId node, AttrId a,
-                           AttrId b) {
+  // The attributes of the view `origin -> node` keyed on {a, b}, in the
+  // order `node`'s group reads them; empty when no group reads such a view.
+  auto read_order = [&](RelationId origin, RelationId node, AttrId a,
+                        AttrId b) {
+    std::vector<AttrId> key = {a, b};
+    std::sort(key.begin(), key.end());
     for (const GroupPlan& plan : compiled->plans) {
       if (plan.node != node) continue;
       for (const GroupPlan::IncomingView& in : plan.incoming) {
         const ViewInfo& info = compiled->workload.view(in.view);
-        std::vector<AttrId> key = {a, b};
-        std::sort(key.begin(), key.end());
         if (info.origin == origin && info.key == key) {
           EXPECT_FALSE(in.identity_perm);
           std::vector<AttrId> order;
@@ -363,9 +363,9 @@ TEST(EngineE2eRetailerTest, NonIdentityConsumedViews) {
     }
     return std::vector<AttrId>{};
   };
-  EXPECT_EQ(consumed_perm(db.weather, db.inventory, db.locn, db.dateid),
+  EXPECT_EQ(read_order(db.weather, db.inventory, db.locn, db.dateid),
             (std::vector<AttrId>{db.dateid, db.locn}));
-  EXPECT_EQ(consumed_perm(db.inventory, db.item, db.dateid, db.ksn),
+  EXPECT_EQ(read_order(db.inventory, db.item, db.dateid, db.ksn),
             (std::vector<AttrId>{db.ksn, db.dateid}));
 
   auto result = engine.Evaluate(batch);
