@@ -1,7 +1,8 @@
 // Profiling harness for the executor hot path: prints the register-program
 // shape of every group plan in the Retailer covariance batch (op counts,
-// part kinds, suffix kinds, write fan-out per trie level) and the
-// per-group execution times (same fixture knobs as bench_common.h).
+// part kinds, suffix kinds, write fan-out per trie level), each group's
+// trie attribute order with its estimated cost (attribute_order.h), and
+// the per-group execution times (same fixture knobs as bench_common.h).
 // This is the tool behind the per-level cost breakdowns recorded in
 // EXPERIMENTS.md — run it before and after touching executor.cc.
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "data/retailer.h"
+#include "engine/attribute_order.h"
 #include "engine/engine.h"
 #include "ml/feature.h"
 
@@ -39,64 +41,78 @@ int main() {
     return 1;
   }
   Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  {
-    auto compiled = engine.Compile(cov->batch);
-    if (compiled.ok()) {
-      for (const GroupPlan& p : compiled->plans) {
-        size_t alpha_parts = 0, beta_parts = 0, rs = 0;
-        for (const auto& a : p.alphas) alpha_parts += a.parts.size();
-        for (const auto& b : p.betas) beta_parts += b.parts.size();
-        for (const auto& b : p.betas) {
-          for (const auto& part : b.parts) {
-            if (part.kind == PlanPart::Kind::kViewRangeSum) ++rs;
-          }
+  auto compiled = engine.Compile(cov->batch);
+  if (!compiled.ok()) return 1;
+  // "locn dateid ksn (cost 123)": the group's order and its estimated cost.
+  auto order_text = [&](int g) {
+    const std::vector<AttrId>& order =
+        compiled->attr_orders[static_cast<size_t>(g)];
+    std::string text;
+    for (AttrId a : order) {
+      text += (text.empty() ? "" : " ") + db.catalog.attr(a).name;
+    }
+    auto cost = EstimateOrderCost(
+        compiled->workload,
+        compiled->grouped.groups[static_cast<size_t>(g)], db.catalog, order);
+    return text + " (cost " +
+           (cost.ok() ? std::to_string(*cost) : cost.status().ToString()) +
+           ")";
+  };
+  for (const GroupPlan& p : compiled->plans) {
+    size_t alpha_parts = 0, beta_parts = 0, rs = 0;
+    for (const auto& a : p.alphas) alpha_parts += a.parts.size();
+    for (const auto& b : p.betas) beta_parts += b.parts.size();
+    for (const auto& b : p.betas) {
+      for (const auto& part : b.parts) {
+        if (part.kind == PlanPart::Kind::kViewRangeSum) ++rs;
+      }
+    }
+    size_t writes = 0;
+    for (const auto& wl : p.writes_at_level) writes += wl.size();
+    std::printf(
+        "plan g%d: %zu alphas (%zu parts), %zu betas (%zu parts, %zu "
+        "range-sum), %zu leaf sums, %zu writes, %d range-sum ids; "
+        "order %s\n",
+        p.group_id, p.alphas.size(), alpha_parts, p.betas.size(),
+        beta_parts, rs, p.leaf_sums.size(), writes, p.num_range_sums,
+        order_text(p.group_id).c_str());
+    for (int l = 0; l <= p.num_levels(); ++l) {
+      size_t nb = p.betas_at_level[l].size();
+      size_t nw = p.writes_at_level[l].size();
+      size_t na = p.alphas_at_level[l].size();
+      if (na + nb + nw == 0) continue;
+      size_t bparts = 0, bpayload = 0, bfactor = 0;
+      size_t sleaf = 0, sbeta = 0, sone = 0;
+      for (int b : p.betas_at_level[l]) {
+        bparts += p.betas[b].parts.size();
+        for (const auto& part : p.betas[b].parts) {
+          if (part.kind == PlanPart::Kind::kViewPayload) ++bpayload;
+          if (part.kind == PlanPart::Kind::kFactor) ++bfactor;
         }
-        size_t writes = 0;
-        for (const auto& wl : p.writes_at_level) writes += wl.size();
-        std::printf(
-            "plan g%d: %zu alphas (%zu parts), %zu betas (%zu parts, %zu "
-            "range-sum), %zu leaf sums, %zu writes, %d range-sum ids\n",
-            p.group_id, p.alphas.size(), alpha_parts, p.betas.size(),
-            beta_parts, rs, p.leaf_sums.size(), writes, p.num_range_sums);
-        for (int l = 0; l <= p.num_levels(); ++l) {
-          size_t nb = p.betas_at_level[l].size();
-          size_t nw = p.writes_at_level[l].size();
-          size_t na = p.alphas_at_level[l].size();
-          if (na + nb + nw == 0) continue;
-          size_t bparts = 0, bpayload = 0, bfactor = 0;
-          size_t sleaf = 0, sbeta = 0, sone = 0;
-          for (int b : p.betas_at_level[l]) {
-            bparts += p.betas[b].parts.size();
-            for (const auto& part : p.betas[b].parts) {
-              if (part.kind == PlanPart::Kind::kViewPayload) ++bpayload;
-              if (part.kind == PlanPart::Kind::kFactor) ++bfactor;
-            }
-            switch (p.betas[b].next.kind) {
-              case GroupPlan::SuffixKind::kLeaf: ++sleaf; break;
-              case GroupPlan::SuffixKind::kBeta: ++sbeta; break;
-              default: ++sone;
-            }
-          }
-          std::set<int> wouts;
-          std::map<int, int> key_arity_hist;
-          for (const auto& w : p.writes_at_level[l]) {
-            wouts.insert(w.output);
-            ++key_arity_hist[static_cast<int>(
-                p.outputs[w.output].key_sources.size())];
-          }
-          std::string arities;
-          for (auto [a, cnt] : key_arity_hist) {
-            arities += " " + std::to_string(cnt) + "x(arity " +
-                       std::to_string(a) + ")";
-          }
-          std::printf(
-              "  g%d L%d: %zu alphas, %zu betas (%zu parts: %zu payload "
-              "%zu factor; suffix %zu leaf %zu beta %zu one), %zu writes "
-              "-> %zu outputs,%s\n",
-              p.group_id, l, na, nb, bparts, bpayload, bfactor, sleaf,
-              sbeta, sone, nw, wouts.size(), arities.c_str());
+        switch (p.betas[b].next.kind) {
+          case GroupPlan::SuffixKind::kLeaf: ++sleaf; break;
+          case GroupPlan::SuffixKind::kBeta: ++sbeta; break;
+          default: ++sone;
         }
       }
+      std::set<int> wouts;
+      std::map<int, int> key_arity_hist;
+      for (const auto& w : p.writes_at_level[l]) {
+        wouts.insert(w.output);
+        ++key_arity_hist[static_cast<int>(
+            p.outputs[w.output].key_sources.size())];
+      }
+      std::string arities;
+      for (auto [a, cnt] : key_arity_hist) {
+        arities += " " + std::to_string(cnt) + "x(arity " +
+                   std::to_string(a) + ")";
+      }
+      std::printf(
+          "  g%d L%d: %zu alphas, %zu betas (%zu parts: %zu payload "
+          "%zu factor; suffix %zu leaf %zu beta %zu one), %zu writes "
+          "-> %zu outputs,%s\n",
+          p.group_id, l, na, nb, bparts, bpayload, bfactor, sleaf,
+          sbeta, sone, nw, wouts.size(), arities.c_str());
     }
   }
   // Prepare once, then warmup + measured Execute-only runs (the profile
@@ -120,11 +136,13 @@ int main() {
               });
     for (size_t i = 0; i < groups.size() && i < 12; ++i) {
       std::printf(
-          "  group %d @ %s: %.2f ms (%d outputs, %d dense, %zu entries)\n",
+          "  group %d @ %s: %.2f ms (%d outputs, %d dense, %zu entries) "
+          "order %s\n",
           groups[i].group_id,
           db.catalog.relation(groups[i].node).name().c_str(),
           groups[i].seconds * 1e3, groups[i].num_outputs,
-          groups[i].dense_outputs, groups[i].output_entries);
+          groups[i].dense_outputs, groups[i].output_entries,
+          order_text(groups[i].group_id).c_str());
     }
   }
   return 0;

@@ -22,11 +22,13 @@
 #include "baseline/join.h"
 #include "baseline/naive_engine.h"
 #include "data/favorita.h"
+#include "data/retailer.h"
 #include "differential_harness.h"
 #include "dist/shard_plan.h"
 #include "engine/engine.h"
 #include "engine/report.h"
 #include "exact_generator.h"
+#include "ml/feature.h"
 #include "storage/view_store.h"
 #include "util/failpoint.h"
 #include "util/random.h"
@@ -614,6 +616,55 @@ TEST(DistStatsTest, ShardAndExchangeCountersAreCoherent) {
   const std::string report = ReportExecution(stats, (*data)->catalog);
   EXPECT_NE(report.find("sharded: 4 shards"), std::string::npos) << report;
   EXPECT_NE(report.find("shard 0:"), std::string::npos) << report;
+}
+
+// The Retailer covariance batch at the benchmark's dimensions partitions
+// Inventory, whose group's level-1 attribute is locn (100 values): four
+// shards all run, each scanning a quarter of the locations, and the merge
+// matches the unsharded Execute.
+TEST(DistStatsTest, CovarianceBatchRunsFourShards) {
+  RetailerOptions options;
+  options.num_inventory = 20000;
+  options.num_locations = 100;
+  options.num_dates = 200;
+  options.num_items = 2000;
+  options.num_zips = 50;
+  auto data = MakeRetailer(options);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const RetailerData& db = **data;
+  FeatureSet features;
+  features.label = db.inventoryunits;
+  for (AttrId a : db.continuous) {
+    if (a != db.inventoryunits) features.continuous.push_back(a);
+  }
+  features.categorical = db.categorical;
+  auto cov = BuildCovarianceBatch(features, db.catalog);
+  ASSERT_TRUE(cov.ok()) << cov.status().ToString();
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(cov->batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  auto sharded = prepared->ExecuteSharded(4);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const ExecutionStats& stats = sharded->stats;
+  EXPECT_EQ(stats.dist_relation, db.inventory);
+  EXPECT_EQ(stats.dist_shards, 4);
+  ASSERT_EQ(stats.dist_shard_stats.size(), 4u);
+  for (const DistShardStats& s : stats.dist_shard_stats) {
+    EXPECT_GT(s.rows, 0u) << "shard " << s.shard;
+    EXPECT_GT(s.exchange_bytes, 0u) << "shard " << s.shard;
+  }
+  ASSERT_EQ(SplitGroups(stats), 1u);
+  for (const GroupStats& gs : stats.groups) {
+    if (gs.node == db.inventory) EXPECT_EQ(gs.shards, 4);
+  }
+
+  // Retailer has non-integer doubles: sharded vs unsharded differ by
+  // association order only.
+  auto full = prepared->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ExpectResultsMatch(sharded->results, full->results, 1e-9,
+                     "retailer covariance, four shards vs execute");
 }
 
 // --- Fault injection through the dist seams -------------------------------

@@ -314,7 +314,7 @@ TEST(EngineE2eRetailerTest, MixedBatchMatchesBaseline) {
 }
 
 /// Retailer group-bys whose views cross groups in permuted key order:
-/// Inventory's group reads Weather's (locn, dateid) view as (dateid, locn),
+/// Weather's group reads Inventory's (locn, dateid) view as (dateid, locn),
 /// and Item's group reads Inventory's (dateid, ksn) view as (ksn, dateid).
 /// Counts are integer-exact, so the comparison is bit-for-bit.
 TEST(EngineE2eRetailerTest, NonIdentityConsumedViews) {
@@ -337,6 +337,11 @@ TEST(EngineE2eRetailerTest, NonIdentityConsumedViews) {
   by_date_subcategory.group_by = {db.dateid, db.subcategory};
   by_date_subcategory.aggregates.push_back(Aggregate::Count());
   batch.Add(std::move(by_date_subcategory));
+  Query by_date_rain;
+  by_date_rain.name = "by_date_rain";
+  by_date_rain.group_by = {db.dateid, db.rain};
+  by_date_rain.aggregates.push_back(Aggregate::Count());
+  batch.Add(std::move(by_date_rain));
 
   Engine engine(&db.catalog, &db.tree, EngineOptions{});
   auto compiled = engine.Compile(batch);
@@ -363,7 +368,7 @@ TEST(EngineE2eRetailerTest, NonIdentityConsumedViews) {
     }
     return std::vector<AttrId>{};
   };
-  EXPECT_EQ(read_order(db.weather, db.inventory, db.locn, db.dateid),
+  EXPECT_EQ(read_order(db.inventory, db.weather, db.locn, db.dateid),
             (std::vector<AttrId>{db.dateid, db.locn}));
   EXPECT_EQ(read_order(db.inventory, db.item, db.dateid, db.ksn),
             (std::vector<AttrId>{db.ksn, db.dateid}));

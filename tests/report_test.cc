@@ -3,6 +3,10 @@
 
 #include "engine/report.h"
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/favorita.h"
@@ -40,8 +44,23 @@ TEST_F(ReportTest, ViewGroupsPanel) {
   ASSERT_TRUE(compiled.ok());
   const std::string report = ReportViewGroups(*compiled, data_->catalog);
   EXPECT_NE(report.find("View Groups (7)"), std::string::npos);
-  EXPECT_NE(report.find("attribute order: item date store"),
-            std::string::npos);
+  // One "attribute order:" line per group, in group order, naming
+  // compiled.attr_orders.
+  std::vector<std::string> printed;
+  std::istringstream lines(report);
+  for (std::string line; std::getline(lines, line);) {
+    const std::string tag = "attribute order:";
+    const size_t at = line.find(tag);
+    if (at == std::string::npos) continue;
+    printed.push_back(line.substr(at, line.find("  (") - at));
+  }
+  std::vector<std::string> expected;
+  for (const std::vector<AttrId>& order : compiled->attr_orders) {
+    std::string text = "attribute order:";
+    for (AttrId a : order) text += " " + data_->catalog.attr(a).name;
+    expected.push_back(text);
+  }
+  EXPECT_EQ(printed, expected);
   EXPECT_NE(report.find("alphas"), std::string::npos);
 }
 
