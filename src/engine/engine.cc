@@ -110,6 +110,11 @@ Engine::Engine(const Catalog* catalog, const JoinTree* tree,
     : catalog_(catalog), tree_(tree), options_(std::move(options)) {
   LMFAO_CHECK(catalog_ != nullptr);
   LMFAO_CHECK(tree_ != nullptr);
+  const SchedulerOptions& scheduler = options_.scheduler;
+  const int threads = scheduler.ResolvedThreads();
+  if (threads > 1 && (scheduler.task_parallel || scheduler.domain_parallel)) {
+    pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
+  }
 }
 
 void Engine::InvalidateCaches() {
@@ -197,7 +202,6 @@ StatusOr<PreparedBatch> Engine::Prepare(const QueryBatch& batch) {
 
   PreparedBatch prepared;
   prepared.engine_ = this;
-  prepared.options_ = options_;
   bool collision = false;
   {
     std::lock_guard<std::mutex> lock(plan_mu_);
@@ -304,7 +308,7 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
   // sorted cache may prune an epoch while the group still scans it.
   ExecutionContext context(
       compiled.workload, compiled.grouped, compiled.plans,
-      options_.scheduler,
+      engine_->options_.scheduler, engine_->pool_.get(),
       [this, &spec](RelationId node, const std::vector<AttrId>& order)
           -> StatusOr<std::shared_ptr<const Relation>> {
         if (node == spec.delta_node) {
@@ -507,16 +511,13 @@ StatusOr<std::shared_ptr<const Relation>> Engine::SortedRelationAt(
 
   // Build outside the cache lock (duplicated work on a race is harmless):
   // sort only the rows the prefix is missing, then stable-merge (prefix
-  // first on ties) — bit-identical to sorting all `rows` rows from
-  // scratch, because SortPermutation breaks ties by original row index.
+  // first on ties; an empty order concatenates) — bit-identical to sorting
+  // all `rows` rows at once, because SortPermutation breaks ties by
+  // original row index.
   const size_t lo = prefix ? prefix->num_rows() : 0;
   LMFAO_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> built,
                          SortedDeltaSlice(node, order, lo, rows));
-  if (prefix != nullptr && sub.empty()) {
-    Relation merged(*prefix);
-    LMFAO_RETURN_NOT_OK(merged.Append(*built));
-    built = std::make_shared<const Relation>(std::move(merged));
-  } else if (prefix != nullptr) {
+  if (prefix != nullptr) {
     LMFAO_ASSIGN_OR_RETURN(Relation merged,
                            MergeSortedRelations(*prefix, *built, sub));
     built = std::make_shared<const Relation>(std::move(merged));

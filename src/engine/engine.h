@@ -13,13 +13,13 @@
 ///   - `Engine::Prepare(batch)` runs all three optimization layers once and
 ///     returns a `PreparedBatch` handle owning the immutable compiled
 ///     artifact (workload, groups, attribute orders, group plans with leaf
-///     factor tables and flattened register programs) plus a frozen
-///     snapshot of the engine options.
-///   - `PreparedBatch::Execute(params)` runs ONLY the execution layer. It
-///     is repeatable and safe to call concurrently from multiple threads:
-///     the compiled state is never mutated, and each Execute builds its own
-///     ExecutionContext. Parameterized functions (Function::IndicatorParam)
-///     resolve their threshold slots against `params` at group bind time.
+///     factor tables and flattened register programs).
+///   - `PreparedBatch::Execute(params)` runs ONLY the execution layer, on
+///     its Engine's worker pool. It is repeatable and safe to call
+///     concurrently from multiple threads: the compiled state is never
+///     mutated, and each Execute builds its own ExecutionContext.
+///     Parameterized functions (Function::IndicatorParam) resolve their
+///     threshold slots against `params` at group bind time.
 ///   - `Engine::Evaluate(batch, params)` remains as the one-shot
 ///     convenience wrapper, literally Prepare + Execute.
 ///
@@ -78,7 +78,8 @@ struct ExecLimits {
   double deadline_seconds = 0.0;
   /// Budget for live view memory (ViewStore bytes plus in-flight output
   /// maps); 0 = unlimited. A trip on a domain-sharded group retries once
-  /// unsharded (lower peak memory) before failing the pass.
+  /// with its shards run one at a time (the sharded bits; the outputs plus
+  /// one shard's maps live) before failing the pass.
   size_t max_view_bytes = 0;
 };
 
@@ -113,7 +114,7 @@ struct GroupStats {
   int shards = 1;
   /// Seconds the group waited between becoming ready and starting.
   double wait_seconds = 0.0;
-  /// True when a memory trip forced the group's once-unsharded retry.
+  /// True when a memory trip forced the group's serial retry.
   bool degraded = false;
   /// Live ViewStore bytes right after the group published its outputs and
   /// released its inputs (the view-memory frontier at this point of the
@@ -390,10 +391,6 @@ class PreparedBatch {
     LMFAO_CHECK(valid());
     return artifact_->required_params;
   }
-  /// The engine options frozen at Prepare time; Execute always uses this
-  /// snapshot (later Engine::mutable_options() mutations affect only
-  /// future Prepares).
-  const EngineOptions& options() const { return options_; }
   uint64_t signature() const {
     LMFAO_CHECK(valid());
     return artifact_->signature;
@@ -435,7 +432,6 @@ class PreparedBatch {
 
   Engine* engine_ = nullptr;
   std::shared_ptr<const CompiledArtifact> artifact_;
-  EngineOptions options_;
   uint64_t generation_ = 0;
   bool from_cache_ = false;
   double compile_seconds_ = 0.0;
@@ -460,14 +456,11 @@ class PreparedBatch {
 /// the generation counter, so outstanding PreparedBatch handles fail their
 /// next Execute instead of reading stale sorted data.
 ///
-/// `mutable_options()` semantics: options are snapshotted into the
-/// PreparedBatch at Prepare time. Mutations affect only future Prepares
-/// (and Evaluates, which Prepare internally); already-prepared handles
-/// keep executing under their snapshot. Compile-relevant options
-/// (view_generation, grouping, plan) are part of the plan-cache key, so
-/// toggling them never serves a mismatched cached artifact; scheduler
-/// options do not key the cache (they are execution-only) but are frozen
-/// per handle.
+/// Options are fixed at construction. Every handle executes under them on
+/// the Engine's one worker pool (built when the scheduler runs more than
+/// one thread, joined by the destructor). An Execute blocks its caller
+/// until its groups finish on that pool, so no pool task may call one: the
+/// serving layer keeps its own request threads.
 class Engine {
  public:
   Engine(const Catalog* catalog, const JoinTree* tree,
@@ -507,10 +500,6 @@ class Engine {
   };
   PlanCacheStats plan_cache_stats() const;
 
-  const EngineOptions& options() const { return options_; }
-  /// See the class comment for the post-Prepare mutation contract.
-  EngineOptions& mutable_options() { return options_; }
-
  private:
   friend class PreparedBatch;
 
@@ -540,7 +529,7 @@ class Engine {
 
   const Catalog* catalog_;
   const JoinTree* tree_;
-  EngineOptions options_;
+  const EngineOptions options_;
   /// (node, sort order) -> epoch (row watermark) -> immutable sorted
   /// snapshot. Ordered by epoch so extension finds the largest cached
   /// prefix <= the requested watermark.
@@ -573,6 +562,9 @@ class Engine {
   /// racing Prepare can never pair the new generation with a stale cache
   /// entry.
   std::atomic<uint64_t> generation_{0};
+  /// The workers every pass borrows (null at one thread); last, so it
+  /// drains and joins before anything a pass touches is destroyed.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 namespace internal {

@@ -87,6 +87,7 @@ ExecutionContext::ExecutionContext(const Workload& workload,
                                    const GroupedWorkload& grouped,
                                    const std::vector<GroupPlan>& plans,
                                    const SchedulerOptions& options,
+                                   ThreadPool* pool,
                                    SortedRelationProvider sorted_relation,
                                    const ParamPack* params,
                                    const CancelToken* cancel,
@@ -96,6 +97,7 @@ ExecutionContext::ExecutionContext(const Workload& workload,
       grouped_(grouped),
       plans_(plans),
       options_(options),
+      pool_(pool),
       sorted_relation_(std::move(sorted_relation)),
       params_(params),
       cancel_(cancel != nullptr && cancel->armed() ? cancel : nullptr),
@@ -131,13 +133,8 @@ Status ExecutionContext::Run(ExecutionStats* stats) {
                     workload_.views[v].IsQueryOutput(), layouts[v]);
   }
 
-  const int threads = options_.ResolvedThreads();
-  if (threads > 1 && (options_.task_parallel || options_.domain_parallel)) {
-    pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
-  }
-
   stats->groups.assign(grouped_.groups.size(), GroupStats{});
-  ThreadPool* task_pool = options_.task_parallel ? pool_.get() : nullptr;
+  ThreadPool* task_pool = options_.task_parallel ? pool_ : nullptr;
   Status sched = ScheduleGroupsTimed(
       grouped_, task_pool,
       [&](int gid, const GroupStart& start) {
@@ -173,6 +170,10 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
                                   GroupStats* gs) {
   Timer group_timer;
   BusyScope self(&busy_threads_, 1);
+  // Workers outlive the pass: drop any park a failed step left behind.
+  struct DropParks {
+    ~DropParks() { if (Failpoints::enabled()) Failpoints::ClearParked(); }
+  } drop_parks;
   // Group boundary: the cheap coarse-grained governance point every group
   // passes through.
   if (cancel_ != nullptr) {
@@ -280,19 +281,18 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   std::vector<std::unique_ptr<ViewMap>> out_maps;
   std::vector<ViewMap*> out_ptrs;
   int dense_outputs = 0;
-  // Scans `ranges` in `n` shards into out_maps/out_ptrs. One unsplit shard
-  // scans straight into the outputs. Otherwise shard s scans ranges s,
-  // s + n, ... into private maps, concurrently on the pool when there is
+  // Scans `pieces` in `n` shards into out_maps/out_ptrs. One unsplit shard
+  // scans straight into the outputs. Otherwise shard s scans pieces s,
+  // s + n, ... into private maps, concurrently on `pool` when there is
   // one, folded into the outputs (MergeAdd, or the split's exchange) in
   // shard order, a scheduling-independent summation order. A shard's maps
   // die right after its fold.
-  auto scan_all = [&](const std::vector<ShardRange>& ranges,
-                      size_t n) -> Status {
+  auto scan_all = [&](size_t n, ThreadPool* pool) -> Status {
     out_maps.clear();
     out_ptrs.clear();
     dense_outputs = make_output_maps(1, &out_maps, &out_ptrs);
     if (!split && n == 1) {
-      return run_piece(make_executor().get(), ranges[0], out_ptrs);
+      return run_piece(make_executor().get(), pieces[0], out_ptrs);
     }
     std::mutex turn_mu;
     std::condition_variable turn_cv;
@@ -301,7 +301,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     BusyScope helpers(&busy_threads_,
                       std::min(static_cast<int>(n),
                                options_.ResolvedThreads()) - 1);
-    ParallelForShared(pool_.get(), n, [&](size_t s) {
+    ParallelForShared(pool, n, [&](size_t s) {
       Timer scan_timer;
       std::vector<std::unique_ptr<ViewMap>> maps;
       std::vector<ViewMap*> ptrs;
@@ -309,9 +309,9 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       Status st = [&]() -> Status {
         make_output_maps(n, &maps, &ptrs);
         const std::unique_ptr<GroupExecutor> executor = make_executor();
-        for (size_t i = s; i < ranges.size(); i += n) {
-          rows += ranges[i].rows();
-          LMFAO_RETURN_NOT_OK(run_piece(executor.get(), ranges[i], ptrs));
+        for (size_t i = s; i < pieces.size(); i += n) {
+          rows += pieces[i].rows();
+          LMFAO_RETURN_NOT_OK(run_piece(executor.get(), pieces[i], ptrs));
         }
         return Status::OK();
       }();
@@ -345,19 +345,18 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     }
     return st;
   };
-  Status scan_st = count_trip(scan_all(pieces, shards));
+  Status scan_st = count_trip(scan_all(shards, pool_));
   if (scan_st.code() == StatusCode::kResourceExhausted && !split &&
       shards > 1 && (cancel_ == nullptr || !cancel_->cancelled())) {
     // Graceful degradation: an out-of-memory trip on a domain-sharded scan
-    // is retried once unsharded — the dropped per-shard private maps are
-    // the memory multiplier the narrow execution avoids. This must happen
-    // while the consumed views are still acquired (a Release below may
-    // evict an input this retry needs). Budget trips are not sticky on the
-    // token, so the retry's own Checks start clean.
+    // is retried once with the same shards run one at a time — one shard's
+    // private maps live at a time, folded in the same order, so the bits
+    // are the sharded run's. This must happen while the consumed views are
+    // still acquired (a Release below may evict an input this retry needs).
+    // Budget trips are not sticky on the token, so the retry's own Checks
+    // start clean.
     gs->degraded = true;
-    pieces = {whole};
-    shards = 1;
-    scan_st = count_trip(scan_all(pieces, shards));
+    scan_st = count_trip(scan_all(shards, nullptr));
   }
   LMFAO_RETURN_NOT_OK(scan_st);
 

@@ -1,11 +1,11 @@
 /// \file execution_context.h
 /// \brief The execution runtime of one batch evaluation.
 ///
-/// The ExecutionContext owns everything the execution phase needs — the
-/// ViewStore (view ownership, consumer refcounts, eager eviction), the
-/// thread pool, and the unified task+domain scheduler — replacing the
-/// ad-hoc state the seed engine threaded through lambdas. One context
-/// evaluates one compiled batch:
+/// The ExecutionContext owns the state of one pass — the ViewStore (view
+/// ownership, consumer refcounts, eager eviction) and the pass's ledger of
+/// occupied threads — and runs the unified task+domain scheduler on a
+/// worker pool it borrows from the Engine. One context evaluates one
+/// compiled batch:
 ///
 ///   1. every workload view is registered in the ViewStore with its
 ///      consumer count (derived from the group plans) and the payload
@@ -14,7 +14,7 @@
 ///      ViewMaps;
 ///   2. groups run over the dependency graph via ScheduleGroupsTimed, each
 ///      scanning row-range pieces of its sorted relation: a large group
-///      claims idle pool slots (ChooseShardCount) for domain shards, each
+///      claims idle thread slots (ChooseShardCount) for domain shards, each
 ///      scanning every n-th key-aligned block of the relation
 ///      (KeyAlignedRanges), while other ready groups keep running; a group
 ///      at a ScanSplit's node shards the same way, in the split's shard
@@ -58,18 +58,18 @@ class ExecutionContext {
       std::function<StatusOr<std::shared_ptr<const Relation>>(
           RelationId, const std::vector<AttrId>&)>;
 
-  /// Borrows all compile artifacts (and the param bindings, when given);
-  /// they must outlive the context. `params` resolves parameterized
-  /// functions at each group's bind time — the compiled plans themselves
-  /// are never mutated, which is what makes one compiled batch safe to
-  /// execute from many contexts concurrently.
+  /// Borrows all compile artifacts, the pool (null: run on the caller) and
+  /// the param bindings, when given; they must outlive the context.
+  /// `params` resolves parameterized functions at each group's bind time —
+  /// the compiled plans themselves are never mutated, which is what makes
+  /// one compiled batch safe to execute from many contexts concurrently.
   /// `cancel` (optional, borrowed) governs the pass: checked at group
   /// boundaries, after each publish (charging the store's live bytes), and
   /// amortized inside the interpreter's trie iteration. A budget trip on a
-  /// domain-sharded group is retried once unsharded — private per-shard
-  /// maps are the multiplier a narrower execution avoids — before the pass
-  /// gives up; the retry is possible because budget trips are not sticky
-  /// on the token (see CancelToken).
+  /// domain-sharded group is retried once with its shards run one at a
+  /// time — one shard's private maps live, the sharded summation order
+  /// kept — before the pass gives up; the retry is possible because budget
+  /// trips are not sticky on the token (see CancelToken).
   /// `split` (optional, borrowed) runs the groups at its node in the
   /// split's shard count instead of the cost model's, and folds their
   /// shards through its exchange instead of MergeAdd.
@@ -78,7 +78,7 @@ class ExecutionContext {
   /// tightly enough is built as a direct-addressed (dense) ViewMap.
   ExecutionContext(const Workload& workload, const GroupedWorkload& grouped,
                    const std::vector<GroupPlan>& plans,
-                   const SchedulerOptions& options,
+                   const SchedulerOptions& options, ThreadPool* pool,
                    SortedRelationProvider sorted_relation,
                    const ParamPack* params = nullptr,
                    const CancelToken* cancel = nullptr,
@@ -102,24 +102,24 @@ class ExecutionContext {
   const Workload& workload_;
   const GroupedWorkload& grouped_;
   const std::vector<GroupPlan>& plans_;
-  SchedulerOptions options_;
+  const SchedulerOptions& options_;
+  ThreadPool* const pool_;
   SortedRelationProvider sorted_relation_;
   const ParamPack* params_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   const ScanSplit* split_ = nullptr;
   const std::vector<ValueRange>* ranges_ = nullptr;
   ViewStore store_;
-  std::unique_ptr<ThreadPool> pool_;
   /// Limit trips observed during this pass (deadline/budget/injected OOM),
-  /// including ones the unsharded retry recovered from.
+  /// including ones the serial retry recovered from.
   std::atomic<int> limit_trips_{0};
   /// Groups finished so far — progress reported in the error message when
   /// the pass is cut short (the caller gets no ExecutionStats on error).
   std::atomic<int> groups_completed_{0};
-  /// Threads occupied by group runners *and* their domain-shard helpers —
-  /// the true occupancy the shard cost model divides the pool by (the
-  /// scheduler's running-group count alone would count a fully sharded
-  /// pool as idle).
+  /// Threads this pass occupies with group runners *and* their shard
+  /// helpers — the occupancy the shard cost model divides the thread count
+  /// by. Per pass, not per pool, so no pass's shard counts (and bits)
+  /// depend on other passes.
   std::atomic<int> busy_threads_{0};
 };
 

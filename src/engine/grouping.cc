@@ -158,8 +158,8 @@ StatusOr<GroupedWorkload> GroupViews(const Workload& workload,
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   std::stable_sort(nodes.begin(), nodes.end(),
                    [&catalog](RelationId a, RelationId b) {
-                     return catalog.relation(a).num_rows() >
-                            catalog.relation(b).num_rows();
+                     return catalog.CommittedRows(a) >
+                            catalog.CommittedRows(b);
                    });
   for (RelationId node : nodes) {
     bool changed = true;

@@ -58,12 +58,12 @@ struct GroupStart {
 };
 
 /// \brief Cost-based domain shard count for one group: bounded by the
-/// relation size (rows / min_shard_rows), by the free pool slots (the
-/// caller plus `free_threads` idle workers), and by the thread count.
-/// `free_threads` is the number of threads not currently occupied by a
-/// group runner or shard helper (the runtime tracks true occupancy; see
-/// ExecutionContext::busy_threads_). Returns 1 when domain parallelism is
-/// off or the relation is too small.
+/// relation size (rows / min_shard_rows), by the free thread slots (the
+/// caller plus `free_threads` idle ones), and by the thread count.
+/// `free_threads` counts the pass's threads not occupied by one of its
+/// group runners or shard helpers (ExecutionContext::busy_threads_, a
+/// per-pass ledger although passes share the Engine's pool). Returns 1
+/// when domain parallelism is off or the relation is too small.
 int ChooseShardCount(int64_t rows, const SchedulerOptions& options,
                      int free_threads);
 

@@ -210,7 +210,7 @@ class PlanBuilder {
             out.write_level,
             plan_.incoming[static_cast<size_t>(vi)].bound_level);
       }
-      out.estimated_entries = EstimateEntries(rel, info.key);
+      out.estimated_entries = EstimateEntries(info.key);
       const int out_index = static_cast<int>(plan_.outputs.size());
       plan_.outputs.push_back(out);
 
@@ -224,14 +224,13 @@ class PlanBuilder {
 
   /// Cardinality estimate of an output from the catalog's domain sizes:
   /// the product of the key attributes' domain sizes, capped by the node
-  /// relation size and by kMaxEstimatedEntries. For keys spanning other
-  /// relations the row cap is not a strict bound on the output, but the
-  /// estimate only sizes a preallocation: under-reserving merely costs a
-  /// few rehashes while over-reserving wastes real memory (Reserve has no
-  /// shrink path and the capacity is charged to peak view bytes). Returns
-  /// 0 when unknown.
-  size_t EstimateEntries(const Relation& rel,
-                         const std::vector<AttrId>& key) const {
+  /// relation's committed rows and by kMaxEstimatedEntries. For keys
+  /// spanning other relations the row cap is not a strict bound on the
+  /// output, but the estimate only sizes a preallocation: under-reserving
+  /// merely costs a few rehashes while over-reserving wastes real memory
+  /// (Reserve has no shrink path and the capacity is charged to peak view
+  /// bytes). Returns 0 when unknown.
+  size_t EstimateEntries(const std::vector<AttrId>& key) const {
     static constexpr size_t kMaxEstimatedEntries = size_t{1} << 18;
     if (key.empty()) return 1;
     size_t product = 1;
@@ -244,7 +243,8 @@ class PlanBuilder {
       }
       product *= static_cast<size_t>(domain);
     }
-    return std::min({product, rel.num_rows(), kMaxEstimatedEntries});
+    return std::min(
+        {product, catalog_.CommittedRows(group_.node), kMaxEstimatedEntries});
   }
 
   /// Splits one aggregate slot into parts and entry payloads, then into

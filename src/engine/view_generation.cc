@@ -202,7 +202,7 @@ RelationId AssignRoot(const Query& query, const Catalog& catalog,
         score *= static_cast<double>(dom > 0 ? dom : 2);
       }
     }
-    const size_t rows = catalog.relation(r).num_rows();
+    const size_t rows = catalog.CommittedRows(r);
     if (score > best_score ||
         (score == best_score && rows > best_rows)) {
       best = r;

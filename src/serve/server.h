@@ -91,7 +91,9 @@ struct Response {
 /// fixed: Server::kMaxRetries, and the shedding watermarks and retry
 /// backoff in server.cc.
 struct ServerOptions {
-  /// Worker threads popping the queues.
+  /// Worker threads popping the queues: the Server's own, since an Execute
+  /// blocks until its groups finish on the Engine's pool, and pool workers
+  /// all blocked that way would leave none to run the groups.
   size_t num_workers = 2;
   /// Per-class queue capacities; admission beyond these rejects with
   /// ResourceExhausted.

@@ -506,5 +506,63 @@ TEST_F(DeltaContractTest, ConcurrentAppendsDoNotPerturbOldEpochExecutes) {
                      "post-concurrency delta refresh");
 }
 
+/// A group whose trie order has no attribute of its relation reads the
+/// relation in row order. Extending its cached snapshot across appends
+/// (MergeSortedRelations on an empty order concatenates) must give the
+/// bits a cold Engine computes, as must the delta refresh.
+TEST(DeltaEmptyOrderTest, CachedSnapshotExtendsAcrossAppends) {
+  Catalog catalog;
+  const AttrId key = catalog.AddAttribute("k", AttrType::kInt).value();
+  const AttrId val = catalog.AddAttribute("v", AttrType::kDouble).value();
+  const RelationId rid = catalog.AddRelation("R", {"k", "v"}).value();
+  Relation& rel = catalog.mutable_relation(rid);
+  for (int i = 0; i < 40; ++i) {
+    rel.AppendRowUnchecked(
+        {Value::Int(i % 5), Value::Double(static_cast<double>(i % 9 - 4))});
+  }
+  catalog.RefreshDomainSizes();
+  JoinTree tree = JoinTree::FromEdges(catalog, {}).value();
+
+  Query q;
+  q.name = "global";
+  q.aggregates.push_back(Aggregate({Factor{val, Function::Identity()}}));
+  q.aggregates.push_back(Aggregate({Factor{val, Function::Square()},
+                                    Factor{key, Function::Identity()}}));
+  q.aggregates.push_back(Aggregate::Count());
+  QueryBatch batch;
+  batch.Add(std::move(q));
+
+  Engine engine(&catalog, &tree, EngineOptions{});
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  for (const std::vector<AttrId>& order : prepared->compiled().attr_orders) {
+    ASSERT_TRUE(order.empty()) << "recipe has a trie attribute";
+  }
+  auto base = prepared->Execute();  // Caches the snapshot at 40 rows.
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::vector<Value>> rows;
+    for (int i = 0; i < 7; ++i) {
+      rows.push_back({Value::Int((i + round) % 5),
+                      Value::Double(static_cast<double>(i * 3 - 10))});
+    }
+    ASSERT_TRUE(catalog.AppendRows(rid, rows).ok());
+
+    auto extended = prepared->Execute();
+    auto refreshed = prepared->ExecuteDelta(*base);
+    Engine cold(&catalog, &tree, EngineOptions{});
+    auto want = cold.Evaluate(batch);
+    ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    const std::string label = "round " + std::to_string(round);
+    ExpectResultsMatch(extended->results, want->results, 0.0,
+                       label + ": extended snapshot vs cold engine");
+    ExpectResultsMatch(refreshed->results, want->results, 0.0,
+                       label + ": delta refresh vs cold engine");
+  }
+}
+
 }  // namespace
 }  // namespace lmfao

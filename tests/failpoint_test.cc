@@ -294,6 +294,82 @@ TEST_F(FailpointEngineTest, FreezeFailureUnwinds) {
   ExpectResultsMatch(again->results, oracle_, 0.0, "recovery after freeze");
 }
 
+/// Pool workers outlive a pass. Here a query output's shrink-rehash parks
+/// an injected failure on the worker running the group, and the next
+/// publish fails the group before anything harvests the park. The passes
+/// that worker runs afterwards, with injection still armed, must not
+/// inherit that park.
+TEST(FailpointParkTest, ParkAbandonedOnAWorkerFailsNoLaterPass) {
+  FailpointGuard guard;
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  // Three equal keys: each output's dense box (20 x 20 cells) is sized
+  // from the domain product, but only its 20 diagonal cells fill, so
+  // publishing the output shrinks it with a rehash.
+  Catalog catalog;
+  const AttrId a = catalog.AddAttribute("a", AttrType::kInt).value();
+  const AttrId b = catalog.AddAttribute("b", AttrType::kInt).value();
+  const AttrId c = catalog.AddAttribute("c", AttrType::kInt).value();
+  const RelationId rid = catalog.AddRelation("R", {"a", "b", "c"}).value();
+  Relation& rel = catalog.mutable_relation(rid);
+  for (int i = 0; i < 400; ++i) {
+    rel.AppendRowUnchecked(
+        {Value::Int(i % 20), Value::Int(i % 20), Value::Int(i % 20)});
+  }
+  catalog.RefreshDomainSizes();
+  JoinTree tree = JoinTree::FromEdges(catalog, {}).value();
+  QueryBatch batch;
+  for (AttrId second : {b, c}) {
+    Query q;
+    q.name = "by_a_" + std::to_string(second);
+    q.group_by = {a, second};
+    q.aggregates.push_back(Aggregate::Count());
+    batch.Add(std::move(q));
+  }
+
+  // Two workers, one group, one shard: the group runs on a pool worker
+  // and its seams hit in a fixed order.
+  EngineOptions options;
+  options.scheduler.num_threads = 2;
+  options.scheduler.domain_parallel = false;
+  Engine engine(&catalog, &tree, options);
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_EQ(prepared->compiled().grouped.groups.size(), 1u);
+  auto oracle = prepared->Execute();
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+  // Count the rehash hits of one pass: the two slot allocations, then one
+  // shrink per published output. The first publish's shrink is the
+  // second-to-last hit.
+  const std::string armed = "viewstore.register=fail#1000000";
+  ASSERT_TRUE(Failpoints::Configure(armed + ",viewmap.rehash=fail#1000000")
+                  .ok());
+  ASSERT_TRUE(prepared->Execute().ok());
+  const uint64_t rehashes = Failpoints::Hits("viewmap.rehash");
+  ASSERT_EQ(rehashes, 4u) << "recipe changed: expected 2 allocations and "
+                             "2 shrinks";
+
+  ASSERT_TRUE(Failpoints::Configure("viewmap.rehash=oom#" +
+                                    std::to_string(rehashes - 1) +
+                                    ",viewstore.publish=fail#2")
+                  .ok());
+  auto failed = prepared->Execute();
+  ASSERT_FALSE(failed.ok());
+  // The publish failure, not the parked oom: the park was abandoned.
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal)
+      << failed.status().ToString();
+
+  ASSERT_TRUE(Failpoints::Configure(armed).ok());
+  for (int i = 0; i < 8; ++i) {
+    auto later = prepared->Execute();
+    ASSERT_TRUE(later.ok()) << "pass " << i << ": "
+                            << later.status().ToString();
+    ExpectResultsMatch(later->results, oracle->results, 0.0,
+                       "pass " + std::to_string(i) + " after the park");
+  }
+}
+
 // --- Randomized schedules over the differential harness -----------------
 
 class FailpointFuzzTest : public ::testing::TestWithParam<uint64_t> {};

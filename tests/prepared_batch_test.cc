@@ -2,9 +2,12 @@
 /// \brief The Prepare/Execute engine surface: differential parity with
 /// one-shot Evaluate (including re-Execute and param re-binding), the
 /// structural plan cache, stale-handle semantics after InvalidateCaches,
-/// options-snapshot semantics, and concurrent Executes of one handle
-/// (exercised under TSan by the tsan ctest preset).
+/// compile options in the artifact signature, concurrent Executes of one
+/// handle, concurrent passes of every kind on one Engine's worker pool, and
+/// Prepares racing appends (the concurrent cases run under TSan in the
+/// tsan ctest preset).
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -16,6 +19,8 @@
 #include "data/favorita.h"
 #include "differential_harness.h"
 #include "engine/engine.h"
+#include "exact_generator.h"
+#include "util/random.h"
 
 namespace lmfao {
 namespace {
@@ -286,31 +291,34 @@ TEST_F(PreparedBatchTest, PlanCacheCapacityEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(second->Execute().ok());
 }
 
-TEST_F(PreparedBatchTest, CompileRelevantOptionsKeyTheCache) {
-  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
+TEST_F(PreparedBatchTest, CompileRelevantOptionsKeyTheSignature) {
+  // An Engine's options are fixed at construction, so two configurations
+  // are two Engines. The artifact signature still carries the compile-
+  // relevant options: it is what lets ExecuteDelta refuse a base computed
+  // under other plans.
   const QueryBatch batch = MakeExampleBatch(*data_);
-  auto first = engine.Prepare(batch);
-  ASSERT_TRUE(first.ok());
+  Engine factorized(&data_->catalog, &data_->tree, EngineOptions{});
+  EngineOptions flat_options;
+  flat_options.plan.factorize = false;
+  Engine flat(&data_->catalog, &data_->tree, flat_options);
+  auto a = factorized.Prepare(batch);
+  auto b = flat.Prepare(batch);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_NE(a->signature(), b->signature());
 
-  engine.mutable_options().plan.factorize = false;
-  auto unfactorized = engine.Prepare(batch);
-  ASSERT_TRUE(unfactorized.ok());
-  EXPECT_FALSE(unfactorized->from_cache());
-  EXPECT_NE(unfactorized->signature(), first->signature());
+  // Scheduler options are execution-only and leave the signature alone.
+  EngineOptions threaded_options;
+  threaded_options.scheduler.num_threads = 4;
+  Engine threaded(&data_->catalog, &data_->tree, threaded_options);
+  auto c = threaded.Prepare(batch);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c->signature(), a->signature());
 
-  // Scheduler options are execution-only: they do not key the cache but
-  // are frozen into the handle at Prepare time.
-  engine.mutable_options().plan.factorize = true;
-  engine.mutable_options().scheduler.num_threads = 1;
-  auto snap = engine.Prepare(batch);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_TRUE(snap->from_cache());
-  engine.mutable_options().scheduler.num_threads = 4;
-  EXPECT_EQ(snap->options().scheduler.num_threads, 1);
-  auto after = engine.Prepare(batch);
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(after->from_cache());
-  EXPECT_EQ(after->options().scheduler.num_threads, 4);
+  auto flat_base = b->Execute();
+  ASSERT_TRUE(flat_base.ok());
+  auto refreshed = a->ExecuteDelta(*flat_base);
+  ASSERT_FALSE(refreshed.ok());
+  EXPECT_EQ(refreshed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(PreparedBatchTest, ConcurrentExecutesAgree) {
@@ -376,6 +384,130 @@ TEST_F(PreparedBatchTest, EvaluateWrapperReportsCompileSplit) {
             0.0);
   ExpectResultsMatch(warm->results, cold->results, 0.0,
                      "warm evaluate vs cold evaluate");
+}
+
+/// Every pass kind at once on one multi-thread Engine: its one worker pool
+/// runs the groups and domain shards of concurrent Executes,
+/// ExecuteSharded(3) calls and ExecuteDelta refreshes. On integer-exact
+/// data each result must equal its sequential Engine's bit-for-bit.
+TEST(SharedPoolTest, ConcurrentPassesMatchSequentialBitForBit) {
+  Rng rng(2603);
+  testing::ExactDatabase db = testing::MakeExactDatabase(&rng);
+  const QueryBatch batch = testing::MakeExactBatch(db, &rng);
+  Engine sequential(&db.catalog, &db.tree, EngineOptions{});
+  EngineOptions options;
+  options.scheduler.num_threads = 4;
+  options.scheduler.min_shard_rows = 2;
+  Engine engine(&db.catalog, &db.tree, options);
+  auto reference = sequential.Prepare(batch);
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  // The base predates an append of duplicated rows, so every refresh
+  // below runs a real delta pass.
+  auto base = reference->Execute();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const Relation& grown = db.catalog.relation(0);
+  std::vector<std::vector<Value>> rows;
+  for (size_t r = 0; r < grown.num_rows() && r < 5; ++r) {
+    std::vector<Value> row;
+    for (int c = 0; c < grown.num_columns(); ++c) {
+      row.push_back(grown.ValueAt(r, c));
+    }
+    rows.push_back(std::move(row));
+  }
+  ASSERT_TRUE(db.catalog.AppendRows(0, rows).ok());
+
+  auto want_full = reference->Execute();
+  auto want_sharded = reference->ExecuteSharded(3);
+  auto want_delta = reference->ExecuteDelta(*base);
+  ASSERT_TRUE(want_full.ok()) << want_full.status().ToString();
+  ASSERT_TRUE(want_sharded.ok()) << want_sharded.status().ToString();
+  ASSERT_TRUE(want_delta.ok()) << want_delta.status().ToString();
+  ASSERT_GT(want_delta->stats.delta_passes, 0);
+
+  // Validate the recipe: the multi-thread Engine really domain-shards.
+  auto probe = prepared->Execute();
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  bool sharded = false;
+  for (const GroupStats& gs : probe->stats.groups) {
+    if (gs.shards > 1) sharded = true;
+  }
+  ASSERT_TRUE(sharded) << "recipe did not shard; cost model changed?";
+
+  constexpr int kClients = 6;
+  constexpr int kRounds = 6;
+  std::vector<StatusOr<BatchResult>> results;
+  for (int i = 0; i < kClients * kRounds; ++i) {
+    results.emplace_back(Status::Internal("not run"));
+  }
+  {
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int t = 0; t < kClients; ++t) {
+      clients.emplace_back([&, t] {
+        for (int r = 0; r < kRounds; ++r) {
+          const int i = t * kRounds + r;
+          StatusOr<BatchResult>& out = results[static_cast<size_t>(i)];
+          switch (i % 3) {
+            case 0:
+              out = prepared->Execute();
+              break;
+            case 1:
+              out = prepared->ExecuteSharded(3);
+              break;
+            default:
+              out = prepared->ExecuteDelta(*base);
+              break;
+          }
+        }
+      });
+    }
+    for (std::thread& th : clients) th.join();
+  }
+  for (int i = 0; i < kClients * kRounds; ++i) {
+    const auto& got = results[static_cast<size_t>(i)];
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const BatchResult& want =
+        i % 3 == 0 ? *want_full : (i % 3 == 1 ? *want_sharded : *want_delta);
+    ExpectResultsMatch(got->results, want.results, 0.0,
+                       "pass " + std::to_string(i));
+  }
+}
+
+/// Prepare reads committed row counts (grouping's node order, the root
+/// choice, output size estimates) while appends commit: every read goes
+/// through the catalog's epoch lock, so TSan reports nothing and every
+/// Prepare succeeds. Capacity 0 makes every Prepare compile.
+TEST_F(PreparedBatchTest, PrepareRacesAppends) {
+  EngineOptions options;
+  options.plan_cache_capacity = 0;
+  Engine engine(&data_->catalog, &data_->tree, options);
+  const QueryBatch batch = MakeExampleBatch(*data_);
+
+  std::atomic<bool> done{false};
+  std::thread appender([&] {
+    Rng rng(24);
+    while (!done.load()) {
+      std::vector<std::vector<Value>> rows;
+      for (int i = 0; i < 50; ++i) {
+        rows.push_back({Value::Int(rng.UniformInt(0, 89)),
+                        Value::Int(rng.UniformInt(0, 17)),
+                        Value::Int(rng.UniformInt(0, 399)),
+                        Value::Double(static_cast<double>(
+                            rng.UniformInt(1, 20))),
+                        Value::Int(rng.UniformInt(0, 1))});
+      }
+      ASSERT_TRUE(data_->catalog.AppendRows(data_->sales, rows).ok());
+    }
+  });
+  for (int i = 0; i < 40; ++i) {
+    auto prepared = engine.Prepare(batch);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+  }
+  done.store(true);
+  appender.join();
 }
 
 }  // namespace
