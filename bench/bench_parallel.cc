@@ -6,13 +6,16 @@
 /// Thread scaling of the Retailer covariance batch under the unified
 /// scheduler: the hybrid task+domain default swept over {1, 2, 4, hw}
 /// threads, plus the task-only and domain-only degenerations for
-/// comparison. Every parallel benchmark reports `speedup` relative to a
-/// sequential run measured once per process, and `peak_view_mib` (the
-/// ViewStore peak) so memory can be attributed alongside the speedup.
+/// comparison. Every benchmark reports `speedup`: the summed time of
+/// sequential-Engine evaluations, one interleaved with each timed
+/// iteration (outside the timed region), over the summed time of the
+/// iterations, so both sides see the same host load. It also reports
+/// `peak_view_mib` (the ViewStore peak) so memory can be attributed
+/// alongside the speedup. Iterations are sized by wall time
+/// (UseRealTime): the calling thread's CPU time is a sliver of a parallel
+/// evaluation's.
 
 #include <benchmark/benchmark.h>
-
-#include <algorithm>
 
 #include "bench_common.h"
 #include "engine/engine.h"
@@ -22,31 +25,6 @@ namespace lmfao {
 namespace {
 
 constexpr int64_t kRows = 200000;
-
-/// Seconds per sequential evaluation, measured once per process as the
-/// best of three timed runs after a warmup (the minimum is the most stable
-/// estimator against one-off page-fault/migration noise in the baseline
-/// every speedup counter divides by).
-double SequentialSeconds() {
-  static const double seconds = [] {
-    RetailerData& db = bench::Retailer(kRows);
-    auto cov = BuildCovarianceBatch(bench::RetailerFeatures(db), db.catalog);
-    LMFAO_CHECK(cov.ok());
-    Engine engine(&db.catalog, &db.tree, EngineOptions{});
-    auto warmup = engine.Evaluate(cov->batch);  // Populate sort caches.
-    LMFAO_CHECK(warmup.ok());
-    double best = 0.0;
-    for (int run = 0; run < 3; ++run) {
-      Timer timer;
-      auto result = engine.Evaluate(cov->batch);
-      const double elapsed = timer.ElapsedSeconds();
-      LMFAO_CHECK(result.ok());
-      if (run == 0 || elapsed < best) best = elapsed;
-    }
-    return best;
-  }();
-  return seconds;
-}
 
 void RunScheduler(benchmark::State& state, bool task, bool domain,
                   int threads) {
@@ -58,10 +36,12 @@ void RunScheduler(benchmark::State& state, bool task, bool domain,
   options.scheduler.task_parallel = task;
   options.scheduler.domain_parallel = domain;
   Engine engine(&db.catalog, &db.tree, options);
-  const double sequential = SequentialSeconds();
-  auto warmup = engine.Evaluate(cov->batch);  // Symmetric with the baseline:
-  LMFAO_CHECK(warmup.ok());                   // populate sort caches.
+  Engine sequential(&db.catalog, &db.tree, EngineOptions{});
+  // Populate both engines' sort caches.
+  LMFAO_CHECK(engine.Evaluate(cov->batch).ok());
+  LMFAO_CHECK(sequential.Evaluate(cov->batch).ok());
   double seconds = 0.0;
+  double sequential_seconds = 0.0;
   ExecutionStats peak_stats;
   for (auto _ : state) {
     Timer timer;
@@ -72,18 +52,28 @@ void RunScheduler(benchmark::State& state, bool task, bool domain,
       peak_stats = result->stats;
     }
     benchmark::DoNotOptimize(result);
+
+    state.PauseTiming();
+    timer.Reset();
+    auto baseline = sequential.Evaluate(cov->batch);
+    sequential_seconds += timer.ElapsedSeconds();
+    LMFAO_CHECK(baseline.ok()) << baseline.status().ToString();
+    state.ResumeTiming();
   }
-  const double mean = seconds / static_cast<double>(state.iterations());
   state.counters["threads"] = options.scheduler.ResolvedThreads();
   state.counters["queries"] = cov->batch.size();
-  state.counters["speedup"] = mean > 0.0 ? sequential / mean : 0.0;
+  state.counters["speedup"] = seconds > 0.0 ? sequential_seconds / seconds
+                                            : 0.0;
   bench::ExportViewMemoryCounters(state, peak_stats);
 }
 
 void BM_Parallel_Sequential(benchmark::State& state) {
   RunScheduler(state, /*task=*/false, /*domain=*/false, 1);
 }
-BENCHMARK(BM_Parallel_Sequential)->Unit(benchmark::kMillisecond)->MinTime(2.0);
+BENCHMARK(BM_Parallel_Sequential)
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(2.0)
+    ->UseRealTime();
 
 /// The default parallel path: task + domain combined. Sweeps 1, 2, 4, and
 /// hardware-concurrency (arg 0) threads.
@@ -97,7 +87,8 @@ BENCHMARK(BM_Parallel_Hybrid)
     ->Arg(4)
     ->Arg(0)  // Hardware concurrency.
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(2.0);
+    ->MinTime(2.0)
+    ->UseRealTime();
 
 void BM_Parallel_TaskOnly(benchmark::State& state) {
   RunScheduler(state, /*task=*/true, /*domain=*/false,
@@ -109,7 +100,8 @@ BENCHMARK(BM_Parallel_TaskOnly)
     ->Arg(4)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(2.0);
+    ->MinTime(2.0)
+    ->UseRealTime();
 
 void BM_Parallel_DomainOnly(benchmark::State& state) {
   RunScheduler(state, /*task=*/false, /*domain=*/true,
@@ -121,7 +113,8 @@ BENCHMARK(BM_Parallel_DomainOnly)
     ->Arg(4)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(2.0);
+    ->MinTime(2.0)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace lmfao

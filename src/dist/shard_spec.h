@@ -9,7 +9,6 @@
 #ifndef LMFAO_DIST_SHARD_SPEC_H_
 #define LMFAO_DIST_SHARD_SPEC_H_
 
-#include <functional>
 #include <vector>
 
 #include "storage/types.h"
@@ -46,15 +45,13 @@ struct ShardSpec {
 struct ScanSplit {
   RelationId node = kInvalidRelation;
   int num_shards = 1;  ///< Requested; fewer run on fewer key blocks.
-  /// Called once per (split group, shard that ran) with the rows the shard
-  /// scanned, its scan seconds, its partial output maps, and the group's
-  /// output maps to fold them into. One group's calls are serialized and
-  /// come in shard order (a deterministic summation order); calls for
-  /// different groups may run concurrently.
-  std::function<Status(int shard, size_t rows, double scan_seconds,
-                       const std::vector<ViewMap*>& partial,
-                       const std::vector<ViewMap*>& outputs)>
-      exchange;
+  /// Folds one shard's partial output maps into the group's output maps
+  /// and returns the bytes that crossed. A plain function, so stateless:
+  /// called once per (split group, shard that ran, attempt); one group's
+  /// calls are serialized and come in shard order (a deterministic
+  /// summation order), calls for different groups may run concurrently.
+  StatusOr<size_t> (*exchange)(int shard, const std::vector<ViewMap*>& partial,
+                               const std::vector<ViewMap*>& outputs) = nullptr;
 };
 
 }  // namespace lmfao

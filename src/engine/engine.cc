@@ -86,10 +86,9 @@ uint64_t KeySignature(const std::vector<uint64_t>& key) {
   return h;
 }
 
-}  // namespace
-
-namespace internal {
-
+/// Hash of the bound values of the batch's required parameter slots,
+/// recorded in BatchResult so ExecuteDelta can verify a base was computed
+/// under the same bindings.
 uint64_t ParamFingerprint(const std::vector<ParamId>& required,
                           const ParamPack& params) {
   uint64_t h = Mix64(0x243f6a88u);
@@ -103,7 +102,7 @@ uint64_t ParamFingerprint(const std::vector<ParamId>& required,
   return h;
 }
 
-}  // namespace internal
+}  // namespace
 
 Engine::Engine(const Catalog* catalog, const JoinTree* tree,
                EngineOptions options)
@@ -275,8 +274,14 @@ Status PreparedBatch::CheckExecutable(const ParamPack& params) const {
   return Status::OK();
 }
 
-ExecutionStats PreparedBatch::ArtifactStats() const {
-  ExecutionStats stats;
+BatchResult PreparedBatch::NewResult(EpochSnapshot epoch,
+                                     const ParamPack& params) const {
+  BatchResult result;
+  result.epoch = std::move(epoch);
+  result.artifact_signature = artifact_->signature;
+  result.param_fingerprint =
+      ParamFingerprint(artifact_->required_params, params);
+  ExecutionStats& stats = result.stats;
   stats.num_queries = artifact_->num_queries;
   stats.num_views = artifact_->num_views;
   stats.num_aggregates = artifact_->num_aggregates;
@@ -289,21 +294,16 @@ ExecutionStats PreparedBatch::ArtifactStats() const {
   stats.grouping_seconds = artifact_->grouping_seconds;
   stats.plan_seconds = artifact_->plan_seconds;
   stats.plan_cache_hit = true;
-  return stats;
+  return result;
 }
 
-StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
-                                             const ParamPack& params,
-                                             const CancelToken& cancel) const {
-  Timer total_timer;
+StatusOr<std::vector<QueryResult>> PreparedBatch::RunPass(
+    const PassSpec& spec, const ParamPack& params, const CancelToken& cancel,
+    ExecutionStats* stats) const {
   // A failure parked by a void seam during some earlier pass on this
   // thread must not be blamed on this one.
   if (Failpoints::enabled()) Failpoints::ClearParked();
-  BatchResult result;
   const CompiledBatch& compiled = artifact_->compiled;
-  result.stats = ArtifactStats();
-
-  Timer exec_timer;
   // Each served snapshot is held by the group that reads it: the engine's
   // sorted cache may prune an epoch while the group still scans it.
   ExecutionContext context(
@@ -318,26 +318,19 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
         return engine_->SortedRelationAt(node, order, spec.rows->at(node));
       },
       &params, &cancel, spec.split, &spec.rows->ranges);
-  LMFAO_RETURN_NOT_OK(context.Run(&result.stats));
-  result.stats.execute_seconds = exec_timer.ElapsedSeconds();
+  LMFAO_RETURN_NOT_OK(context.Run(stats));
 
-  // Extract query results.
-  result.results.resize(static_cast<size_t>(artifact_->num_queries));
+  std::vector<QueryResult> results(
+      static_cast<size_t>(artifact_->num_queries));
   for (QueryId q = 0; q < artifact_->num_queries; ++q) {
     const ViewId out =
         compiled.workload.query_outputs[static_cast<size_t>(q)];
-    QueryResult& qr = result.results[static_cast<size_t>(q)];
+    QueryResult& qr = results[static_cast<size_t>(q)];
     qr.query_id = q;
     qr.group_by = compiled.workload.view(out).key;
     LMFAO_ASSIGN_OR_RETURN(qr.data, context.TakeQueryResult(out));
   }
-  // The identity ExecuteDelta checks a later refresh against.
-  result.epoch = *spec.rows;
-  result.artifact_signature = artifact_->signature;
-  result.param_fingerprint =
-      internal::ParamFingerprint(artifact_->required_params, params);
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
-  return result;
+  return results;
 }
 
 StatusOr<BatchResult> PreparedBatch::Execute(const ParamPack& params,
@@ -360,10 +353,15 @@ StatusOr<BatchResult> PreparedBatch::ExecuteAt(const EpochSnapshot& epoch,
         std::to_string(epoch.rows.size()) + " relations, catalog has " +
         std::to_string(engine_->catalog_->num_relations()));
   }
+  Timer total_timer;
+  BatchResult result = NewResult(epoch, params);
   PassSpec spec;
-  spec.rows = &epoch;
+  spec.rows = &result.epoch;
   const CancelToken cancel(limits.deadline_seconds, limits.max_view_bytes);
-  return RunPass(spec, params, cancel);
+  LMFAO_ASSIGN_OR_RETURN(result.results,
+                         RunPass(spec, params, cancel, &result.stats));
+  result.stats.total_seconds = total_timer.ElapsedSeconds();
+  return result;
 }
 
 StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
@@ -371,19 +369,21 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
                                                   const ExecLimits& limits)
     const {
   LMFAO_RETURN_NOT_OK(CheckExecutable(params));
-  if (base.artifact_signature != artifact_->signature) {
+  Timer total_timer;
+  const Catalog& catalog = *engine_->catalog_;
+  // Nothing of the base's execution carries over: a refresh reports only
+  // the passes it runs itself.
+  BatchResult result = NewResult(catalog.SnapshotEpoch(), params);
+  if (base.artifact_signature != result.artifact_signature) {
     return Status::InvalidArgument(
         "ExecuteDelta: base result was computed by a different batch shape "
         "(artifact signature mismatch)");
   }
-  const uint64_t fingerprint =
-      internal::ParamFingerprint(artifact_->required_params, params);
-  if (base.param_fingerprint != fingerprint) {
+  if (base.param_fingerprint != result.param_fingerprint) {
     return Status::InvalidArgument(
         "ExecuteDelta: base result was computed under different parameter "
         "bindings; a delta under other parameters is not a delta of it");
   }
-  const Catalog& catalog = *engine_->catalog_;
   if (base.epoch.rows.size() != static_cast<size_t>(catalog.num_relations())) {
     return Status::InvalidArgument(
         "ExecuteDelta: base epoch tracks " +
@@ -391,13 +391,11 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
         std::to_string(catalog.num_relations()));
   }
 
-  Timer total_timer;
-  EpochSnapshot target = catalog.SnapshotEpoch();
   std::vector<RelationId> changed;
   size_t delta_rows = 0;
   for (RelationId r = 0; r < catalog.num_relations(); ++r) {
     const size_t old_rows = base.epoch.at(r);
-    const size_t new_rows = target.at(r);
+    const size_t new_rows = result.epoch.at(r);
     if (new_rows < old_rows) {
       return Status::FailedPrecondition(
           "ExecuteDelta: relation " + catalog.relation(r).name() +
@@ -410,14 +408,7 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
     }
   }
 
-  BatchResult result;
   result.results = base.results;  // Deep copy: the base stays reusable.
-  result.epoch = std::move(target);
-  result.artifact_signature = artifact_->signature;
-  result.param_fingerprint = fingerprint;
-  // Nothing of the base's execution carries over: a refresh reports only
-  // the passes it ran itself.
-  result.stats = ArtifactStats();
   result.stats.delta_execution = true;
   result.stats.delta_passes = static_cast<int>(changed.size());
   result.stats.delta_rows = delta_rows;
@@ -442,33 +433,21 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
     // Each delta term is one governed pass; a trip (or any failure)
     // propagates out here, before `result` is returned — the caller's
     // `base` is untouched and can seed a later retry.
-    LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(spec, params, cancel));
-    result.stats.Accumulate(term.stats);
+    LMFAO_ASSIGN_OR_RETURN(std::vector<QueryResult> term,
+                           RunPass(spec, params, cancel, &result.stats));
     for (const GroupPlan& plan : plans) {
       if (ClosureContains(plan.source_relation_mask, r)) {
         ++result.stats.delta_dirty_groups;
       }
     }
     for (size_t q = 0; q < result.results.size(); ++q) {
-      result.results[q].data.MergeAdd(term.results[q].data);
+      result.results[q].data.MergeAdd(term[q].data);
     }
     serve.rows[static_cast<size_t>(r)] =
         result.epoch.at(r);  // Later terms see this relation's new extent.
   }
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
-}
-
-void ExecutionStats::Accumulate(const ExecutionStats& pass) {
-  execute_seconds += pass.execute_seconds;
-  group_runs += pass.group_runs;
-  limit_trips += pass.limit_trips;
-  degraded_groups += pass.degraded_groups;
-  peak_live_views = std::max(peak_live_views, pass.peak_live_views);
-  peak_view_bytes = std::max(peak_view_bytes, pass.peak_view_bytes);
-  peak_view_key_bytes = std::max(peak_view_key_bytes, pass.peak_view_key_bytes);
-  peak_view_payload_bytes =
-      std::max(peak_view_payload_bytes, pass.peak_view_payload_bytes);
 }
 
 StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,

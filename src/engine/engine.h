@@ -77,9 +77,9 @@ struct ExecLimits {
   /// an ExecuteDelta shares one deadline; <= 0 = no deadline.
   double deadline_seconds = 0.0;
   /// Budget for live view memory (ViewStore bytes plus in-flight output
-  /// maps); 0 = unlimited. A trip on a domain-sharded group retries once
-  /// with its shards run one at a time (the sharded bits; the outputs plus
-  /// one shard's maps live) before failing the pass.
+  /// maps); 0 = unlimited. A trip on a group whose shards ran on the pool
+  /// (domain or split shards) retries once with its shards run one at a
+  /// time (the sharded bits; outputs plus one shard's maps live).
   size_t max_view_bytes = 0;
 };
 
@@ -102,6 +102,23 @@ struct EngineOptions {
   size_t plan_cache_capacity = 64;
 };
 
+/// \brief One shard a group folded into its outputs: a domain shard
+/// (MergeAdd) or, at the partitioned node of ExecuteSharded, a split shard
+/// (the view exchange). ExecutionStats::dist_shard_stats sums the records
+/// of the split groups per shard.
+struct ShardStats {
+  int shard = 0;
+  /// Rows of the group's sorted relation the shard scanned.
+  size_t rows = 0;
+  /// Seconds the shard's scan took.
+  double seconds = 0.0;
+  /// Seconds its fold into the group's outputs took; a split shard's
+  /// includes encoding its maps into exchange frames.
+  double fold_seconds = 0.0;
+  /// Encoded view-exchange bytes the fold shipped (0 for MergeAdd).
+  size_t exchange_bytes = 0;
+};
+
 /// \brief Per-group execution statistics.
 struct GroupStats {
   int group_id = -1;
@@ -116,6 +133,9 @@ struct GroupStats {
   double wait_seconds = 0.0;
   /// True when a memory trip forced the group's serial retry.
   bool degraded = false;
+  /// Limit trips the group observed (deadline, budget, injected OOM),
+  /// including the one its serial retry recovered from.
+  int limit_trips = 0;
   /// Live ViewStore bytes right after the group published its outputs and
   /// released its inputs (the view-memory frontier at this point of the
   /// schedule), split into key-side bytes (packed keys, cached hashes,
@@ -124,24 +144,11 @@ struct GroupStats {
   size_t store_payload_bytes = 0;
   /// Outputs built as direct-addressed (dense) ViewMaps; the rest hash.
   int dense_outputs = 0;
+  /// The shards folded into the outputs, in shard order; empty when one
+  /// unsplit shard scanned straight into them.
+  std::vector<ShardStats> shard_stats;
 
   size_t store_bytes() const { return store_key_bytes + store_payload_bytes; }
-};
-
-/// \brief One shard's figures from a sharded execution
-/// (PreparedBatch::ExecuteSharded): its key blocks of the partitioned
-/// relation, its local scan time, and the bytes it shipped to the
-/// coordinator.
-struct DistShardStats {
-  int shard = 0;
-  /// Rows of the partitioned relation this shard scanned, summed over the
-  /// groups at the partitioned node (each cuts its own sorted relation).
-  size_t rows = 0;
-  /// Seconds this shard's scans and encodes took, summed over the groups
-  /// at the partitioned node.
-  double seconds = 0.0;
-  /// Encoded view-exchange bytes this shard produced.
-  size_t exchange_bytes = 0;
 };
 
 /// \brief Statistics of one batch evaluation.
@@ -151,6 +158,8 @@ struct DistShardStats {
 /// artifact came from a PreparedBatch or the plan cache), while
 /// viewgen/grouping/plan_seconds record the phase breakdown of the
 /// artifact's original compilation, whenever it happened.
+/// Each execution pass of the call appends its group records and adds its
+/// counters and execute time; the store peaks are the passes' maximum.
 struct ExecutionStats {
   int num_queries = 0;
   int num_views = 0;        ///< Inner (directional) views after merging.
@@ -194,45 +203,39 @@ struct ExecutionStats {
   int delta_dirty_groups = 0;
   /// @}
   /// \name Sharded distributed execution (PreparedBatch::ExecuteSharded).
+  /// Derived from the shard records of the groups at `dist_relation`.
   /// @{
-  /// True when this result was produced by merging per-shard partial
-  /// results through the view-exchange / coordinator path.
-  bool dist_execution = false;
-  /// Effective shard count (after clamping to the partitioned relation's
-  /// rows); 0 on non-sharded executions.
+  /// Shards that ran (after clamping to the partitioned relation's key
+  /// blocks); 0 on non-sharded executions.
   int dist_shards = 0;
   /// The relation whose row ranges the shards partitioned.
   RelationId dist_relation = kInvalidRelation;
   /// Total encoded view-exchange bytes shipped from shards to the
   /// coordinator.
   size_t exchange_bytes = 0;
-  /// Coordinator time: decoding shard frames and folding them into the
-  /// final result maps.
+  /// Time of the split groups' folds: encoding each shard's maps, decoding
+  /// the frames and folding them into the outputs.
   double merge_seconds = 0.0;
-  /// Max / mean local scan time across shards; their ratio is the
-  /// shard skew (1.0 = perfectly balanced).
+  /// Max / mean scan time across shards; their ratio is the shard skew
+  /// (1.0 = perfectly balanced).
   double shard_max_seconds = 0.0;
   double shard_mean_seconds = 0.0;
-  std::vector<DistShardStats> dist_shard_stats;
+  /// Per shard, its records summed over the groups at `dist_relation`
+  /// (each cuts its own sorted relation).
+  std::vector<ShardStats> dist_shard_stats;
   /// @}
-  /// Group executions this call. Delta passes accumulate across passes,
-  /// so this can be a multiple of num_groups.
+  /// Group executions this call: num_groups per pass.
   int group_runs = 0;
   /// \name Resource governance (ExecLimits).
-  /// Limit trips observed during the pass — deadline or memory-budget
-  /// trips, including injected OOM failpoints and trips the unsharded
-  /// retry recovered from — and groups that ran degraded (see
-  /// GroupStats::degraded). Delta executions accumulate across passes.
+  /// Sums over the group records: limit trips (GroupStats::limit_trips)
+  /// and groups that ran degraded (GroupStats::degraded).
   /// @{
   int limit_trips = 0;
   int degraded_groups = 0;
   /// @}
-  /// Folds another pass of the same call into this one: execute time and
-  /// the group-run, trip and degraded counters add up; the store peaks
-  /// take the maximum.
-  void Accumulate(const ExecutionStats& pass);
-  /// Per-group stats of a one-pass call, indexed by group id; empty for
-  /// ExecuteDelta, which runs every group once per delta pass.
+  /// Per-group stats, num_groups records per pass indexed by group id, the
+  /// passes in order: an ExecuteDelta of k terms holds k × num_groups,
+  /// term by term.
   std::vector<GroupStats> groups;
 };
 
@@ -419,12 +422,18 @@ class PreparedBatch {
     size_t delta_hi = 0;
     const ScanSplit* split = nullptr;
   };
-  StatusOr<BatchResult> RunPass(const PassSpec& spec, const ParamPack& params,
-                                const CancelToken& cancel) const;
+  /// Runs one pass, adds its share to the call's `stats`, and returns the
+  /// query outputs (parallel to the batch's queries).
+  StatusOr<std::vector<QueryResult>> RunPass(const PassSpec& spec,
+                                             const ParamPack& params,
+                                             const CancelToken& cancel,
+                                             ExecutionStats* stats) const;
 
-  /// Stats of a call that has run nothing yet: the batch shape and the
-  /// artifact's compile phase times.
-  ExecutionStats ArtifactStats() const;
+  /// A result of a call that has run nothing yet: this artifact's identity
+  /// at `epoch` under `params` (what ExecuteDelta checks a later refresh
+  /// against), and stats holding the batch shape and the artifact's
+  /// compile phase times.
+  BatchResult NewResult(EpochSnapshot epoch, const ParamPack& params) const;
 
   /// Validates the handle and the bound params (the common preamble of
   /// every Execute flavor).
@@ -566,17 +575,6 @@ class Engine {
   /// drains and joins before anything a pass touches is destroyed.
   std::unique_ptr<ThreadPool> pool_;
 };
-
-namespace internal {
-
-/// Hash of the bound values of the batch's required parameter slots.
-/// Recorded in BatchResult so ExecuteDelta / ExecuteSharded can verify
-/// results were computed under the same bindings. Defined in engine.cc;
-/// exposed here for the sharded-execution layer (src/dist/).
-uint64_t ParamFingerprint(const std::vector<ParamId>& required,
-                          const ParamPack& params);
-
-}  // namespace internal
 
 }  // namespace lmfao
 

@@ -81,6 +81,35 @@ bool DenseKeyBox(const std::vector<AttrId>& key,
   return true;
 }
 
+/// The dist fields of a split pass, derived from the shard records of the
+/// groups at the split node: each shard's records summed over those
+/// groups, the folds' time as the merge time.
+void AddSplitStats(RelationId node, ExecutionStats* stats) {
+  std::vector<ShardStats>& shards = stats->dist_shard_stats;
+  for (const GroupStats& gs : stats->groups) {
+    if (gs.node != node) continue;
+    // A group's records are its shards 0, 1, ... in order.
+    shards.resize(std::max(shards.size(), gs.shard_stats.size()));
+    for (const ShardStats& rec : gs.shard_stats) {
+      ShardStats& s = shards[static_cast<size_t>(rec.shard)];
+      s.shard = rec.shard;
+      s.rows += rec.rows;
+      s.seconds += rec.seconds;
+      s.fold_seconds += rec.fold_seconds;
+      s.exchange_bytes += rec.exchange_bytes;
+      stats->exchange_bytes += rec.exchange_bytes;
+      stats->merge_seconds += rec.fold_seconds;
+    }
+  }
+  stats->dist_relation = node;
+  stats->dist_shards = static_cast<int>(shards.size());
+  for (const ShardStats& s : shards) {
+    stats->shard_max_seconds = std::max(stats->shard_max_seconds, s.seconds);
+    stats->shard_mean_seconds += s.seconds;
+  }
+  stats->shard_mean_seconds /= std::max<double>(1.0, shards.size());
+}
+
 }  // namespace
 
 ExecutionContext::ExecutionContext(const Workload& workload,
@@ -107,6 +136,7 @@ ExecutionContext::ExecutionContext(const Workload& workload,
 }
 
 Status ExecutionContext::Run(ExecutionStats* stats) {
+  Timer timer;
   // Register every view: consumer refcounts from the plans' incoming
   // lists, the frozen payload layout from the plan layer, query outputs
   // pinned until TakeQueryResult. A query output stays a ViewMap for
@@ -133,18 +163,15 @@ Status ExecutionContext::Run(ExecutionStats* stats) {
                     workload_.views[v].IsQueryOutput(), layouts[v]);
   }
 
-  stats->groups.assign(grouped_.groups.size(), GroupStats{});
+  // This pass's records, indexed by group id after the earlier passes'.
+  const size_t first = stats->groups.size();
+  stats->groups.resize(first + grouped_.groups.size());
+  GroupStats* groups = stats->groups.data() + first;
   ThreadPool* task_pool = options_.task_parallel ? pool_ : nullptr;
   Status sched = ScheduleGroupsTimed(
-      grouped_, task_pool,
-      [&](int gid, const GroupStart& start) {
-        return RunGroup(gid, start,
-                        &stats->groups[static_cast<size_t>(gid)]);
+      grouped_, task_pool, [&](int gid, const GroupStart& start) {
+        return RunGroup(gid, start, &groups[gid]);
       });
-  stats->limit_trips = limit_trips_.load();
-  for (const GroupStats& gs : stats->groups) {
-    if (gs.degraded) ++stats->degraded_groups;
-  }
   if (!sched.ok()) {
     // A cut-short pass yields no ExecutionStats to the caller (StatusOr
     // carries only the Status), so the progress rides in the message.
@@ -158,11 +185,23 @@ Status ExecutionContext::Run(ExecutionStats* stats) {
     }
     return sched;
   }
-  stats->group_runs = static_cast<int>(stats->groups.size());
-  stats->peak_live_views = store_.peak_live_views();
-  stats->peak_view_bytes = store_.peak_bytes();
-  stats->peak_view_key_bytes = store_.peak_key_bytes();
-  stats->peak_view_payload_bytes = store_.peak_payload_bytes();
+
+  // The pass's share of the call's stats.
+  stats->execute_seconds += timer.ElapsedSeconds();
+  stats->group_runs += static_cast<int>(grouped_.groups.size());
+  for (size_t g = first; g < stats->groups.size(); ++g) {
+    stats->limit_trips += stats->groups[g].limit_trips;
+    if (stats->groups[g].degraded) ++stats->degraded_groups;
+  }
+  stats->peak_live_views =
+      std::max(stats->peak_live_views, store_.peak_live_views());
+  stats->peak_view_bytes =
+      std::max(stats->peak_view_bytes, store_.peak_bytes());
+  stats->peak_view_key_bytes =
+      std::max(stats->peak_view_key_bytes, store_.peak_key_bytes());
+  stats->peak_view_payload_bytes =
+      std::max(stats->peak_view_payload_bytes, store_.peak_payload_bytes());
+  if (split_ != nullptr) AddSplitStats(split_->node, stats);
   return Status::OK();
 }
 
@@ -285,11 +324,12 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // scans straight into the outputs. Otherwise shard s scans pieces s,
   // s + n, ... into private maps, concurrently on `pool` when there is
   // one, folded into the outputs (MergeAdd, or the split's exchange) in
-  // shard order, a scheduling-independent summation order. A shard's maps
-  // die right after its fold.
+  // shard order, a scheduling-independent summation order, and recorded
+  // on `gs`. A shard's maps die right after its fold.
   auto scan_all = [&](size_t n, ThreadPool* pool) -> Status {
     out_maps.clear();
     out_ptrs.clear();
+    gs->shard_stats.clear();
     dense_outputs = make_output_maps(1, &out_maps, &out_ptrs);
     if (!split && n == 1) {
       return run_piece(make_executor().get(), pieces[0], out_ptrs);
@@ -302,32 +342,38 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
                       std::min(static_cast<int>(n),
                                options_.ResolvedThreads()) - 1);
     ParallelForShared(pool, n, [&](size_t s) {
-      Timer scan_timer;
+      Timer timer;
+      ShardStats record;
+      record.shard = static_cast<int>(s);
       std::vector<std::unique_ptr<ViewMap>> maps;
       std::vector<ViewMap*> ptrs;
-      size_t rows = 0;
       Status st = [&]() -> Status {
         make_output_maps(n, &maps, &ptrs);
         const std::unique_ptr<GroupExecutor> executor = make_executor();
         for (size_t i = s; i < pieces.size(); i += n) {
-          rows += pieces[i].rows();
+          record.rows += pieces[i].rows();
           LMFAO_RETURN_NOT_OK(run_piece(executor.get(), pieces[i], ptrs));
         }
         return Status::OK();
       }();
-      const double scan_seconds = scan_timer.ElapsedSeconds();
+      record.seconds = timer.ElapsedSeconds();
       std::unique_lock<std::mutex> lock(turn_mu);
       turn_cv.wait(lock, [&] { return turn == s; });
       if (st.ok() && first_error.ok()) {
+        timer.Reset();
         if (split) {
-          st = split_->exchange(static_cast<int>(s), rows, scan_seconds, ptrs,
-                                out_ptrs);
+          StatusOr<size_t> bytes = split_->exchange(record.shard, ptrs,
+                                                    out_ptrs);
+          st = bytes.status();
+          if (st.ok()) record.exchange_bytes = bytes.value();
         } else {
           for (size_t o = 0; o < out_ptrs.size(); ++o) {
             out_ptrs[o]->MergeAdd(*ptrs[o]);
           }
         }
+        record.fold_seconds = timer.ElapsedSeconds();
         HarvestParked(&st);  // Parks of the fold's rehashes.
+        gs->shard_stats.push_back(record);
       }
       if (first_error.ok()) first_error = std::move(st);
       ++turn;
@@ -338,23 +384,23 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   };
 
   // Counts limit trips (deadline, budget, injected OOM) passing through.
-  auto count_trip = [this](Status st) {
+  auto count_trip = [gs](Status st) {
     if (st.code() == StatusCode::kResourceExhausted ||
         st.code() == StatusCode::kDeadlineExceeded) {
-      limit_trips_.fetch_add(1);
+      ++gs->limit_trips;
     }
     return st;
   };
   Status scan_st = count_trip(scan_all(shards, pool_));
-  if (scan_st.code() == StatusCode::kResourceExhausted && !split &&
-      shards > 1 && (cancel_ == nullptr || !cancel_->cancelled())) {
-    // Graceful degradation: an out-of-memory trip on a domain-sharded scan
-    // is retried once with the same shards run one at a time — one shard's
-    // private maps live at a time, folded in the same order, so the bits
-    // are the sharded run's. This must happen while the consumed views are
-    // still acquired (a Release below may evict an input this retry needs).
-    // Budget trips are not sticky on the token, so the retry's own Checks
-    // start clean.
+  if (scan_st.code() == StatusCode::kResourceExhausted && shards > 1 &&
+      pool_ != nullptr && (cancel_ == nullptr || !cancel_->cancelled())) {
+    // Graceful degradation: an out-of-memory trip on a scan whose shards
+    // ran on the pool (domain shards or a split's) is retried once with
+    // the same shards run one at a time: one shard's private maps live at
+    // a time, folded in the same order, so the bits are the sharded run's.
+    // This must happen while the consumed views are still acquired (a
+    // Release below may evict an input this retry needs). Budget trips are
+    // not sticky on the token, so the retry's own Checks start clean.
     gs->degraded = true;
     scan_st = count_trip(scan_all(shards, nullptr));
   }

@@ -66,10 +66,11 @@ class ExecutionContext {
   /// `cancel` (optional, borrowed) governs the pass: checked at group
   /// boundaries, after each publish (charging the store's live bytes), and
   /// amortized inside the interpreter's trie iteration. A budget trip on a
-  /// domain-sharded group is retried once with its shards run one at a
-  /// time — one shard's private maps live, the sharded summation order
-  /// kept — before the pass gives up; the retry is possible because budget
-  /// trips are not sticky on the token (see CancelToken).
+  /// group whose shards ran on the pool (domain or split shards) is
+  /// retried once with its shards run one at a time — one shard's private
+  /// maps live, the sharded summation order kept — before the pass gives
+  /// up; the retry is possible because budget trips are not sticky on the
+  /// token (see CancelToken) and an attempt's state lives in its group.
   /// `split` (optional, borrowed) runs the groups at its node in the
   /// split's shard count instead of the cost model's, and folds their
   /// shards through its exchange instead of MergeAdd.
@@ -88,9 +89,9 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// Executes every group. Fills stats->groups (indexed by group id) and
-  /// the store-level fields (peak_live_views, peak_view_bytes and its
-  /// key/payload split).
+  /// Executes every group and adds the pass's share to the call's `stats`:
+  /// one GroupStats per group (by group id), the counters, the execute
+  /// time, the store peaks (by max) and, with a split, the dist fields.
   Status Run(ExecutionStats* stats);
 
   /// Moves a query-output map out of the store (call after Run).
@@ -110,9 +111,6 @@ class ExecutionContext {
   const ScanSplit* split_ = nullptr;
   const std::vector<ValueRange>* ranges_ = nullptr;
   ViewStore store_;
-  /// Limit trips observed during this pass (deadline/budget/injected OOM),
-  /// including ones the serial retry recovered from.
-  std::atomic<int> limit_trips_{0};
   /// Groups finished so far — progress reported in the error message when
   /// the pass is cut short (the caller gets no ExecutionStats on error).
   std::atomic<int> groups_completed_{0};

@@ -70,7 +70,7 @@ std::string ReportExecution(const ExecutionStats& stats,
         stats.delta_passes, stats.delta_passes == 1 ? "" : "es",
         stats.delta_rows, stats.delta_dirty_groups);
   }
-  if (stats.dist_execution) {
+  if (stats.dist_shards > 0) {
     const double skew =
         stats.shard_mean_seconds > 0.0
             ? stats.shard_max_seconds / stats.shard_mean_seconds
@@ -84,9 +84,11 @@ std::string ReportExecution(const ExecutionStats& stats,
             : catalog.relation(stats.dist_relation).name().c_str(),
         stats.exchange_bytes, stats.merge_seconds * 1e3,
         stats.shard_max_seconds * 1e3, stats.shard_mean_seconds * 1e3, skew);
-    for (const DistShardStats& s : stats.dist_shard_stats) {
-      out << StringPrintf("    shard %d: %zu rows, %.2f ms, %zu bytes\n",
-                          s.shard, s.rows, s.seconds * 1e3, s.exchange_bytes);
+    for (const ShardStats& s : stats.dist_shard_stats) {
+      out << StringPrintf(
+          "    shard %d: %zu rows, scan %.2f ms, fold %.2f ms, %zu bytes\n",
+          s.shard, s.rows, s.seconds * 1e3, s.fold_seconds * 1e3,
+          s.exchange_bytes);
     }
   }
   constexpr double kMiB = 1024.0 * 1024.0;

@@ -564,5 +564,56 @@ TEST(DeltaEmptyOrderTest, CachedSnapshotExtendsAcrossAppends) {
   }
 }
 
+/// A refresh of two grown relations runs two terms, each one pass over
+/// every group: the call's stats hold one record per group per term, term
+/// by term, and its counters are the sums over those records.
+TEST(DeltaStatsTest, TwoTermRefreshHoldsEveryTermsGroupRecords) {
+  Rng rng(4711);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  const QueryBatch batch = MakeExactBatch(db, &rng);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto base = prepared->Execute();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+  // Grow relations 0 and 1 by copies of their own (integer) rows.
+  for (RelationId r : {0, 1}) {
+    const Relation& rel = db.catalog.relation(r);
+    std::vector<std::vector<Value>> rows;
+    for (size_t i = 0; i < 4; ++i) {
+      std::vector<Value> row;
+      for (int c = 0; c < rel.num_columns(); ++c) {
+        row.push_back(rel.ValueAt(i % rel.num_rows(), c));
+      }
+      rows.push_back(std::move(row));
+    }
+    ASSERT_TRUE(db.catalog.AppendRows(r, rows).ok());
+  }
+
+  auto refreshed = prepared->ExecuteDelta(*base);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  const ExecutionStats& st = refreshed->stats;
+  ASSERT_EQ(st.delta_passes, 2);
+  const size_t num_groups = static_cast<size_t>(st.num_groups);
+  EXPECT_EQ(st.group_runs, static_cast<int>(2 * num_groups));
+  ASSERT_EQ(st.groups.size(), 2 * num_groups);
+  int trips = 0;
+  int degraded = 0;
+  for (size_t i = 0; i < st.groups.size(); ++i) {
+    EXPECT_EQ(st.groups[i].group_id, static_cast<int>(i % num_groups))
+        << "record " << i;
+    trips += st.groups[i].limit_trips;
+    degraded += st.groups[i].degraded ? 1 : 0;
+  }
+  EXPECT_EQ(st.limit_trips, trips);
+  EXPECT_EQ(st.degraded_groups, degraded);
+
+  auto full = prepared->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ExpectResultsMatch(refreshed->results, full->results, 0.0,
+                     "two-term refresh vs full execute");
+}
+
 }  // namespace
 }  // namespace lmfao

@@ -119,7 +119,6 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
         auto sharded = prepared->ExecuteSharded(n);
         ASSERT_TRUE(sharded.ok())
             << label << " n=" << n << ": " << sharded.status().ToString();
-        EXPECT_TRUE(sharded->stats.dist_execution);
         EXPECT_GE(sharded->stats.dist_shards, 1);
         EXPECT_LE(sharded->stats.dist_shards, n);
         // One pass: every group runs exactly once, and the shards' blocks
@@ -128,7 +127,7 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
         EXPECT_EQ(st.group_runs, st.num_groups);
         EXPECT_EQ(st.groups.size(), static_cast<size_t>(st.num_groups));
         size_t shard_rows = 0;
-        for (const DistShardStats& ss : st.dist_shard_stats) {
+        for (const ShardStats& ss : st.dist_shard_stats) {
           shard_rows += ss.rows;
         }
         EXPECT_EQ(shard_rows,
@@ -157,7 +156,6 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
       // sharded base's exchange carries over.
       const ExecutionStats& rs = refreshed->stats;
       EXPECT_TRUE(rs.delta_execution);
-      EXPECT_FALSE(rs.dist_execution);
       EXPECT_EQ(rs.dist_shards, 0);
       EXPECT_EQ(rs.exchange_bytes, 0u);
       EXPECT_EQ(rs.merge_seconds, 0.0);
@@ -398,7 +396,7 @@ TEST(SplitPassTest, MoreShardsThanKeyBlocksCountsOnlyTheShardsThatRan) {
   const size_t split_groups = SplitGroups(st);
   ASSERT_GT(split_groups, 0u);
   double seconds = 0.0;
-  for (const DistShardStats& ss : st.dist_shard_stats) {
+  for (const ShardStats& ss : st.dist_shard_stats) {
     EXPECT_EQ(ss.rows, 10 * split_groups) << "shard " << ss.shard;
     EXPECT_GT(ss.exchange_bytes, 0u) << "shard " << ss.shard;
     seconds += ss.seconds;
@@ -485,7 +483,7 @@ TEST(SplitPassTest, ShardedAfterAppendReadsTheExtendedCachedSort) {
   EXPECT_EQ(st.dist_relation, plan->relation);
   EXPECT_EQ(cache_reads, static_cast<uint64_t>(st.num_groups));
   size_t rows = 0;
-  for (const DistShardStats& ss : st.dist_shard_stats) rows += ss.rows;
+  for (const ShardStats& ss : st.dist_shard_stats) rows += ss.rows;
   EXPECT_EQ(rows, db.catalog.SnapshotEpoch().at(plan->relation) *
                       SplitGroups(st));
 
@@ -529,7 +527,7 @@ TEST(SplitPassTest, RefreshOfAShardedBaseServesTheDeltaSlice) {
     Failpoints::Clear();
     ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
     EXPECT_EQ(refreshed->stats.delta_passes, 1);
-    EXPECT_FALSE(refreshed->stats.dist_execution);
+    EXPECT_EQ(refreshed->stats.dist_shards, 0);
     EXPECT_EQ(cache_reads,
               static_cast<uint64_t>(base->stats.num_groups) - split_groups)
         << "round " << round;
@@ -568,7 +566,6 @@ TEST(ShardCountTest, ZeroAndOneRunOneShard) {
     auto sharded = prepared->ExecuteSharded(n);
     ASSERT_TRUE(sharded.ok()) << "n=" << n << ": "
                               << sharded.status().ToString();
-    EXPECT_TRUE(sharded->stats.dist_execution);
     EXPECT_EQ(sharded->stats.dist_shards, 1) << "n=" << n;
     ExpectResultsMatch(sharded->results, full->results, 0.0,
                        "n=" + std::to_string(n) + ": one shard vs execute");
@@ -585,7 +582,6 @@ TEST(DistStatsTest, ShardAndExchangeCountersAreCoherent) {
   auto sharded = prepared->ExecuteSharded(4);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   const ExecutionStats& stats = sharded->stats;
-  EXPECT_TRUE(stats.dist_execution);
   EXPECT_EQ(stats.dist_shards, 4);
   ASSERT_NE(stats.dist_relation, kInvalidRelation);
   ASSERT_EQ(stats.dist_shard_stats.size(), 4u);
@@ -594,14 +590,17 @@ TEST(DistStatsTest, ShardAndExchangeCountersAreCoherent) {
       (*data)->catalog.SnapshotEpoch().at(stats.dist_relation);
   size_t rows = 0;
   size_t bytes = 0;
-  for (const DistShardStats& s : stats.dist_shard_stats) {
+  double fold_seconds = 0.0;
+  for (const ShardStats& s : stats.dist_shard_stats) {
     rows += s.rows;
     bytes += s.exchange_bytes;
+    fold_seconds += s.fold_seconds;
     EXPECT_GT(s.exchange_bytes, 0u);
     EXPECT_GE(s.seconds, 0.0);
   }
   EXPECT_EQ(rows, sharded_rows * SplitGroups(stats));
   EXPECT_EQ(bytes, stats.exchange_bytes);
+  EXPECT_NEAR(fold_seconds, stats.merge_seconds, 1e-9);
   EXPECT_GT(stats.exchange_bytes, 0u);
   EXPECT_GE(stats.merge_seconds, 0.0);
   EXPECT_GE(stats.shard_max_seconds, stats.shard_mean_seconds);
@@ -650,13 +649,20 @@ TEST(DistStatsTest, CovarianceBatchRunsFourShards) {
   EXPECT_EQ(stats.dist_relation, db.inventory);
   EXPECT_EQ(stats.dist_shards, 4);
   ASSERT_EQ(stats.dist_shard_stats.size(), 4u);
-  for (const DistShardStats& s : stats.dist_shard_stats) {
+  for (const ShardStats& s : stats.dist_shard_stats) {
     EXPECT_GT(s.rows, 0u) << "shard " << s.shard;
     EXPECT_GT(s.exchange_bytes, 0u) << "shard " << s.shard;
   }
   ASSERT_EQ(SplitGroups(stats), 1u);
   for (const GroupStats& gs : stats.groups) {
-    if (gs.node == db.inventory) EXPECT_EQ(gs.shards, 4);
+    if (gs.node != db.inventory) continue;
+    EXPECT_EQ(gs.shards, 4);
+    // The split group's own records are the per-shard figures.
+    ASSERT_EQ(gs.shard_stats.size(), 4u);
+    for (size_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(gs.shard_stats[s].shard, static_cast<int>(s));
+      EXPECT_EQ(gs.shard_stats[s].rows, stats.dist_shard_stats[s].rows);
+    }
   }
 
   // Retailer has non-integer doubles: sharded vs unsharded differ by
@@ -737,45 +743,53 @@ TEST_F(DistFailpointTest, ExchangeDecodeInjectionFailsCleanly) {
 /// Runs under whatever LMFAO_FAILPOINTS the environment installed (the CI
 /// failpoints job sweeps dist.* specs through this test); with none
 /// configured it is a plain smoke test. Nothing may crash or leak views,
-/// and clearing the injection must restore exact answers.
+/// and clearing the injection must restore exact answers. The 1-thread
+/// Engine runs the split shards in turn; the 4-thread one runs them on
+/// the pool, where an ambient OOM reaches the split group's serial retry.
 TEST(DistSweepTest, AmbientInjectionNeverCrashesAndRecovers) {
   FailpointGuard guard;
-  // Build the fixture with injection suspended so ambient catalog/view
-  // specs cannot fail construction before any ExecuteSharded runs.
   const std::string ambient = Failpoints::CurrentSpec();
-  Failpoints::Clear();
-  Failpoints::ClearParked();
-  Rng rng(90210);
-  ExactDatabase db = MakeExactDatabase(&rng);
-  const QueryBatch batch = MakeExactBatch(db, &rng);
-  Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  auto prepared = engine.Prepare(batch);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  auto oracle = prepared->Execute();
-  ASSERT_TRUE(oracle.ok());
-  if (!ambient.empty()) {
-    ASSERT_TRUE(Failpoints::Configure(ambient).ok());
-  }
-
-  const size_t base_views = ViewStore::GlobalLiveViews();
-  int failures = 0;
-  for (int i = 0; i < 15; ++i) {
-    auto result = prepared->ExecuteSharded(1 + i % 4);
-    if (!result.ok()) {
-      ++failures;
-    } else {
-      ExpectResultsMatch(result->results, oracle->results, 0.0,
-                         "injected-but-ok sharded run " + std::to_string(i));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // Build the fixture with injection suspended so ambient catalog/view
+    // specs cannot fail construction before any ExecuteSharded runs.
+    Failpoints::Clear();
+    Failpoints::ClearParked();
+    Rng rng(90210);
+    ExactDatabase db = MakeExactDatabase(&rng);
+    const QueryBatch batch = MakeExactBatch(db, &rng);
+    EngineOptions options;
+    options.scheduler.num_threads = threads;
+    Engine engine(&db.catalog, &db.tree, options);
+    auto prepared = engine.Prepare(batch);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto oracle = prepared->Execute();
+    ASSERT_TRUE(oracle.ok());
+    if (!ambient.empty()) {
+      ASSERT_TRUE(Failpoints::Configure(ambient).ok());
     }
-    EXPECT_EQ(ViewStore::GlobalLiveViews(), base_views) << "iteration " << i;
+
+    const size_t base_views = ViewStore::GlobalLiveViews();
+    int failures = 0;
+    for (int i = 0; i < 15; ++i) {
+      auto result = prepared->ExecuteSharded(1 + i % 4);
+      if (!result.ok()) {
+        ++failures;
+      } else {
+        ExpectResultsMatch(result->results, oracle->results, 0.0,
+                           "injected-but-ok sharded run " + std::to_string(i));
+      }
+      EXPECT_EQ(ViewStore::GlobalLiveViews(), base_views)
+          << "iteration " << i;
+    }
+    Failpoints::Clear();
+    Failpoints::ClearParked();
+    auto clean = prepared->ExecuteSharded(4);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ExpectResultsMatch(clean->results, oracle->results, 0.0,
+                       "clean sharded execute after ambient sweep (" +
+                           std::to_string(failures) + "/15 runs failed)");
   }
-  Failpoints::Clear();
-  Failpoints::ClearParked();
-  auto clean = prepared->ExecuteSharded(4);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  ExpectResultsMatch(clean->results, oracle->results, 0.0,
-                     "clean sharded execute after ambient sweep (" +
-                         std::to_string(failures) + "/15 runs failed)");
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 /// \brief Resource-governed execution (ExecLimits): deadline and
 /// view-byte-budget trips surface as DeadlineExceeded/ResourceExhausted
 /// with per-group progress, unwind without leaking views, and leave the
-/// PreparedBatch fully reusable; a budget trip on a domain-sharded group
+/// PreparedBatch fully reusable; a budget trip on a group whose shards ran
+/// on the pool (domain shards, or the split group of ExecuteSharded)
 /// recovers by retrying its shards one at a time, bit-equal to the sharded
 /// run.
 
@@ -108,44 +109,52 @@ TEST_F(LimitsTest, GenerousLimitsAreExactAndUntripped) {
                      "governed vs ungoverned execute");
 }
 
+/// One relation, so one group: 6,000 rows, `k = i % 1000`, non-integer
+/// `v` (where another summation order changes the last bits), a grouped
+/// and a global SUM(v), SUM(v²). On its 4-thread Engine with
+/// min_shard_rows 8 the group's scan shards, so the first viewmap.reserve
+/// hit is guaranteed to land in a sharded scan.
+struct OneGroupRecipe {
+  OneGroupRecipe() {
+    const AttrId key = catalog.AddAttribute("k", AttrType::kInt).value();
+    const AttrId val = catalog.AddAttribute("v", AttrType::kDouble).value();
+    const RelationId rid = catalog.AddRelation("R", {"k", "v"}).value();
+    Relation& rel = catalog.mutable_relation(rid);
+    for (int i = 0; i < 6000; ++i) {
+      rel.AppendRowUnchecked({Value::Int(i % 1000),
+                              Value::Double(0.1 * (i % 37) + 0.01 * (i % 11))});
+    }
+    catalog.RefreshDomainSizes();
+    tree = JoinTree::FromEdges(catalog, {}).value();
+    for (bool grouped : {true, false}) {
+      Query q;
+      q.name = grouped ? "by_key" : "global";
+      if (grouped) q.group_by = {key};
+      q.aggregates.push_back(Aggregate({Factor{val, Function::Identity()}}));
+      q.aggregates.push_back(Aggregate({Factor{val, Function::Square()}}));
+      batch.Add(std::move(q));
+    }
+    options.scheduler.num_threads = 4;
+    options.scheduler.domain_parallel = true;
+    options.scheduler.min_shard_rows = 8;
+  }
+
+  Catalog catalog;
+  JoinTree tree;
+  QueryBatch batch;
+  EngineOptions options;
+};
+
 /// The degradation path: a budget trip on a domain-sharded group (whose
 /// per-shard private maps are the memory multiplier) is retried once with
 /// its shards run one at a time, and the pass completes. Injected via
 /// viewmap.reserve=oom#1 so exactly the first map allocation "fails". The
-/// retry keeps the sharded summation order: on non-integer values, where
-/// another order changes the last bits, the retried pass is bit-equal to
-/// the clean sharded one.
+/// retry keeps the sharded summation order: the retried pass is bit-equal
+/// to the clean sharded one.
 TEST_F(LimitsTest, BudgetTripOnShardedGroupRetriesShardsSerially) {
-  // One relation, one group: the first viewmap.reserve hit is guaranteed
-  // to land in that group's (sharded) scan.
-  Catalog catalog;
-  const AttrId key = catalog.AddAttribute("k", AttrType::kInt).value();
-  const AttrId val = catalog.AddAttribute("v", AttrType::kDouble).value();
-  const RelationId rid = catalog.AddRelation("R", {"k", "v"}).value();
-  Relation& rel = catalog.mutable_relation(rid);
-  for (int i = 0; i < 6000; ++i) {
-    rel.AppendRowUnchecked({Value::Int(i % 1000),
-                            Value::Double(0.1 * (i % 37) + 0.01 * (i % 11))});
-  }
-  catalog.RefreshDomainSizes();
-  JoinTree tree = JoinTree::FromEdges(catalog, {}).value();
-
-  QueryBatch batch;
-  for (bool grouped : {true, false}) {
-    Query q;
-    q.name = grouped ? "by_key" : "global";
-    if (grouped) q.group_by = {key};
-    q.aggregates.push_back(Aggregate({Factor{val, Function::Identity()}}));
-    q.aggregates.push_back(Aggregate({Factor{val, Function::Square()}}));
-    batch.Add(std::move(q));
-  }
-
-  EngineOptions options;
-  options.scheduler.num_threads = 4;
-  options.scheduler.domain_parallel = true;
-  options.scheduler.min_shard_rows = 8;
-  Engine engine(&catalog, &tree, options);
-  auto prepared = engine.Prepare(batch);
+  OneGroupRecipe recipe;
+  Engine engine(&recipe.catalog, &recipe.tree, recipe.options);
+  auto prepared = engine.Prepare(recipe.batch);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
 
   // Validate the recipe: the clean run really shards.
@@ -163,8 +172,39 @@ TEST_F(LimitsTest, BudgetTripOnShardedGroupRetriesShardsSerially) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->stats.limit_trips, 1);
   EXPECT_GE(result->stats.degraded_groups, 1);
+  // A group records exactly the shards its successful attempt folded.
+  for (const GroupStats& gs : result->stats.groups) {
+    if (gs.shards > 1) {
+      EXPECT_EQ(gs.shard_stats.size(), static_cast<size_t>(gs.shards));
+    }
+  }
   ExpectResultsMatch(result->results, clean->results, 0.0,
                      "serial retry vs clean sharded run");
+}
+
+/// The split group of ExecuteSharded recovers the same way: its shards
+/// ran on the pool, so a trip retries them one at a time, in shard order,
+/// through the same exchange. The retry's shard records replace the
+/// failed attempt's.
+TEST_F(LimitsTest, BudgetTripOnSplitGroupRetriesShardsSerially) {
+  OneGroupRecipe recipe;
+  Engine engine(&recipe.catalog, &recipe.tree, recipe.options);
+  auto prepared = engine.Prepare(recipe.batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto clean = prepared->ExecuteSharded(4);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_EQ(clean->stats.dist_shards, 4);
+
+  ASSERT_TRUE(Failpoints::Configure("viewmap.reserve=oom#1").ok());
+  auto result = prepared->ExecuteSharded(4);
+  Failpoints::Clear();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GE(result->stats.limit_trips, 1);
+  EXPECT_GE(result->stats.degraded_groups, 1);
+  EXPECT_EQ(result->stats.dist_shards, 4);
+  EXPECT_EQ(result->stats.exchange_bytes, clean->stats.exchange_bytes);
+  ExpectResultsMatch(result->results, clean->results, 0.0,
+                     "serial split retry vs clean sharded run");
 }
 
 TEST_F(LimitsTest, DeltaFailureLeavesHeldBaseIntact) {
