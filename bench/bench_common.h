@@ -122,13 +122,12 @@ inline void ExportTimingCounters(benchmark::State& state,
   state.counters["execute_ms"] = stats.execute_seconds * 1e3;
 }
 
-/// Exports the resource-governance counters of one evaluation: how many
-/// times a deadline/budget limit tripped and how many groups ran degraded
-/// (unsharded retry). The bench-smoke CI job greps these out of the
-/// uploaded BENCH_*.json — an untripped governed run must report zeros.
+/// Exports the resource-governance counter of one evaluation: how many
+/// groups survived a memory trip by their serial retry (a trip nothing
+/// recovers fails the call). The bench-smoke CI job greps it out of the
+/// uploaded BENCH_*.json — an untripped governed run must report zero.
 inline void ExportLimitCounters(benchmark::State& state,
                                 const ExecutionStats& stats) {
-  state.counters["limit_trips"] = stats.limit_trips;
   state.counters["degraded_groups"] = stats.degraded_groups;
 }
 

@@ -8,12 +8,13 @@
 /// shard count. work_ratio pins that: the sharded call's CPU time over the
 /// CPU time of an unsharded Execute interleaved with it in the same loop
 /// (a ratio measured inside one process, so host noise cancels).
-/// group_runs counts the group executions per call — the batch's group
-/// count, whatever the shard count. The remaining counters show the
-/// coordination tax: merge_ms plus the exchange volume, which a real
-/// deployment pays on top of its workers, and merge_overhead_pct, the
-/// coordinator merge time as a fraction of the unsharded execute, with
-/// shard_skew showing how balanced the row-range split is.
+/// group_runs counts the group executions per call (its group records) —
+/// the batch's group count, whatever the shard count. The remaining
+/// counters show the coordination tax: merge_ms plus the exchange volume,
+/// which a real deployment pays on top of its workers, and
+/// merge_overhead_pct, the coordinator merge time as a fraction of the
+/// unsharded execute, with shard_skew showing how balanced the row-range
+/// split is.
 
 #include <benchmark/benchmark.h>
 
@@ -70,11 +71,11 @@ void BM_Dist_RetailerCovariance_ShardSweep(benchmark::State& state) {
   }
 
   state.counters["queries"] = cov->batch.size();
-  state.counters["shards"] = stats.dist_shards;
+  state.counters["shards"] = stats.dist_shard_stats.size();
   state.counters["execute_ms"] = stats.execute_seconds * 1e3;
   state.counters["work_ratio"] =
       unsharded_cpu > 0.0 ? sharded_cpu / unsharded_cpu : 0.0;
-  state.counters["group_runs"] = stats.group_runs;
+  state.counters["group_runs"] = stats.groups.size();
   state.counters["merge_ms"] = stats.merge_seconds * 1e3;
   state.counters["exchange_bytes"] =
       static_cast<double>(stats.exchange_bytes);
@@ -116,7 +117,7 @@ void BM_Dist_FavoritaExample_ShardSweep(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   state.counters["queries"] = batch.size();
-  state.counters["shards"] = stats.dist_shards;
+  state.counters["shards"] = stats.dist_shard_stats.size();
   state.counters["merge_ms"] = stats.merge_seconds * 1e3;
   state.counters["exchange_bytes"] =
       static_cast<double>(stats.exchange_bytes);

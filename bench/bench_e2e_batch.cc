@@ -128,7 +128,7 @@ BENCHMARK(BM_E2E_RetailerCovariance_LmfaoPreparedExecute)
 /// and (amortized) trie match also consults the pass's CancelToken. The
 /// pair quantifies the governance overhead — the acceptance bar is <2%
 /// versus BM_E2E_RetailerCovariance_LmfaoPreparedExecute — and the
-/// exported limit_trips/degraded_groups counters must stay zero.
+/// exported degraded_groups counter must stay zero.
 void BM_E2E_RetailerCovariance_LmfaoPreparedExecuteLimitOverhead(
     benchmark::State& state) {
   RetailerData& db = bench::Retailer(kRetailerRows);

@@ -126,16 +126,11 @@ struct GroupStats {
   int num_outputs = 0;
   double seconds = 0.0;
   size_t output_entries = 0;
-  /// Shards the group ran in (1 = unsharded): its domain shards, or for a
-  /// group at the partitioned node of ExecuteSharded, the split's shards.
-  int shards = 1;
   /// Seconds the group waited between becoming ready and starting.
   double wait_seconds = 0.0;
-  /// True when a memory trip forced the group's serial retry.
+  /// True when a memory trip forced the group's serial retry (the one
+  /// limit trip a group can survive; any other fails the call).
   bool degraded = false;
-  /// Limit trips the group observed (deadline, budget, injected OOM),
-  /// including the one its serial retry recovered from.
-  int limit_trips = 0;
   /// Live ViewStore bytes right after the group published its outputs and
   /// released its inputs (the view-memory frontier at this point of the
   /// schedule), split into key-side bytes (packed keys, cached hashes,
@@ -144,8 +139,10 @@ struct GroupStats {
   size_t store_payload_bytes = 0;
   /// Outputs built as direct-addressed (dense) ViewMaps; the rest hash.
   int dense_outputs = 0;
-  /// The shards folded into the outputs, in shard order; empty when one
-  /// unsplit shard scanned straight into them.
+  /// The shards folded into the outputs, in shard order: the group's
+  /// domain shards, or at the partitioned node of ExecuteSharded the
+  /// split's shards. Empty when one unsplit shard scanned straight into
+  /// them, so more than one record means the group ran sharded.
   std::vector<ShardStats> shard_stats;
 
   size_t store_bytes() const { return store_key_bytes + store_payload_bytes; }
@@ -205,9 +202,6 @@ struct ExecutionStats {
   /// \name Sharded distributed execution (PreparedBatch::ExecuteSharded).
   /// Derived from the shard records of the groups at `dist_relation`.
   /// @{
-  /// Shards that ran (after clamping to the partitioned relation's key
-  /// blocks); 0 on non-sharded executions.
-  int dist_shards = 0;
   /// The relation whose row ranges the shards partitioned.
   RelationId dist_relation = kInvalidRelation;
   /// Total encoded view-exchange bytes shipped from shards to the
@@ -220,22 +214,17 @@ struct ExecutionStats {
   /// (1.0 = perfectly balanced).
   double shard_max_seconds = 0.0;
   double shard_mean_seconds = 0.0;
-  /// Per shard, its records summed over the groups at `dist_relation`
-  /// (each cuts its own sorted relation).
+  /// Per shard that ran (after clamping to the partitioned relation's key
+  /// blocks), its records summed over the groups at `dist_relation` (each
+  /// cuts its own sorted relation). Empty on non-sharded executions.
   std::vector<ShardStats> dist_shard_stats;
   /// @}
-  /// Group executions this call: num_groups per pass.
-  int group_runs = 0;
-  /// \name Resource governance (ExecLimits).
-  /// Sums over the group records: limit trips (GroupStats::limit_trips)
-  /// and groups that ran degraded (GroupStats::degraded).
-  /// @{
-  int limit_trips = 0;
+  /// Groups that ran degraded (GroupStats::degraded) under ExecLimits: the
+  /// call's count of limit trips it survived.
   int degraded_groups = 0;
-  /// @}
   /// Per-group stats, num_groups records per pass indexed by group id, the
   /// passes in order: an ExecuteDelta of k terms holds k × num_groups,
-  /// term by term.
+  /// term by term, so its size is the call's group executions.
   std::vector<GroupStats> groups;
 };
 
@@ -301,9 +290,11 @@ struct CompiledArtifact {
 /// sorted-relation cache is internally synchronized. `Catalog::Append` may
 /// also run concurrently with executions: each execution reads an epoch
 /// snapshot, so it observes either none or all of any append.
-/// `Engine::InvalidateCaches` (required after *non-append* mutations) must
-/// not run while Executes are in flight; it marks this handle stale so
-/// *subsequent* Executes fail cleanly.
+/// `Engine::InvalidateCaches` (required after *non-append* mutations) may
+/// run concurrently with Executes too: an in-flight Execute finishes on
+/// the snapshots and artifact it holds, and the call marks this handle
+/// stale so *subsequent* Executes fail cleanly. Only the structural
+/// mutation itself must not overlap engine use (see Catalog).
 class PreparedBatch {
  public:
   PreparedBatch() = default;
@@ -491,8 +482,8 @@ class Engine {
 
   /// Drops cached sorted relations and compiled artifacts, and bumps the
   /// generation counter: every PreparedBatch handed out so far becomes
-  /// stale. Call after mutating relations. Must not run concurrently with
-  /// in-flight Executes.
+  /// stale. Call after mutating relations. Safe to call while Executes are
+  /// in flight: each finishes on the snapshots and artifact it holds.
   void InvalidateCaches();
 
   /// Monotonic cache generation; PreparedBatch handles are valid only for

@@ -102,7 +102,6 @@ void AddSplitStats(RelationId node, ExecutionStats* stats) {
     }
   }
   stats->dist_relation = node;
-  stats->dist_shards = static_cast<int>(shards.size());
   for (const ShardStats& s : shards) {
     stats->shard_max_seconds = std::max(stats->shard_max_seconds, s.seconds);
     stats->shard_mean_seconds += s.seconds;
@@ -188,9 +187,7 @@ Status ExecutionContext::Run(ExecutionStats* stats) {
 
   // The pass's share of the call's stats.
   stats->execute_seconds += timer.ElapsedSeconds();
-  stats->group_runs += static_cast<int>(grouped_.groups.size());
   for (size_t g = first; g < stats->groups.size(); ++g) {
-    stats->limit_trips += stats->groups[g].limit_trips;
     if (stats->groups[g].degraded) ++stats->degraded_groups;
   }
   stats->peak_live_views =
@@ -245,12 +242,9 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
 
   // Output maps, preallocated from the plan's cardinality estimates:
   // direct-addressed when the key's value ranges allow (DenseKeyBox), else
-  // hashed. In one of `n` shards, an output keyed on the level-1 attribute
-  // sees an n-th of the keys, scattered over the whole box; it stays
-  // hashed and reserves an n-th of its estimate. Returns the number of
-  // dense maps built.
-  auto make_output_maps = [&](size_t n,
-                              std::vector<std::unique_ptr<ViewMap>>* maps,
+  // hashed. A shard's private maps are built by the same rule as the
+  // group's outputs. Returns the number of dense maps built.
+  auto make_output_maps = [&](std::vector<std::unique_ptr<ViewMap>>* maps,
                               std::vector<ViewMap*>* ptrs) {
     int dense = 0;
     for (const GroupPlan::OutputInfo& out : plan.outputs) {
@@ -259,17 +253,13 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
           static_cast<int>(info.key.size()), out.width));
       ptrs->push_back(maps->back().get());
       if (out.estimated_entries == 0) continue;
-      const std::vector<AttrId>& key = info.key;
-      const bool split_keys =
-          n > 1 && std::count(key.begin(), key.end(), plan.attr_order[0]);
       std::vector<ValueRange> box;
-      if (!split_keys && ranges_ != nullptr &&
-          DenseKeyBox(key, *ranges_, out.estimated_entries, &box)) {
+      if (ranges_ != nullptr &&
+          DenseKeyBox(info.key, *ranges_, out.estimated_entries, &box)) {
         maps->back()->ReserveDense(box, out.estimated_entries + 1);
         ++dense;
       } else {
-        maps->back()->Reserve(out.estimated_entries / (split_keys ? n : 1) +
-                              1);
+        maps->back()->Reserve(out.estimated_entries + 1);
       }
     }
     return dense;
@@ -330,7 +320,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     out_maps.clear();
     out_ptrs.clear();
     gs->shard_stats.clear();
-    dense_outputs = make_output_maps(1, &out_maps, &out_ptrs);
+    dense_outputs = make_output_maps(&out_maps, &out_ptrs);
     if (!split && n == 1) {
       return run_piece(make_executor().get(), pieces[0], out_ptrs);
     }
@@ -348,7 +338,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
       std::vector<std::unique_ptr<ViewMap>> maps;
       std::vector<ViewMap*> ptrs;
       Status st = [&]() -> Status {
-        make_output_maps(n, &maps, &ptrs);
+        make_output_maps(&maps, &ptrs);
         const std::unique_ptr<GroupExecutor> executor = make_executor();
         for (size_t i = s; i < pieces.size(); i += n) {
           record.rows += pieces[i].rows();
@@ -383,15 +373,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     return first_error;
   };
 
-  // Counts limit trips (deadline, budget, injected OOM) passing through.
-  auto count_trip = [gs](Status st) {
-    if (st.code() == StatusCode::kResourceExhausted ||
-        st.code() == StatusCode::kDeadlineExceeded) {
-      ++gs->limit_trips;
-    }
-    return st;
-  };
-  Status scan_st = count_trip(scan_all(shards, pool_));
+  Status scan_st = scan_all(shards, pool_);
   if (scan_st.code() == StatusCode::kResourceExhausted && shards > 1 &&
       pool_ != nullptr && (cancel_ == nullptr || !cancel_->cancelled())) {
     // Graceful degradation: an out-of-memory trip on a scan whose shards
@@ -402,7 +384,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
     // Release below may evict an input this retry needs). Budget trips are
     // not sticky on the token, so the retry's own Checks start clean.
     gs->degraded = true;
-    scan_st = count_trip(scan_all(shards, nullptr));
+    scan_st = scan_all(shards, nullptr);
   }
   LMFAO_RETURN_NOT_OK(scan_st);
 
@@ -426,7 +408,7 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   // Publish boundary: precise charge now that outputs are accounted and
   // dead inputs evicted.
   if (cancel_ != nullptr) {
-    LMFAO_RETURN_NOT_OK(count_trip(cancel_->Check(store_.current_bytes())));
+    LMFAO_RETURN_NOT_OK(cancel_->Check(store_.current_bytes()));
   }
 
   groups_completed_.fetch_add(1);
@@ -435,7 +417,6 @@ Status ExecutionContext::RunGroup(int gid, const GroupStart& start,
   gs->num_outputs = static_cast<int>(group.outputs.size());
   gs->seconds = group_timer.ElapsedSeconds();
   gs->output_entries = entries;
-  gs->shards = static_cast<int>(shards);
   gs->dense_outputs = dense_outputs;
   gs->wait_seconds = start.wait_seconds;
   gs->store_key_bytes = store_.current_key_bytes();

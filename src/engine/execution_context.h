@@ -76,7 +76,8 @@ class ExecutionContext {
   /// shards through its exchange instead of MergeAdd.
   /// `ranges` (optional, borrowed; indexed by AttrId) are the attribute
   /// value ranges at the pass's epoch: an output whose key box they bound
-  /// tightly enough is built as a direct-addressed (dense) ViewMap.
+  /// tightly enough is built as a direct-addressed (dense) ViewMap, and so
+  /// is each shard's private map of it.
   ExecutionContext(const Workload& workload, const GroupedWorkload& grouped,
                    const std::vector<GroupPlan>& plans,
                    const SchedulerOptions& options, ThreadPool* pool,

@@ -1,5 +1,6 @@
 #include "engine/report.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/string_util.h"
@@ -70,15 +71,15 @@ std::string ReportExecution(const ExecutionStats& stats,
         stats.delta_passes, stats.delta_passes == 1 ? "" : "es",
         stats.delta_rows, stats.delta_dirty_groups);
   }
-  if (stats.dist_shards > 0) {
+  if (!stats.dist_shard_stats.empty()) {
     const double skew =
         stats.shard_mean_seconds > 0.0
             ? stats.shard_max_seconds / stats.shard_mean_seconds
             : 1.0;
     out << StringPrintf(
-        "  sharded: %d shards of %s, exchange %zu bytes, merge %.2f ms, "
+        "  sharded: %zu shards of %s, exchange %zu bytes, merge %.2f ms, "
         "shard max/mean %.2f/%.2f ms (skew %.2f)\n",
-        stats.dist_shards,
+        stats.dist_shard_stats.size(),
         stats.dist_relation == kInvalidRelation
             ? "?"
             : catalog.relation(stats.dist_relation).name().c_str(),
@@ -100,13 +101,15 @@ std::string ReportExecution(const ExecutionStats& stats,
       static_cast<double>(stats.peak_view_key_bytes) / kMiB,
       static_cast<double>(stats.peak_view_payload_bytes) / kMiB);
   for (const GroupStats& g : stats.groups) {
+    // No shard records: one unsplit shard scanned straight into the outputs.
+    const size_t shards = std::max<size_t>(1, g.shard_stats.size());
     out << StringPrintf(
         "    group %d @ %-14s %8.2f ms, %d outputs, %zu entries, "
-        "%d shard%s, waited %.2f ms, store %.2f MiB (%.2f key + %.2f "
+        "%zu shard%s, waited %.2f ms, store %.2f MiB (%.2f key + %.2f "
         "payload)\n",
         g.group_id, catalog.relation(g.node).name().c_str(), g.seconds * 1e3,
-        g.num_outputs, g.output_entries, g.shards,
-        g.shards == 1 ? "" : "s", g.wait_seconds * 1e3,
+        g.num_outputs, g.output_entries, shards, shards == 1 ? "" : "s",
+        g.wait_seconds * 1e3,
         static_cast<double>(g.store_bytes()) / kMiB,
         static_cast<double>(g.store_key_bytes) / kMiB,
         static_cast<double>(g.store_payload_bytes) / kMiB);

@@ -53,9 +53,11 @@ struct EpochSnapshot {
 ///     executions that hold an `EpochSnapshot` keep reading the old epoch.
 ///   - *Everything else* (deleting/updating rows via mutable_relation,
 ///     adding relations or derived columns) is a structural mutation: it
-///     must not run concurrently with any engine use, and the owner must
-///     call `Engine::InvalidateCaches` afterwards so stale handles fail
-///     cleanly instead of reading rewritten data.
+///     must not overlap any engine use, and the owner must call
+///     `Engine::InvalidateCaches` after it and before the engine is used
+///     again, so stale handles fail cleanly instead of reading rewritten
+///     data. `InvalidateCaches` itself may run while executions are in
+///     flight.
 class Catalog {
  public:
   Catalog();

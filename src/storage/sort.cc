@@ -1,6 +1,5 @@
 #include "storage/sort.h"
 
-#include <algorithm>
 #include <numeric>
 
 namespace lmfao {
@@ -33,14 +32,10 @@ StatusOr<std::vector<uint32_t>> SortPermutation(
   LMFAO_ASSIGN_OR_RETURN(auto cols, ResolveIntColumns(rel, order));
   std::vector<uint32_t> perm(rel.num_rows());
   std::iota(perm.begin(), perm.end(), 0u);
-  std::sort(perm.begin(), perm.end(), [&cols](uint32_t a, uint32_t b) {
-    for (const auto* col : cols) {
-      const int64_t va = (*col)[a];
-      const int64_t vb = (*col)[b];
-      if (va != vb) return va < vb;
-    }
-    return a < b;  // Stable tie-break keeps sorting deterministic.
-  });
+  LexicographicArgsort(&perm, static_cast<int>(cols.size()),
+                       [&cols](uint32_t row, int c) {
+                         return (*cols[static_cast<size_t>(c)])[row];
+                       });
   return perm;
 }
 
@@ -48,20 +43,6 @@ Status SortRelation(Relation* rel, const std::vector<AttrId>& order) {
   LMFAO_ASSIGN_OR_RETURN(auto perm, SortPermutation(*rel, order));
   rel->Permute(perm);
   return Status::OK();
-}
-
-StatusOr<bool> IsSorted(const Relation& rel,
-                        const std::vector<AttrId>& order) {
-  LMFAO_ASSIGN_OR_RETURN(auto cols, ResolveIntColumns(rel, order));
-  for (size_t r = 1; r < rel.num_rows(); ++r) {
-    for (const auto* col : cols) {
-      const int64_t prev = (*col)[r - 1];
-      const int64_t cur = (*col)[r];
-      if (prev < cur) break;
-      if (prev > cur) return false;
-    }
-  }
-  return true;
 }
 
 StatusOr<Relation> MergeSortedRelations(const Relation& a, const Relation& b,

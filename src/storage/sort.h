@@ -9,6 +9,7 @@
 #ifndef LMFAO_STORAGE_SORT_H_
 #define LMFAO_STORAGE_SORT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -17,6 +18,24 @@
 
 namespace lmfao {
 
+/// \brief Sorts the row indices `rows` lexicographically by their `arity`
+/// key components, read as `component(row, c)`. Ties break by row index,
+/// so the order is deterministic and equals a stable sort of ascending
+/// indices; rows with distinct keys never reach the tie-break.
+template <typename ComponentFn>
+void LexicographicArgsort(std::vector<uint32_t>* rows, int arity,
+                          ComponentFn&& component) {
+  std::sort(rows->begin(), rows->end(),
+            [&component, arity](uint32_t a, uint32_t b) {
+              for (int c = 0; c < arity; ++c) {
+                const int64_t va = component(a, c);
+                const int64_t vb = component(b, c);
+                if (va != vb) return va < vb;
+              }
+              return a < b;
+            });
+}
+
 /// \brief Computes the permutation that sorts `rel` lexicographically by the
 /// given attributes (which must be int columns in rel's schema).
 StatusOr<std::vector<uint32_t>> SortPermutation(
@@ -24,9 +43,6 @@ StatusOr<std::vector<uint32_t>> SortPermutation(
 
 /// \brief Sorts `rel` in place by the given attribute order.
 Status SortRelation(Relation* rel, const std::vector<AttrId>& order);
-
-/// \brief True if `rel` is sorted lexicographically by `order`.
-StatusOr<bool> IsSorted(const Relation& rel, const std::vector<AttrId>& order);
 
 /// \brief Stable merge of two relations that are each sorted by `order`
 /// (same schema and column types). On equal keys, rows of `a` come first.

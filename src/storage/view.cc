@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "storage/sort.h"
 #include "util/failpoint.h"
 
 namespace lmfao {
@@ -202,22 +203,6 @@ void PermuteRows(double* data, int width, std::vector<uint32_t>* from) {
   }
 }
 
-/// Sorts `rows` lexicographically by their `arity` key components, read
-/// as `component(row, c)`. Keys are distinct, so the order is unique.
-template <typename ComponentFn>
-void SortByKey(std::vector<uint32_t>* rows, int arity,
-               ComponentFn&& component) {
-  std::sort(rows->begin(), rows->end(),
-            [&component, arity](uint32_t a, uint32_t b) {
-              for (int c = 0; c < arity; ++c) {
-                const int64_t va = component(a, c);
-                const int64_t vb = component(b, c);
-                if (va != vb) return va < vb;
-              }
-              return false;
-            });
-}
-
 /// One gather per key column: column c holds `component(rows[i], c)`.
 template <typename ComponentFn>
 KeyColumns GatherKeys(const std::vector<uint32_t>& rows, int arity,
@@ -252,7 +237,8 @@ SortView SortView::Freeze(const ViewMap& map, PayloadLayout layout,
   };
 
   // The occupied slots in key order: a dense map's cells already are, a
-  // hash map's slots take an index argsort ...
+  // hash map's slots take an index argsort (its keys are distinct, so the
+  // order is unique) ...
   std::vector<uint32_t> slots;
   slots.reserve(map.size());
   const size_t num_slots = map.num_slots();
@@ -260,7 +246,7 @@ SortView SortView::Freeze(const ViewMap& map, PayloadLayout layout,
   for (size_t s = 0; s < num_slots; ++s) {
     if (map.slot_occupied(s)) slots.push_back(static_cast<uint32_t>(s));
   }
-  if (!map.dense()) SortByKey(&slots, arity, component);
+  if (!map.dense()) LexicographicArgsort(&slots, arity, component);
 
   // ... then one gather per key column and one payload gather into the
   // requested layout (a straight row copy, or a tiled transpose into
@@ -300,7 +286,7 @@ SortView SortView::Permuted(const std::vector<int>& perm,
   LMFAO_CHECK_LT(n, static_cast<size_t>(UINT32_MAX));
   std::vector<uint32_t> rows(n);
   std::iota(rows.begin(), rows.end(), 0u);
-  SortByKey(&rows, arity, component);
+  LexicographicArgsort(&rows, arity, component);
   SortView out;
   out.width_ = width_;
   out.keys_ = GatherKeys(rows, arity, component);

@@ -10,8 +10,8 @@
 ///     subsequent Check fails — the pass cannot recover by doing less work.
 ///   - Budget trips are *not* sticky: Check compares the bytes currently
 ///     charged against the budget, so a caller that frees memory (e.g. the
-///     once-unsharded retry of a domain-sharded group, which drops its
-///     per-shard maps first) can proceed.
+///     serial retry of a sharded group, which runs the same shards one at a
+///     time so only one shard's private maps are live) can proceed.
 
 #ifndef LMFAO_UTIL_CANCEL_H_
 #define LMFAO_UTIL_CANCEL_H_

@@ -286,7 +286,9 @@ TEST(ParallelParityTest, CovarianceBatchAllSchedulerConfigs) {
     }
     // A group's key-aligned blocks outnumber its shards at
     // min_shard_rows = 1; the shards, not the blocks, are capped.
-    for (const GroupStats& gs : got->stats.groups) EXPECT_LE(gs.shards, 4);
+    for (const GroupStats& gs : got->stats.groups) {
+      EXPECT_LE(gs.shard_stats.size(), 4u);
+    }
   }
 }
 

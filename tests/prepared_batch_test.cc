@@ -3,11 +3,12 @@
 /// one-shot Evaluate (including re-Execute and param re-binding), the
 /// structural plan cache, stale-handle semantics after InvalidateCaches,
 /// compile options in the artifact signature, concurrent Executes of one
-/// handle, concurrent passes of every kind on one Engine's worker pool, and
-/// Prepares racing appends (the concurrent cases run under TSan in the
-/// tsan ctest preset).
+/// handle, concurrent passes of every kind on one Engine's worker pool,
+/// InvalidateCaches racing Executes, and Prepares racing appends (the
+/// concurrent cases run under TSan in the tsan ctest preset).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -432,7 +433,7 @@ TEST(SharedPoolTest, ConcurrentPassesMatchSequentialBitForBit) {
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   bool sharded = false;
   for (const GroupStats& gs : probe->stats.groups) {
-    if (gs.shards > 1) sharded = true;
+    if (gs.shard_stats.size() > 1) sharded = true;
   }
   ASSERT_TRUE(sharded) << "recipe did not shard; cost model changed?";
 
@@ -473,6 +474,83 @@ TEST(SharedPoolTest, ConcurrentPassesMatchSequentialBitForBit) {
         i % 3 == 0 ? *want_full : (i % 3 == 1 ? *want_sharded : *want_delta);
     ExpectResultsMatch(got->results, want.results, 0.0,
                        "pass " + std::to_string(i));
+  }
+}
+
+/// InvalidateCaches may run while Executes are in flight: it only clears
+/// the caches under their locks and bumps the generation, and a pass holds
+/// its sorted snapshots and its artifact by shared_ptr. Three clients
+/// Execute (domain-sharded on a 2-thread Engine) and re-Prepare whenever
+/// their handle went stale, while a fourth thread keeps invalidating.
+/// Every call either fails FailedPrecondition or returns the clean run's
+/// bits (integer-exact data, so any summation order gives the same bits).
+TEST_F(PreparedBatchTest, InvalidateCachesRacesExecutes) {
+  Rng rng(2804);
+  testing::ExactDatabase db = testing::MakeExactDatabase(&rng);
+  const QueryBatch batch = testing::MakeExactBatch(db, &rng);
+  EngineOptions options;
+  options.scheduler.num_threads = 2;
+  options.scheduler.min_shard_rows = 2;
+  Engine engine(&db.catalog, &db.tree, options);
+  auto clean = engine.Prepare(batch);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  auto want = clean->Execute();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  constexpr size_t kClients = 3;
+  constexpr int kInvalidations = 30;
+  std::atomic<size_t> ready{0};
+  std::atomic<bool> invalidating{true};
+  std::vector<std::vector<StatusOr<BatchResult>>> results(kClients);
+  std::vector<int> stale(kClients, 0);
+  {
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        StatusOr<PreparedBatch> prepared = engine.Prepare(batch);
+        // The first result releases the invalidator, so every client's
+        // first handle goes stale. Runs until an Execute that started
+        // after the last invalidation returns.
+        bool counted = false;
+        for (bool last = false; !last;) {
+          last = !invalidating.load();
+          StatusOr<BatchResult> got =
+              prepared.ok() ? prepared->Execute()
+                            : StatusOr<BatchResult>(prepared.status());
+          if (got.status().code() == StatusCode::kFailedPrecondition) {
+            ++stale[c];
+            prepared = engine.Prepare(batch);
+            last = false;
+            continue;
+          }
+          if (!counted) {
+            counted = true;
+            ready.fetch_add(1);
+          }
+          last = last || !got.ok();
+          results[c].push_back(std::move(got));
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      while (ready.load() < kClients) std::this_thread::yield();
+      for (int i = 0; i < kInvalidations; ++i) {
+        engine.InvalidateCaches();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      invalidating.store(false);
+    });
+    for (std::thread& th : threads) th.join();
+  }
+  for (size_t c = 0; c < kClients; ++c) {
+    const std::string label = "client " + std::to_string(c);
+    for (const StatusOr<BatchResult>& got : results[c]) {
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      ExpectResultsMatch(got->results, want->results, 0.0, label);
+    }
+    // One result before the first invalidation, one after the last.
+    EXPECT_GE(results[c].size(), 2u) << label;
+    EXPECT_GE(stale[c], 1) << label;
   }
 }
 
